@@ -11,7 +11,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -19,20 +19,16 @@ import numpy as np
 
 from . import encoders as enc_mod
 from . import models as mod
-from .data import DataTable, load_csv, read_schema, split_train_test, fit_preprocessor, impute, apply_pipeline
+from .data import DataTable, apply_pipeline, fit_pipeline, load_csv, read_schema, split_train_test
 from .metrics import (
+    SUFFICIENT_MINASPL,
     MetricRecord,
-    RelPerfRow,
     f1_score,
     minaspl,
     relative_perf_diff,
     rmse,
     write_records_csv,
 )
-
-SUFFICIENT_MINASPL = 100.0
-
-MODEL_NAMES = ("ridge", "logistic", "mlp", "tree", "forest")
 
 
 class ConfigError(ValueError):
@@ -156,7 +152,7 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
             elif section == "models":
                 tokens = line.split()
-                if tokens[0] not in MODEL_NAMES:
+                if tokens[0] not in mod.MODEL_NAMES:
                     raise ConfigError(f"{path}:{lineno}: unknown model {tokens[0]!r}")
                 models.append(
                     ModelSpec(name=tokens[0], params=tuple(sorted(_parse_overrides(tokens[1:]).items())))
@@ -199,32 +195,6 @@ def _load_dataset(csv_path: str, schema_path: str) -> DataTable:
     return load_csv(csv_path, kinds, target)
 
 
-def _fit_grid_model(spec: ModelSpec, task: str, x: np.ndarray, y: np.ndarray, seed: int):
-    kwargs = spec.kwargs()
-    if spec.name == "ridge":
-        if task != "regression":
-            raise ValueError("ridge is regression-only")
-        return mod.fit_ridge(x, y, **kwargs)
-    if spec.name == "logistic":
-        if task != "classification":
-            raise ValueError("logistic is classification-only")
-        return mod.fit_logistic(x, y, **kwargs)
-    if spec.name == "mlp":
-        return mod.fit_mlp(x, y, task=task, seed=seed, **kwargs)
-    if spec.name == "tree":
-        kwargs.setdefault("impurity", "gini" if task == "classification" else "mse")
-        kwargs.setdefault("max_depth", 10)
-        kwargs.setdefault("min_samples_split", 10)
-        return mod.fit_tree(x, y, **kwargs)
-    if spec.name == "forest":
-        return mod.fit_forest(x, y, task=task, seed=seed, **kwargs)
-    raise ValueError(f"unknown model {spec.name!r}")
-
-
-def _encoder_id(spec: enc_mod.EncoderSpec) -> str:
-    return spec.variant
-
-
 def _run_cell(
     dataset: DatasetSpec,
     enc_spec: enc_mod.EncoderSpec,
@@ -240,23 +210,12 @@ def _run_cell(
         y_train = pair.train.target_values()
         y_test = pair.test.target_values()
         t0 = time.perf_counter()
-        base = fit_preprocessor(pair.train)
-        filled = impute(base, pair.train)
-        target = (
-            filled.target_values()
-            if enc_spec.variant in enc_mod.TARGET_VARIANTS
-            else None
-        )
-        fitted = {
-            name: enc_mod.fit(enc_spec, filled.column(name), target)
-            for name in pair.train.categorical_names()
-        }
-        pre = fit_preprocessor(pair.train, fitted)
+        pre, fitted = fit_pipeline(pair.train, enc_spec)
         x_train = apply_pipeline(pre, fitted, pair.train)
         x_test = apply_pipeline(pre, fitted, pair.test)
         encode_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        model = _fit_grid_model(model_spec, task, x_train, y_train, seed)
+        model = mod.fit_model(model_spec.name, task, x_train, y_train, seed, **model_spec.kwargs())
         train_time = time.perf_counter() - t0
         pred = mod.predict(model, x_test, task=task)
         if task == "classification":
@@ -265,7 +224,7 @@ def _run_cell(
             metric, value = "rmse", rmse(y_test, pred)
         return MetricRecord(
             dataset=dataset.name,
-            encoder=_encoder_id(enc_spec),
+            encoder=enc_spec.variant,
             model=model_spec.name,
             seed=seed,
             metric=metric,
@@ -276,7 +235,7 @@ def _run_cell(
     except Exception as exc:  # a bad cell must not sink the grid
         return CellFailure(
             dataset=dataset.name,
-            encoder=_encoder_id(enc_spec),
+            encoder=enc_spec.variant,
             model=model_spec.name,
             seed=seed,
             error=f"{type(exc).__name__}: {exc}",

@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import encoders as enc_mod
 from . import guide as guide_mod
+from . import models as models_mod
 from . import synth as synth_mod
 from . import theory as theory_mod
 from .data import ColumnKind, infer_schema, load_csv, read_schema
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="samples-per-level sweep on a synthetic task")
     p_sweep.add_argument("--problem", required=True, choices=("regression", "classification"))
     p_sweep.add_argument("--encoder", required=True, choices=enc_mod.ENCODER_VARIANTS)
-    p_sweep.add_argument("--model", required=True, choices=bench_mod.MODEL_NAMES)
+    p_sweep.add_argument("--model", required=True, choices=models_mod.MODEL_NAMES)
     p_sweep.add_argument("--aspl", type=int, nargs="+", default=list(range(5, 101, 5)))
     p_sweep.add_argument("--seeds", type=int, default=30, help="seeds per ASPL value")
     p_sweep.add_argument("--test-size", type=int, default=1000)
@@ -102,7 +102,7 @@ def _cmd_encode(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.column}_{args.encoder}.csv")
     enc_mod.export_encoder_csv(enc, out_path)
-    print(f"wrote {len(enc.level_map)} level codes ({enc.output_dim} components) to {out_path}")
+    print(f"wrote {enc.levels.cardinality} level codes ({enc.output_dim} components) to {out_path}")
     return 0
 
 
@@ -167,19 +167,12 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        grid = bench_mod.ExperimentGrid(
-            datasets=grid.datasets,
-            encoders=grid.encoders,
-            models=grid.models,
-            seeds=grid.seeds,
-            split_ratio=grid.split_ratio,
-            out_dir=args.out,
-        )
+        grid = dataclasses.replace(grid, out_dir=args.out)
     records, failures = bench_mod.run_and_report(
         grid, workers=args.workers, record_timing=not args.no_timing
     )
     print(f"scored {len(records)} cells, {len(failures)} failed; reports in {grid.out_dir}")
-    return 0
+    return 1 if failures and not records else 0
 
 
 def _cmd_guide(args) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,7 +96,8 @@ class DataTable:
         return np.asarray(vals, dtype=float)
 
     def target_is_binary(self) -> bool:
-        """True when every target value is 0 or 1 and both classes could occur."""
+        """True when every target value is 0 or 1; a single-class 0/1 target
+        counts as binary."""
         vals = set(self.target_values().tolist())
         return vals <= {0.0, 1.0}
 

@@ -7,13 +7,15 @@ Families:
 * string:   similarity, minhash                     (codes from the level string)
 * target:   mean, sshrink, mestimate, jamesstein, glmm  (codes from the target)
 
-Every fitted encoder maps a level string to a fixed-width float vector and
-carries an explicit policy for unseen levels. String encoders can also encode
+Every fitted encoder is a level table plus a code matrix: row k of the (c, l)
+float matrix is the code of training level k, in first-appearance order, and
+an explicit policy vector covers unseen levels. String encoders can also encode
 unseen levels from the raw string on the fly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,16 +50,28 @@ class LevelTable:
         return self.levels.index(level)
 
 
+def _distinct(column: Sequence[str], known: Sequence[str] = ()) -> tuple[str, ...]:
+    """Distinct cells in first-appearance order, after the distinct `known` levels.
+    Cells must be strings; run imputation first if the column can contain
+    missing markers."""
+    distinct = tuple(dict.fromkeys(itertools.chain(known, column)))
+    for v in distinct[len(known) :]:
+        if not isinstance(v, str):
+            raise TypeError(f"categorical cell is not a string: {v!r} (impute first?)")
+    return distinct
+
+
+def _factorize(column: Sequence[str], known: Sequence[str] = ()) -> tuple[tuple[str, ...], np.ndarray]:
+    """_distinct(column, known) plus each cell's position in it."""
+    distinct = _distinct(column, known)
+    position = {v: k for k, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+
+
 def fit_levels(column: Sequence[str]) -> LevelTable:
     """Collect distinct levels in order of first appearance. Cells must be strings;
     run imputation first if the column can contain missing markers."""
-    seen: dict[str, None] = {}
-    for v in column:
-        if not isinstance(v, str):
-            raise TypeError(f"categorical cell is not a string: {v!r} (impute first?)")
-        if v not in seen:
-            seen[v] = None
-    return LevelTable(levels=tuple(seen))
+    return LevelTable(levels=_distinct(column))
 
 
 @dataclass(frozen=True)
@@ -95,41 +109,40 @@ class EncoderSpec:
 
 @dataclass
 class FittedEncoder:
-    """Frozen level -> vector map with an unseen-level policy.
+    """Frozen level table plus code matrix, with an unseen-level policy.
 
-    encode_fn, when set (string encoders), computes a vector for levels outside
-    level_map; otherwise unseen levels get unseen_policy.
+    Row k of codes, a (cardinality, output_dim) float matrix, is the code of
+    levels.levels[k]. encode_fn, when set (string encoders), computes a code for
+    levels outside the table; otherwise unseen levels get unseen_policy.
     """
 
     variant: str
-    level_map: dict[str, np.ndarray]
-    output_dim: int
+    levels: LevelTable
+    codes: np.ndarray
     unseen_policy: np.ndarray
     encode_fn: Callable[[str], np.ndarray] | None = None
     detail: object = None
 
     def __post_init__(self) -> None:
-        for level, vec in self.level_map.items():
-            if vec.shape != (self.output_dim,):
-                raise ValueError(f"level {level!r} maps to shape {vec.shape}")
+        if self.codes.ndim != 2 or self.codes.shape[0] != self.levels.cardinality:
+            raise ValueError(
+                f"codes of shape {self.codes.shape} need one row per level ({self.levels.cardinality})"
+            )
         if self.unseen_policy.shape != (self.output_dim,):
             raise ValueError("unseen policy width disagrees with output_dim")
 
+    @property
+    def output_dim(self) -> int:
+        return self.codes.shape[1]
+
 
 def transform(enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
-    """Encode a column into an (n_rows, output_dim) float matrix."""
-    out = np.empty((len(column), enc.output_dim), dtype=float)
-    for i, v in enumerate(column):
-        if not isinstance(v, str):
-            raise TypeError(f"categorical cell is not a string: {v!r} (impute first?)")
-        vec = enc.level_map.get(v)
-        if vec is None:
-            if enc.encode_fn is not None:
-                vec = enc.encode_fn(v)
-            else:
-                vec = enc.unseen_policy
-        out[i] = vec
-    return out
+    """Encode a column into an (n_rows, output_dim) float matrix. Each distinct
+    unseen level is encoded once, by encode_fn or as the unseen policy."""
+    distinct, codes = _factorize(column, enc.levels.levels)
+    fill = enc.encode_fn or (lambda _: enc.unseen_policy)
+    table = np.vstack([enc.codes, *(fill(v) for v in distinct[enc.levels.cardinality :])])
+    return table[codes]
 
 
 def output_dim(variant: str, cardinality: int, spec: EncoderSpec | None = None) -> int:
@@ -155,14 +168,7 @@ def output_dim(variant: str, cardinality: int, spec: EncoderSpec | None = None) 
 
 def fit_onehot(levels: LevelTable) -> FittedEncoder:
     c = levels.cardinality
-    eye = np.eye(c)
-    level_map = {v: eye[k].copy() for k, v in enumerate(levels.levels)}
-    return FittedEncoder(
-        variant="onehot",
-        level_map=level_map,
-        output_dim=c,
-        unseen_policy=np.zeros(c),
-    )
+    return FittedEncoder(variant="onehot", levels=levels, codes=np.eye(c), unseen_policy=np.zeros(c))
 
 
 def _basen_width(cardinality: int, base: int) -> int:
@@ -172,27 +178,15 @@ def _basen_width(cardinality: int, base: int) -> int:
     return width
 
 
-def _basen_digits(k: int, base: int, width: int) -> np.ndarray:
-    digits = np.zeros(width)
-    for pos in range(width - 1, -1, -1):
-        digits[pos] = k % base
-        k //= base
-    return digits
-
-
 def fit_basen(levels: LevelTable, base: int = 2) -> FittedEncoder:
     """Level k (1-indexed, appearance order) becomes the base-`base` digits of k,
     most significant digit first. All-zero codes are reserved for unseen levels."""
     c = levels.cardinality
     width = _basen_width(c, base)
-    level_map = {
-        v: _basen_digits(k, base, width) for k, v in enumerate(levels.levels, start=1)
-    }
+    place = base ** np.arange(width - 1, -1, -1)
+    digits = (np.arange(1, c + 1)[:, None] // place) % base
     return FittedEncoder(
-        variant="basen",
-        level_map=level_map,
-        output_dim=width,
-        unseen_policy=np.zeros(width),
+        variant="basen", levels=levels, codes=digits.astype(float), unseen_policy=np.zeros(width)
     )
 
 
@@ -227,13 +221,7 @@ def fit_contrast(levels: LevelTable, scheme: str) -> FittedEncoder:
     if scheme not in _CONTRAST_SCHEMES:
         raise ValueError(f"unknown contrast scheme {scheme!r}")
     mat = contrast_matrix(levels.cardinality, scheme)
-    level_map = {v: mat[k].copy() for k, v in enumerate(levels.levels)}
-    return FittedEncoder(
-        variant=scheme,
-        level_map=level_map,
-        output_dim=mat.shape[1],
-        unseen_policy=np.zeros(mat.shape[1]),
-    )
+    return FittedEncoder(variant=scheme, levels=levels, codes=mat, unseen_policy=np.zeros(mat.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +230,16 @@ def fit_contrast(levels: LevelTable, scheme: str) -> FittedEncoder:
 
 def fit_ordinal(levels: LevelTable) -> FittedEncoder:
     """Level k (appearance order) -> [k], 1-indexed; unseen -> [0]."""
-    level_map = {v: np.array([float(k)]) for k, v in enumerate(levels.levels, start=1)}
-    return FittedEncoder(
-        variant="ordinal", level_map=level_map, output_dim=1, unseen_policy=np.zeros(1)
-    )
+    codes = np.arange(1, levels.cardinality + 1, dtype=float)[:, None]
+    return FittedEncoder(variant="ordinal", levels=levels, codes=codes, unseen_policy=np.zeros(1))
 
 
 def fit_count(column: Sequence[str]) -> FittedEncoder:
     """Level -> [number of occurrences in the training column]; unseen -> [0]."""
-    levels = fit_levels(column)
-    counts = {v: 0 for v in levels.levels}
-    for v in column:
-        counts[v] += 1
-    level_map = {v: np.array([float(counts[v])]) for v in levels.levels}
-    return FittedEncoder(
-        variant="count", level_map=level_map, output_dim=1, unseen_policy=np.zeros(1)
-    )
+    distinct, codes = _factorize(column)
+    levels = LevelTable(levels=distinct)
+    counts = np.bincount(codes, minlength=levels.cardinality).astype(float)
+    return FittedEncoder(variant="count", levels=levels, codes=counts[:, None], unseen_policy=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +284,10 @@ def fit_similarity(levels: LevelTable, ngram_range: tuple[int, int] = (2, 4)) ->
                 out[j] += len(value_grams & train_grams[j][n])
         return out
 
-    level_map = {v: encode(v) for v in levels.levels}
     return FittedEncoder(
         variant="similarity",
-        level_map=level_map,
-        output_dim=levels.cardinality,
+        levels=levels,
+        codes=np.stack([encode(v) for v in levels.levels]),
         unseen_policy=np.zeros(levels.cardinality),
         encode_fn=encode,
     )
@@ -361,11 +342,10 @@ def fit_minhash(
     def encode(value: str) -> np.ndarray:
         return minhash_signature(value, n_components, ngram_range, hash_seed)
 
-    level_map = {v: encode(v) for v in levels.levels}
     return FittedEncoder(
         variant="minhash",
-        level_map=level_map,
-        output_dim=n_components,
+        levels=levels,
+        codes=np.stack([encode(v) for v in levels.levels]),
         unseen_policy=np.zeros(n_components),
         encode_fn=encode,
     )
@@ -397,10 +377,9 @@ def compute_group_stats(column: Sequence[str], target: Sequence[float]) -> Group
         raise ValueError("column and target lengths differ")
     if y.shape[0] == 0:
         raise ValueError("empty column")
-    levels = fit_levels(column)
+    distinct, codes = _factorize(column)
+    levels = LevelTable(levels=distinct)
     c = levels.cardinality
-    idx = {v: k for k, v in enumerate(levels.levels)}
-    codes = np.fromiter((idx[v] for v in column), dtype=int, count=len(column))
     counts = np.bincount(codes, minlength=c)
     sums = np.bincount(codes, weights=y, minlength=c)
     means = sums / counts
@@ -449,13 +428,10 @@ def fit_target_encoder(stats: GroupStats, scheme: str, spec: EncoderSpec) -> Fit
     """
     b = shrink_factors(stats, scheme, spec)
     codes = b * stats.means + (1.0 - b) * stats.prior_mean
-    level_map = {
-        v: np.array([codes[k]]) for k, v in enumerate(stats.levels.levels)
-    }
     return FittedEncoder(
         variant=scheme,
-        level_map=level_map,
-        output_dim=1,
+        levels=stats.levels,
+        codes=codes[:, None],
         unseen_policy=np.array([stats.prior_mean]),
         detail=stats,
     )
@@ -534,14 +510,10 @@ def fit_glmm_encoder(
     """Level k -> [w_k], the fitted random effect. Unseen levels encode to [0],
     which is exactly the model's prior for a level it never saw."""
     fit_result = fit_glmm(column, target, max_iter=max_iter, tol=tol)
-    level_map = {
-        v: np.array([fit_result.effects[k]])
-        for k, v in enumerate(fit_result.levels.levels)
-    }
     return FittedEncoder(
         variant="glmm",
-        level_map=level_map,
-        output_dim=1,
+        levels=fit_result.levels,
+        codes=fit_result.effects[:, None],
         unseen_policy=np.zeros(1),
         detail=fit_result,
     )
@@ -589,5 +561,5 @@ def export_encoder_csv(enc: FittedEncoder, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["level"] + [f"c{j + 1}" for j in range(enc.output_dim)])
-        for level, vec in enc.level_map.items():
+        for level, vec in zip(enc.levels.levels, enc.codes):
             writer.writerow([level] + [repr(float(x)) for x in vec])

@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import DataTable
-from .metrics import minaspl
-
-#: minASPL at or above which per-level data is considered sufficient
-SUFFICIENT_MINASPL = 100.0
+from .metrics import SUFFICIENT_MINASPL, minaspl
 
 MODEL_FAMILIES = ("ati", "tree", "other")
 

@@ -7,7 +7,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import ColumnKind, DataTable
+from .data import MISSING, DataTable
+from .encoders import fit_levels
+
+#: minASPL at or above which per-level data is considered sufficient
+SUFFICIENT_MINASPL = 100.0
 
 HIGHER_BETTER = frozenset({"f1", "accuracy"})
 LOWER_BETTER = frozenset({"rmse", "mse"})
@@ -63,11 +67,15 @@ def aspl(n_rows: int, cardinality: int) -> float:
 
 
 def minaspl(table: DataTable) -> float:
-    """n over the largest categorical cardinality: the binding per-level budget."""
+    """n over the largest categorical cardinality: the binding per-level budget.
+
+    Missing cells count as rows but not as a level; a categorical column with
+    no present cell raises ValueError.
+    """
     cards = []
     for name in table.categorical_names():
-        levels = {v for v in table.column(name)}
-        cards.append(len(levels))
+        present = [v for v in table.column(name) if v is not MISSING]
+        cards.append(fit_levels(present).cardinality)
     if not cards:
         raise ValueError("table has no categorical feature columns")
     return table.row_count / max(cards)

@@ -112,7 +112,9 @@ def fit_logistic(
     """Damped Newton (IRLS) on the penalized log-loss; intercept unpenalized.
 
     Refuses single-class targets. Step halving keeps the objective monotone, so
-    the L2-regularized problem converges to its unique optimum.
+    the L2-regularized problem converges to its unique optimum. When 30 halvings
+    find no step that does not raise the loss, the fit stops at the current
+    parameters with converged=False; n_iter counts the accepted steps.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -144,6 +146,9 @@ def fit_logistic(
             if trial_loss <= loss:
                 break
             scale *= 0.5
+        else:
+            n_iter -= 1
+            break
         params, loss, grad = trial, trial_loss, trial_grad
     else:
         converged = float(np.max(np.abs(grad))) < tol
@@ -184,6 +189,11 @@ MLP_DEFAULTS = dict(
     l2=1e-4,
     epochs=200,
 )
+
+
+def _mlp_output(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """Forward pass: the linear output (regression) or logit (binary), per row."""
+    return (np.maximum(x @ model.w1 + model.b1, 0.0) @ model.w2 + model.b2).ravel()
 
 
 def init_mlp(n_features: int, task: str, seed: int, hidden: int = 100) -> MLPModel:
@@ -512,7 +522,36 @@ def predict_forest_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared prediction front door
+# shared fit and prediction front doors
+
+MODEL_NAMES = ("ridge", "logistic", "mlp", "tree", "forest")
+
+
+def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **params):
+    """Fit a learner by name for a task; params override its keyword defaults.
+
+    Ridge is regression-only and logistic classification-only. A tree defaults
+    to gini (classification) or mse impurity, max_depth 10 and
+    min_samples_split 10. The seed drives the MLP and the forest.
+    """
+    if name == "ridge":
+        if task != "regression":
+            raise ValueError("ridge is regression-only")
+        return fit_ridge(x, y, **params)
+    if name == "logistic":
+        if task != "classification":
+            raise ValueError("logistic is classification-only")
+        return fit_logistic(x, y, **params)
+    if name == "mlp":
+        return fit_mlp(x, y, task=task, seed=seed, **params)
+    if name == "tree":
+        params.setdefault("impurity", "gini" if task == "classification" else "mse")
+        params.setdefault("max_depth", 10)
+        params.setdefault("min_samples_split", 10)
+        return fit_tree(x, y, **params)
+    if name == "forest":
+        return fit_forest(x, y, task=task, seed=seed, **params)
+    raise ValueError(f"unknown model {name!r}")
 
 
 def predict(model, x: np.ndarray, task: str | None = None) -> np.ndarray:
@@ -529,8 +568,7 @@ def predict(model, x: np.ndarray, task: str | None = None) -> np.ndarray:
     if isinstance(model, LogisticModel):
         return (predict_proba(model, x) >= 0.5).astype(float)
     if isinstance(model, MLPModel):
-        pre_h = np.maximum(x @ model.w1 + model.b1, 0.0)
-        out = (pre_h @ model.w2 + model.b2).ravel()
+        out = _mlp_output(model, x)
         if model.task == "classification":
             return (_sigmoid(out) >= 0.5).astype(float)
         return out
@@ -555,8 +593,7 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
     if isinstance(model, MLPModel):
         if model.task != "classification":
             raise ValueError("regression MLP has no probabilities")
-        pre_h = np.maximum(x @ model.w1 + model.b1, 0.0)
-        return _sigmoid((pre_h @ model.w2 + model.b2).ravel())
+        return _sigmoid(_mlp_output(model, x))
     if isinstance(model, TreeNode):
         return predict_tree(model, x)
     if isinstance(model, ForestModel):

@@ -8,14 +8,14 @@ test set is drawn once per sweep from its own stream and shared by every cell.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import encoders as enc_mod
 from . import models as mod
-from .data import ColumnKind, DataTable, fit_preprocessor, apply_pipeline, impute
+from .data import ColumnKind, DataTable, apply_pipeline, fit_pipeline, fit_preprocessor
 from .metrics import accuracy, mse
 
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -120,29 +120,10 @@ def _truth_encoder(truth: Mapping[str, float]) -> enc_mod.FittedEncoder:
     prior = float(np.mean(list(truth.values())))
     return enc_mod.FittedEncoder(
         variant="truth",
-        level_map={k: np.array([v]) for k, v in truth.items()},
-        output_dim=1,
+        levels=enc_mod.LevelTable(levels=tuple(truth)),
+        codes=np.array(list(truth.values()), dtype=float)[:, None],
         unseen_policy=np.array([prior]),
     )
-
-
-def _fit_sweep_model(model_kind: str, task: str, x: np.ndarray, y: np.ndarray, seed: int):
-    if model_kind == "ridge":
-        if task != "regression":
-            raise ValueError("ridge is regression-only")
-        return mod.fit_ridge(x, y)
-    if model_kind == "logistic":
-        if task != "classification":
-            raise ValueError("logistic is classification-only")
-        return mod.fit_logistic(x, y)
-    if model_kind == "mlp":
-        return mod.fit_mlp(x, y, task=task, seed=seed)
-    if model_kind == "tree":
-        impurity = "gini" if task == "classification" else "mse"
-        return mod.fit_tree(x, y, impurity=impurity, max_depth=10, min_samples_split=10)
-    if model_kind == "forest":
-        return mod.fit_forest(x, y, task=task, seed=seed)
-    raise ValueError(f"unknown sweep model {model_kind!r}")
 
 
 def _score(task: str, model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
@@ -150,27 +131,6 @@ def _score(task: str, model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
     if task == "classification":
         return "accuracy", accuracy(y, pred)
     return "mse", mse(y, pred)
-
-
-def _cell_matrices(
-    train: DataTable, test: DataTable, encoder: enc_mod.FittedEncoder | None, spec: enc_mod.EncoderSpec | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Impute + encode + standardize both tables with train statistics.
-
-    Passing a pre-built encoder (the truth oracle) skips encoder fitting but
-    keeps the rest of the pipeline identical.
-    """
-    base = fit_preprocessor(train)
-    filled = impute(base, train)
-    if encoder is None:
-        assert spec is not None
-        target = (
-            filled.target_values() if spec.variant in enc_mod.TARGET_VARIANTS else None
-        )
-        encoder = enc_mod.fit(spec, filled.column("season"), target)
-    encoders = {"season": encoder}
-    pre = fit_preprocessor(train, encoders)
-    return apply_pipeline(pre, encoders, train), apply_pipeline(pre, encoders, test)
 
 
 def run_aspl_sweep(
@@ -196,15 +156,20 @@ def run_aspl_sweep(
         task = "classification"
     test = generate(config.test_size, np.random.default_rng([config.base_seed, _TEST_STREAM_SALT]))
     y_test = test.target_values()
+    truth_encoders = {"season": _truth_encoder(truth)}
     cells: list[SweepCell] = []
     for a in config.aspl_values:
         for s in range(config.seeds_per_aspl):
             train = generate(4 * a, np.random.default_rng([config.base_seed, a, s]))
             y_train = train.target_values()
-            for enc_name, fixed in ((encoder_spec.variant, None), ("truth", _truth_encoder(truth))):
-                spec = None if fixed is not None else encoder_spec
-                x_train, x_test = _cell_matrices(train, test, fixed, spec)
-                model = _fit_sweep_model(model_kind, task, x_train, y_train, seed=s)
+            runs = (
+                (encoder_spec.variant, *fit_pipeline(train, encoder_spec)),
+                ("truth", fit_preprocessor(train, truth_encoders), truth_encoders),
+            )
+            for enc_name, pre, encoders in runs:
+                x_train = apply_pipeline(pre, encoders, train)
+                x_test = apply_pipeline(pre, encoders, test)
+                model = mod.fit_model(model_kind, task, x_train, y_train, s)
                 metric, value = _score(task, model, x_test, y_test)
                 cells.append(
                     SweepCell(

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .encoders import FittedEncoder, compute_group_stats, fit_levels, transform
+from .encoders import FittedEncoder, LevelTable, compute_group_stats, transform
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def build_equivalent_onehot_weights(map_: AffineMap, enc: FittedEncoder) -> np.n
         raise ValueError(
             f"map expects width {map_.w_encoded.shape[1]}, encoder emits {enc.output_dim}"
         )
-    codes = np.stack([enc.level_map[v] for v in enc.level_map])  # (c, l)
-    return map_.w_encoded @ codes.T  # (h, c)
+    return map_.w_encoded @ enc.codes.T  # (h, c)
 
 
 def encoded_contributions(map_: AffineMap, enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
@@ -256,18 +255,17 @@ def verify_onehot_equivalence(
         c = int(rng.integers(c_range[0], c_range[1] + 1))
         l = int(rng.integers(l_range[0], l_range[1] + 1))
         h = int(rng.integers(h_range[0], h_range[1] + 1))
-        levels = [f"v{k}" for k in range(c)]
         enc = FittedEncoder(
             variant="onehot",  # stand-in tag; the map is what matters
-            level_map={v: rng.uniform(-1, 1, size=l) for v in levels},
-            output_dim=l,
+            levels=LevelTable(levels=tuple(f"v{k}" for k in range(c))),
+            codes=rng.uniform(-1, 1, size=(c, l)),
             unseen_policy=np.zeros(l),
         )
         map_ = AffineMap(w_encoded=rng.uniform(-1, 1, size=(h, l)))
         w_oh = build_equivalent_onehot_weights(map_, enc)
         dev = 0.0
-        for k, v in enumerate(levels):
-            direct = map_.w_encoded @ enc.level_map[v]
+        for k in range(c):
+            direct = map_.w_encoded @ enc.codes[k]
             via_onehot = w_oh[:, k]
             dev = max(dev, float(np.max(np.abs(direct - via_onehot))))
         rows.append(

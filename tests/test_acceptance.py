@@ -206,7 +206,7 @@ def test_encoder_value_oracles():
     for level, value in zip(column, target):
         sums[level] = sums.get(level, 0.0) + float(value)
         counts[level] = counts.get(level, 0) + 1
-    for level, code in enc.level_map.items():
+    for level, code in zip(enc.levels.levels, enc.codes):
         want = sums[level] / counts[level]
         if code[0] != want:
             failures.append(f"mean[{level}]: {code[0]} != {want}")

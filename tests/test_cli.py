@@ -182,6 +182,15 @@ def test_bench_out_override(tmp_path, bench_config):
     assert (tmp_path / "elsewhere" / "records.csv").exists()
 
 
+@pytest.mark.parametrize("models,scored,failed,want_rc", [("logistic", 0, 4, 1), ("tree\nlogistic", 4, 4, 0)])
+def test_bench_exits_1_only_when_every_cell_failed(tmp_path, bench_config, capsys, models, scored, failed, want_rc):
+    # logistic is classification-only, so it fails on every cell of the toy regression table
+    cfg = tmp_path / "failing.cfg"
+    cfg.write_text(bench_config.read_text().replace("[models]\ntree\n", f"[models]\n{models}\n"))
+    assert main(["bench", "--config", str(cfg), "--no-timing"]) == want_rc
+    assert f"scored {scored} cells, {failed} failed" in capsys.readouterr().out
+
+
 def test_bench_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[models]\nquantum\n")

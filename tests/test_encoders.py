@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from catenc.encoders import (
     ENCODER_VARIANTS,
     EncoderSpec,
+    FittedEncoder,
     compute_group_stats,
     contrast_matrix,
     fit,
@@ -56,7 +57,7 @@ class TestOnehot:
     def test_identity_codes(self):
         enc = fit_onehot(fit_levels(ABCD))
         np.testing.assert_array_equal(
-            np.stack([enc.level_map[v] for v in ABCD]), np.eye(4)
+            np.stack([enc.codes[enc.levels.index(v)] for v in ABCD]), np.eye(4)
         )
 
     def test_unseen_is_zero_vector(self):
@@ -76,7 +77,7 @@ class TestBaseN:
             "d": [1, 0, 0],
         }
         for level, digits in expected.items():
-            np.testing.assert_array_equal(enc.level_map[level], digits)
+            np.testing.assert_array_equal(enc.codes[enc.levels.index(level)], digits)
         np.testing.assert_array_equal(enc.unseen_policy, np.zeros(3))
 
     @pytest.mark.parametrize(
@@ -89,7 +90,7 @@ class TestBaseN:
 
     def test_codes_are_distinct(self):
         enc = fit_basen(fit_levels([f"v{i}" for i in range(37)]), base=3)
-        seen = {tuple(code) for code in enc.level_map.values()}
+        seen = {tuple(code) for code in enc.codes}
         assert len(seen) == 37
         assert tuple(np.zeros(enc.output_dim)) not in seen
 
@@ -189,6 +190,31 @@ class TestSimilarity:
         np.testing.assert_array_equal(transform(enc, ["Parisian"]), [[3.0, 0.0]])
 
 
+@pytest.mark.parametrize("variant", ["similarity", "minhash"])
+def test_transform_encodes_each_distinct_unseen_string_once(variant):
+    enc = fit(EncoderSpec(variant), ["Paris", "Rome"])
+    per_row = enc.encode_fn
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return per_row(value)
+
+    enc.encode_fn = counting
+    column = ["Parisian", "Paris", "Romeo", "Parisian", "Romeo", "Rome", "Parisian"]
+    got = transform(enc, column)
+    assert calls == ["Parisian", "Romeo"]
+    np.testing.assert_array_equal(got, np.stack([per_row(v) for v in column]))
+
+
+def test_fitted_encoder_needs_one_code_row_per_level():
+    levels = fit_levels(ABCD)
+    with pytest.raises(ValueError):
+        FittedEncoder("onehot", levels, np.eye(3), unseen_policy=np.zeros(3))
+    with pytest.raises(ValueError):
+        FittedEncoder("onehot", levels, np.eye(4), unseen_policy=np.zeros(3))
+
+
 class TestMinhash:
     def test_signature_deterministic_and_bounded(self):
         a = minhash_signature("strawberry", n_components=64, hash_seed=7)
@@ -256,7 +282,7 @@ class TestTargetEncoders:
         enc = fit_target_encoder(self.stats(), "mestimate", spec)
         prior = 121.0 / 41.0
         want_u = (30 / 31) * 2.0 + (1 / 31) * prior
-        assert enc.level_map["u"][0] == pytest.approx(want_u, rel=1e-15)
+        assert enc.codes[enc.levels.index("u")][0] == pytest.approx(want_u, rel=1e-15)
         np.testing.assert_allclose(enc.unseen_policy, [prior])
 
     def test_jamesstein_matches_direct_formula(self):

@@ -110,15 +110,17 @@ class TestEncoder:
         enc = fit_glmm_encoder(column, target)
         res = enc.detail
         for k, level in enumerate(res.levels.levels):
-            assert enc.level_map[level][0] == res.effects[k]
+            assert enc.codes[enc.levels.index(level)][0] == res.effects[k]
         np.testing.assert_array_equal(transform(enc, ["never-seen"]), [[0.0]])
 
     def test_dispatcher_route(self):
         column, target = random_grouped(2)
         direct = fit_glmm_encoder(column, target)
         via = fit(EncoderSpec("glmm"), column, target)
-        for level in direct.level_map:
-            np.testing.assert_array_equal(direct.level_map[level], via.level_map[level])
+        for level in direct.levels.levels:
+            np.testing.assert_array_equal(
+                direct.codes[direct.levels.index(level)], via.codes[via.levels.index(level)]
+            )
 
     def test_spec_iteration_knobs_forwarded(self):
         column, target = random_grouped(4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenc.data import ColumnKind, DataTable
+from catenc.data import MISSING, ColumnKind, DataTable
 from catenc.metrics import (
     MetricRecord,
     accuracy,
@@ -76,6 +76,23 @@ class TestScalarMetrics:
             target="y",
         )
         assert minaspl(table) == pytest.approx(2.0)
+
+    def test_minaspl_does_not_count_missing_as_a_level(self):
+        table = DataTable(
+            schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
+            columns={"g": ["x", "y", MISSING, MISSING], "y": [0.0] * 4},
+            target="y",
+        )
+        assert minaspl(table) == pytest.approx(2.0)
+
+    def test_minaspl_rejects_a_column_with_no_present_cell(self):
+        table = DataTable(
+            schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
+            columns={"g": [MISSING, MISSING], "y": [0.0, 1.0]},
+            target="y",
+        )
+        with pytest.raises(ValueError):
+            minaspl(table)
 
     def test_minaspl_requires_a_categorical_column(self):
         table = DataTable(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catenc import models
 from catenc.models import (
     MLP_DEFAULTS,
     RIDGE_ALPHAS,
@@ -114,6 +115,22 @@ class TestLogistic:
         y = (x[:, 0] > 0).astype(float)
         model = fit_logistic(x, y, c=1.0)
         assert np.isfinite(model.weights).all()
+
+    def test_failed_line_search_keeps_current_parameters(self, monkeypatch):
+        x, y = self.make_problem(n=60)
+        real = models.logistic_loss_and_grad
+
+        def reversed_gradient(params, x, y, c):
+            # true loss, negated gradient: every Newton trial step goes uphill
+            loss, grad = real(params, x, y, c)
+            return loss, -grad
+
+        monkeypatch.setattr(models, "logistic_loss_and_grad", reversed_gradient)
+        model = fit_logistic(x, y)
+        params = np.concatenate([model.weights, [model.intercept]])
+        start_loss, _ = real(np.zeros(4), x, y, 1.0)
+        assert real(params, x, y, 1.0)[0] <= start_loss
+        assert not model.converged
 
     def test_rejects_bad_labels(self):
         x = np.zeros((4, 1))
