@@ -2,12 +2,14 @@
 
 All five are deterministic functions of (data, hyperparameters, seed). The
 gradient-based ones expose their loss/gradient so tests can finite-difference
-them; the trees use midpoint thresholds and vectorized prefix scans.
+them. The trees search exact midpoint thresholds: each feature is presorted
+once per tree, and one level-wise grower scores every node of a level, across
+all the trees of a forest, in a few vectorized prefix scans per feature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,68 +325,323 @@ class TreeNode:
         return self.left is None
 
 
-def _node_impurity(y: np.ndarray, kind: str) -> float:
-    if kind == "mse":
-        return float(np.var(y))
-    p = float(np.mean(y))
-    if kind == "gini":
-        return 2.0 * p * (1.0 - p)
-    if kind == "entropy":
-        if p <= 0.0 or p >= 1.0:
-            return 0.0
-        return float(-(p * np.log(p) + (1 - p) * np.log(1 - p)))
-    raise ValueError(f"unknown impurity {kind!r}")
+#: Sample rows times (features + 1) that the index arrays of one batch of
+#: forest trees may hold; a forest on a larger table is grown in batches.
+_BATCH_CELLS = 1 << 19
 
 
-def _best_split_on_feature(
-    xcol: np.ndarray, y: np.ndarray, kind: str, min_leaf: int
-) -> tuple[float, float] | None:
-    """Best (weighted child impurity, midpoint threshold) on one feature, or None."""
-    n = y.shape[0]
-    order = np.argsort(xcol, kind="stable")
-    xs = xcol[order]
-    ys = y[order]
-    # split after position i (1-based prefix sizes 1..n-1)
-    left_n = np.arange(1, n)
-    valid = xs[1:] != xs[:-1]
-    if min_leaf > 1:
-        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    if not valid.any():
-        return None
-    csum = np.cumsum(ys)[:-1]
-    if kind == "mse":
-        csq = np.cumsum(ys * ys)[:-1]
-        total_sum = csum[-1] + ys[-1] if n > 1 else ys[-1]
-        total_sq = (csq[-1] + ys[-1] ** 2) if n > 1 else ys[-1] ** 2
-        sse_left = csq - csum**2 / left_n
-        right_n = n - left_n
-        rsum = total_sum - csum
-        sse_right = (total_sq - csq) - rsum**2 / right_n
-        weighted = (sse_left + sse_right) / n
-    else:
-        ones_left = csum
-        right_n = n - left_n
-        ones_right = float(ys.sum()) - ones_left
-        p_left = ones_left / left_n
-        p_right = ones_right / right_n
-        if kind == "gini":
-            weighted = (
-                left_n * 2.0 * p_left * (1.0 - p_left)
-                + right_n * 2.0 * p_right * (1.0 - p_right)
-            ) / n
-        else:
+def _tree_inputs(x: np.ndarray, y: np.ndarray, impurity: str) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ValueError("x must be (n, p) with matching nonempty y")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite: a NaN or inf value cannot be split on")
+    if impurity not in ("gini", "entropy", "mse"):
+        raise ValueError(f"unknown impurity {impurity!r}")
+    if impurity != "mse" and not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError(f"{impurity} impurity needs 0/1 labels")
+    return x, y
 
-            def ent(p: np.ndarray) -> np.ndarray:
-                out = np.zeros_like(p)
-                inner = (p > 0.0) & (p < 1.0)
-                q = p[inner]
-                out[inner] = -(q * np.log(q) + (1 - q) * np.log(1 - q))
-                return out
 
-            weighted = (left_n * ent(p_left) + right_n * ent(p_right)) / n
-    weighted = np.where(valid, weighted, np.inf)
-    best = int(np.argmin(weighted))
-    return float(weighted[best]), float((xs[best] + xs[best + 1]) / 2.0)
+def _node_stats(
+    yrow: np.ndarray, starts: np.ndarray, sizes: np.ndarray, binary: bool, check: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value (target mean) of each node and whether it is impure.
+
+    yrow holds each node's targets in ascending row order. For 0/1 labels the
+    sums are exact counts, so ones / n is the mean and 0 < ones < n the purity
+    test. For mse the mean and variance come from np.mean / np.var over the
+    node's rows; the variance is taken only where check is set.
+    """
+    if binary:
+        csum = np.concatenate(([0.0], np.cumsum(yrow)))
+        ones = csum[starts + sizes] - csum[starts]
+        return ones / sizes, (ones > 0.0) & (ones < sizes)
+    values = np.empty(starts.shape[0])
+    impure = np.zeros(starts.shape[0], dtype=bool)
+    for i, (s, n, c) in enumerate(zip(starts.tolist(), sizes.tolist(), check.tolist())):
+        node_y = yrow[s : s + n]
+        values[i] = np.mean(node_y)
+        impure[i] = c and np.var(node_y) != 0.0
+    return values, impure
+
+
+class _Level(NamedTuple):
+    """The layout of one level: segment bounds and, per position (int32, like
+    the layout), its segment, its segment's size, and the rows up to and
+    including it in its segment."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    seg_of: np.ndarray
+    size_of: np.ndarray
+    left_n: np.ndarray
+
+
+def _level(starts: np.ndarray, sizes: np.ndarray) -> _Level:
+    seg_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int32), sizes)
+    left_n = np.arange(1, seg_of.shape[0] + 1, dtype=np.int32)
+    left_n -= starts.astype(np.int32)[seg_of]
+    return _Level(starts, starts + sizes, seg_of, sizes.astype(np.int32)[seg_of], left_n)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    q = p[inner]
+    out[inner] = -(q * np.log(q) + (1 - q) * np.log(1 - q))
+    return out
+
+
+def _split_scores(
+    ys: np.ndarray, order: np.ndarray, lev: _Level, right_n: np.ndarray, impurity: str
+) -> np.ndarray:
+    """Weighted child impurity of a split after each position of every segment
+    of order, with lev.left_n and right_n rows on its sides.
+
+    Prefix sums run sequentially from each segment's first position, as
+    np.cumsum does on the segment alone.
+    """
+    seg_of, left_n, size_of = lev.seg_of, lev.left_n, lev.size_of
+    if impurity == "mse":
+        # sse_left = csq - csum**2 / left_n and sse_right = (total_sq - csq)
+        # - (total - csum)**2 / right_n, computed in place: the layout can be large
+        sums = np.empty((2, order.shape[0]))
+        csum, csq = sums
+        np.take(ys, order, out=csum)
+        last = lev.ends - 1
+        # total_sq adds the last row's square as pow(y, 2), which can differ
+        # from y * y in the last bit: enough to flip a near tie, so it is part
+        # of the tree definition that the golden tests pin
+        last_sq = np.float_power(csum[last], 2.0)
+        np.multiply(csum, csum, out=csq)
+        for s, e in zip(lev.starts.tolist(), lev.ends.tolist()):
+            np.cumsum(sums[:, s:e], axis=1, out=sums[:, s:e])
+        total_sq = csq[last - 1] + last_sq
+        out = np.square(csum)
+        out /= left_n
+        np.subtract(csq, out, out=out)
+        rest = csum[last][seg_of]
+        rest -= csum
+        np.square(rest, out=rest)
+        rest /= right_n
+        sse_right = np.take(total_sq, seg_of, out=csum, mode="clip")  # csum is spent
+        sse_right -= csq
+        sse_right -= rest
+        out += sse_right
+        out /= size_of
+        return out
+    # 0/1 labels: a running count minus the count before the segment is exact
+    ys = ys[order]
+    csum = np.cumsum(ys)
+    before = csum[lev.starts] - ys[lev.starts]
+    ones_left = csum - before[seg_of]
+    ones_right = (csum[lev.ends - 1] - before)[seg_of] - ones_left
+    p_left = ones_left / left_n
+    p_right = ones_right / right_n
+    if impurity == "gini":
+        return (
+            left_n * 2.0 * p_left * (1.0 - p_left)
+            + right_n * 2.0 * p_right * (1.0 - p_right)
+        ) / size_of
+    return (left_n * _entropy(p_left) + right_n * _entropy(p_right)) / size_of
+
+
+def _partition(
+    order: np.ndarray,
+    goes_left: np.ndarray,
+    lev: _Level,
+    child_of: np.ndarray,
+    child_start: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Stable partition of each segment of order into its left child, then its
+    right child, each placed at its child_start; a child at -1 is dropped.
+
+    Per position, child_of indexes child_start at its segment's left child (the
+    right child follows it).
+    """
+    left = goes_left[order]
+    before = np.cumsum(left, dtype=np.int32)
+    before -= left
+    before -= before[lev.starts][lev.seg_of]  # rows before each position in its segment that go left
+    rank = np.where(left, before, lev.left_n - 1 - before)
+    dest = child_start[child_of + ~left]
+    keep = dest >= 0
+    dest += rank
+    out = np.empty(size, dtype=np.int32)
+    out[dest[keep]] = order[keep]
+    return out
+
+
+def _feature_candidates(
+    rngs: Sequence[np.random.Generator], trees: np.ndarray, p: int, max_features: int
+) -> np.ndarray:
+    """(segments, p) mask of the features each segment may split on.
+
+    Each tree draws from its own generator, in one call, a random ranking of
+    the p features for each of its segments in level order, and keeps the
+    max_features first of each.
+    """
+    firsts = np.flatnonzero(np.r_[True, trees[1:] != trees[:-1]])
+    counts = np.diff(np.r_[firsts, trees.shape[0]])
+    ranking = np.concatenate(
+        [rngs[trees[a]].random((k, p)) for a, k in zip(firsts.tolist(), counts.tolist())]
+    )
+    candidate = np.zeros(ranking.shape, dtype=bool)
+    np.put_along_axis(candidate, np.argsort(ranking, axis=1)[:, :max_features], True, axis=1)
+    return candidate
+
+
+def _best_splits(
+    x: np.ndarray,
+    rows: np.ndarray,
+    ys: np.ndarray,
+    orders: list[np.ndarray],
+    lev: _Level,
+    impurity: str,
+    min_samples_leaf: int,
+    candidate: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best feature and midpoint threshold of each segment (feature -1 where no
+    split is valid). Features are scanned in ascending order and a score must
+    be strictly lower to win, so ties keep the lowest feature, and within a
+    feature the first (lowest) threshold."""
+    room = lev.left_n < lev.size_of
+    right_n = np.maximum(lev.size_of - lev.left_n, 1)  # an empty right side counts 1: no 0/0
+    if min_samples_leaf > 1:
+        room &= (lev.left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    best_score = np.full(lev.starts.shape[0], np.inf)
+    best_feat = np.full(lev.starts.shape[0], -1)
+    best_thr = np.zeros(lev.starts.shape[0])
+    for f, order in enumerate(orders):
+        xcol = x[:, f]
+        xs = xcol[rows[order]]
+        valid = room.copy()
+        valid[:-1] &= xs[1:] != xs[:-1]
+        del xs  # free before the scores are built
+        if candidate is not None:
+            valid &= candidate[lev.seg_of, f]
+        scores = _split_scores(ys, order, lev, right_n, impurity)
+        scores[~valid] = np.inf
+        seg_min = np.minimum.reduceat(scores, lev.starts)
+        better = seg_min < best_score
+        if better.any():
+            hits = np.flatnonzero(scores == seg_min[lev.seg_of])
+            at = hits[np.searchsorted(hits, lev.starts[better])]  # first minimum of each segment
+            best_score[better] = seg_min[better]
+            best_feat[better] = f
+            lo, hi = xcol[rows[order[at]]], xcol[rows[order[at + 1]]]
+            with np.errstate(over="ignore"):
+                mid = (lo + hi) / 2.0
+            # a midpoint that rounds (or overflows) up to hi would send every row left
+            best_thr[better] = np.where(mid < hi, mid, lo)
+        del valid, scores  # free before the next feature's arrays are built
+    return best_feat, best_thr
+
+
+def _grow_trees(
+    x: np.ndarray,
+    y: np.ndarray,
+    samples: np.ndarray,
+    impurity: str,
+    max_depth: int | None,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    rngs: Sequence[np.random.Generator | None],
+    max_features: int | None,
+) -> list[TreeNode]:
+    """Grow one CART tree per row of samples (row indices into x), level by level.
+
+    The trees share one layout: per feature an int32 array of sample ids in
+    which every node that may still split holds a contiguous segment, sorted
+    by the feature's value with ties in sample order (one stable presort per
+    tree), plus one such array in sample order. A level scores every split
+    position of every segment in a few numpy passes per feature, then stably
+    partitions each array into the children that may split in turn; leaves
+    drop out.
+    """
+    n_trees, n = samples.shape
+    p = x.shape[1]
+    binary = impurity != "mse"
+    rows = samples.ravel().astype(np.int32, copy=False)
+    ys = y[rows]
+    base = (np.arange(n_trees, dtype=np.int32) * n)[:, None]
+    orders = [
+        (np.argsort(x[samples, f], axis=1, kind="stable").astype(np.int32) + base).ravel()
+        for f in range(p)
+    ]
+    row_order = np.arange(n_trees * n, dtype=np.int32)
+    goes_left = np.zeros(n_trees * n, dtype=bool)
+
+    sizes = np.full(n_trees, n)
+    check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
+    values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary, check)
+    roots = [TreeNode(value=v, n_samples=n, depth=0) for v in values.tolist()]
+    keep = impure & check
+    if not keep.all():
+        kept = np.repeat(keep, sizes)
+        orders = [order[kept] for order in orders]
+        row_order = row_order[kept]
+    nodes = [root for root, k in zip(roots, keep.tolist()) if k]
+    trees = np.flatnonzero(keep)
+    sizes = sizes[keep]
+    starts = np.cumsum(sizes) - sizes
+    depth = 0
+    while nodes:
+        candidate = None
+        if max_features is not None and max_features < p:
+            candidate = _feature_candidates(rngs, trees, p, max_features)
+        lev = _level(starts, sizes)
+        best_feat, best_thr = _best_splits(x, rows, ys, orders, lev, impurity, min_samples_leaf, candidate)
+        split = best_feat >= 0
+        if not split.any():
+            break
+        seg_of = lev.seg_of
+        for f in sorted(set(best_feat[split].tolist())):  # np.unique would import numpy.ma: 1 MiB
+            mine = best_feat[seg_of] == f
+            order = orders[f][mine]
+            goes_left[order] = x[:, f][rows[order]] <= best_thr[seg_of[mine]]
+
+        # children of the split segments, left then right, in level order;
+        # the pair after the last one stands for the segments that did not split
+        n_split = int(split.sum())
+        child_of = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(np.int32)[seg_of]
+        n_left = np.bincount(seg_of[goes_left[row_order]], minlength=len(nodes))[split]
+        child_sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
+        child_starts = np.cumsum(child_sizes) - child_sizes
+        row_order = _partition(
+            row_order, goes_left, lev, child_of,
+            np.r_[child_starts, -1, -1].astype(np.int32), int(child_sizes.sum()),
+        )
+        check = child_sizes >= min_samples_split
+        if max_depth is not None and depth + 1 >= max_depth:
+            check[:] = False
+        values, impure = _node_stats(ys[row_order], child_starts, child_sizes, binary, check)
+        children = [
+            TreeNode(value=v, n_samples=c, depth=depth + 1)
+            for v, c in zip(values.tolist(), child_sizes.tolist())
+        ]
+        parents = [node for node, s in zip(nodes, split.tolist()) if s]
+        for k, (node, f, thr) in enumerate(zip(parents, best_feat[split].tolist(), best_thr[split].tolist())):
+            node.feature, node.threshold = f, thr
+            node.left, node.right = children[2 * k], children[2 * k + 1]
+
+        keep = impure & check
+        sizes = child_sizes[keep]
+        starts = np.cumsum(sizes) - sizes
+        kept_starts = np.full(2 * n_split + 2, -1, dtype=np.int32)
+        kept_starts[: 2 * n_split][keep] = starts
+        m = int(sizes.sum())
+        for f in range(p):  # one array at a time, so the old one is freed as the next is built
+            orders[f] = _partition(orders[f], goes_left, lev, child_of, kept_starts, m)
+        row_order = row_order[np.repeat(keep, child_sizes)]
+        nodes = [child for child, k in zip(children, keep.tolist()) if k]
+        trees = np.repeat(trees[split], 2)[keep]
+        depth += 1
+        del lev, seg_of, child_of, mine, order  # free before the next scan
+    return roots
 
 
 def fit_tree(
@@ -397,54 +654,26 @@ def fit_tree(
     rng: np.random.Generator | None = None,
     max_features: int | None = None,
 ) -> TreeNode:
-    """Greedy binary CART with midpoint thresholds.
+    """Greedy binary CART with midpoint thresholds, grown level by level.
 
     A node becomes a leaf when it is pure, too small to split, at max depth, or
     no feature offers a valid split. Ties across features keep the lowest feature
-    index (candidates are scanned in ascending index order). rng/max_features
-    enable per-split feature subsampling for forests.
+    index; ties within a feature keep the lowest threshold. gini and entropy
+    need 0/1 labels. x and y must be finite.
+
+    rng/max_features enable feature subsampling for forests: when
+    max_features < p, each level draws from rng, in one call, a random subset
+    of max_features candidate features for every node that may split at that
+    level, in level order (left to right).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("x must be (n, p) with matching nonempty y")
-    p = x.shape[1]
-    root = TreeNode(value=float(y.mean()), n_samples=y.shape[0], depth=0)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(y.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        ny = y[idx]
-        if (
-            (max_depth is not None and node.depth >= max_depth)
-            or idx.shape[0] < min_samples_split
-            or _node_impurity(ny, impurity) == 0.0
-        ):
-            continue
-        if max_features is not None and max_features < p:
-            assert rng is not None
-            feats = np.sort(rng.choice(p, size=max_features, replace=False))
-        else:
-            feats = np.arange(p)
-        best: tuple[float, int, float] | None = None
-        for f in feats:
-            found = _best_split_on_feature(x[idx, f], ny, impurity, min_samples_leaf)
-            if found is None:
-                continue
-            score, thr = found
-            if best is None or score < best[0]:
-                best = (score, int(f), thr)
-        if best is None:
-            continue
-        _, f, thr = best
-        mask = x[idx, f] <= thr
-        left_idx, right_idx = idx[mask], idx[~mask]
-        node.feature = f
-        node.threshold = thr
-        node.left = TreeNode(value=float(y[left_idx].mean()), n_samples=left_idx.shape[0], depth=node.depth + 1)
-        node.right = TreeNode(value=float(y[right_idx].mean()), n_samples=right_idx.shape[0], depth=node.depth + 1)
-        stack.append((node.right, right_idx))
-        stack.append((node.left, left_idx))
-    return root
+    x, y = _tree_inputs(x, y, impurity)
+    if max_features is not None and max_features < x.shape[1] and (rng is None or max_features < 1):
+        raise ValueError("feature subsampling needs an rng and max_features >= 1")
+    n = x.shape[0]
+    return _grow_trees(
+        x, y, np.arange(n, dtype=np.int32)[None, :], impurity, max_depth, min_samples_split,
+        min_samples_leaf, [rng], max_features,
+    )[0]
 
 
 def predict_tree(root: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -483,33 +712,28 @@ def fit_forest(
     bootstrap: bool = True,
     subsample_features: bool = True,
 ) -> ForestModel:
-    """Bagged CART forest; each split draws ceil(sqrt(p)) candidate features.
+    """Bagged CART forest; each node draws ceil(sqrt(p)) candidate features.
 
-    Tree t uses its own generator seeded from (seed, t), so cells are
-    reproducible regardless of execution order.
+    Tree t uses its own generator seeded from (seed, t): it draws the bootstrap
+    sample, then, level by level, the candidate features of the tree's nodes
+    (see fit_tree), so cells are reproducible regardless of execution order.
+    The trees are grown together, level by level, in as few batches as memory
+    allows.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     impurity = "gini" if task == "classification" else "mse"
+    x, y = _tree_inputs(x, y, impurity)
+    n, p = x.shape
     max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(
-            fit_tree(
-                x[idx],
-                y[idx],
-                impurity=impurity,
-                max_depth=max_depth,
-                min_samples_split=min_samples_split,
-                rng=rng,
-                max_features=max_features,
-            )
-        )
+    per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))
+    trees: list[TreeNode] = []
+    for first in range(0, n_trees, per_batch):
+        rngs = [np.random.default_rng([seed, t]) for t in range(first, min(first + per_batch, n_trees))]
+        samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
+        trees += _grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features)
     return ForestModel(trees=trees, task=task, n_features=p)
 
 

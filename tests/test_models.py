@@ -5,7 +5,7 @@ from catenc import models
 from catenc.models import (
     MLP_DEFAULTS,
     RIDGE_ALPHAS,
-    _node_impurity,
+    TreeNode,
     fit_forest,
     fit_logistic,
     fit_mlp,
@@ -20,6 +20,7 @@ from catenc.models import (
     predict_tree,
     train_mlp,
 )
+from catenc.theory import _side_impurity
 
 
 def linear_data(n=200, p=4, noise=0.0, seed=0):
@@ -209,17 +210,22 @@ class TestMLP:
         assert MLP_DEFAULTS["lr"] == pytest.approx(1e-3)
 
 
+def side_impurity(y, kind):
+    y = np.asarray(y, dtype=float)
+    return _side_impurity(y.size, float(y.sum()), float(y @ y), kind)
+
+
 class TestImpurity:
     def test_oracles(self):
         y = np.array([0.0, 1.0])
-        assert _node_impurity(y, "gini") == pytest.approx(0.5)
-        assert _node_impurity(y, "entropy") == pytest.approx(np.log(2.0))
-        assert _node_impurity(np.array([1.0, 3.0]), "mse") == pytest.approx(1.0)
+        assert side_impurity(y, "gini") == pytest.approx(0.5)
+        assert side_impurity(y, "entropy") == pytest.approx(np.log(2.0))
+        assert side_impurity(np.array([1.0, 3.0]), "mse") == pytest.approx(1.0)
 
     def test_pure_nodes_are_zero(self):
         y = np.ones(5)
         for kind in ("gini", "entropy", "mse"):
-            assert _node_impurity(y, kind) == 0.0
+            assert side_impurity(y, kind) == 0.0
 
 
 class TestTree:
@@ -273,6 +279,204 @@ class TestTree:
         # at depth <= 3 there are at most 8 distinct leaf values
         assert np.unique(got).size <= 8
 
+    def test_golden_preorder(self):
+        x, y_class, y_reg = golden_data()
+        for impurity, params, expected in GOLDEN_TREES:
+            y = y_reg if impurity == "mse" else y_class
+            got = preorder(fit_tree(x, y, impurity=impurity, **params))
+            assert got == expected, (impurity, params)
+
+    def test_golden_rounding_tie(self):
+        # both features split row 0 from rows 1-3; their scores differ only in
+        # rounding, and the recorded tree takes feature 1
+        x = np.array([[-1.6919796285526016, 1.1621330618831873]] + [[-1.6649404825371965, -0.9663480613993847]] * 3)
+        y = np.array([0.3083802150957182] + [0.10925376578447477] * 3)
+        got = preorder(fit_tree(x, y, impurity="mse", max_depth=None, min_samples_split=2))
+        assert got == [
+            (1, 0.09789250024190133, 0.15903537811228563, 4),
+            (None, None, 0.10925376578447477, 3),
+            (None, None, 0.3083802150957182, 1),
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_rejects_non_finite_input(self, bad, where):
+        x = np.arange(5.0).reshape(-1, 1)
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+        if where == "x":
+            x[2, 0] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree(x, y, impurity="mse", max_depth=None, min_samples_split=2)
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(x, y, "regression", n_trees=2)
+
+    def test_rejects_unknown_impurity_and_non_binary_labels(self):
+        x = np.arange(4.0).reshape(-1, 1)
+        with pytest.raises(ValueError, match="unknown impurity"):
+            fit_tree(x, np.zeros(4), impurity="variance")
+        for kind in ("gini", "entropy"):
+            with pytest.raises(ValueError, match="0/1"):
+                fit_tree(x, np.array([0.0, 1.0, 2.0, 1.0]), impurity=kind)
+
+    @pytest.mark.parametrize("lo", [np.nextafter(1.0, 2.0), 1e308])
+    def test_split_between_values_whose_midpoint_rounds_up(self, lo):
+        # (lo + hi) / 2 rounds to hi for adjacent floats and overflows to inf
+        # for huge ones; the split must still separate lo from hi
+        hi = np.nextafter(lo, np.inf) if lo < 2.0 else 1.5e308
+        x = np.array([[lo], [hi], [lo], [hi]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        root = fit_tree(x, y, impurity="gini", max_depth=3, min_samples_split=2)
+        assert root.threshold == lo
+        assert (root.left.n_samples, root.right.n_samples) == (2, 2)
+        np.testing.assert_array_equal(predict_tree(root, x), y)
+
+
+def preorder(node: TreeNode) -> list[tuple]:
+    """(feature, threshold, value, n_samples) of every node, parent before children."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature, node.threshold, node.value, node.n_samples))
+        if not node.is_leaf:
+            stack.extend([node.right, node.left])
+    return out
+
+
+def golden_data():
+    """26 rows, 3 features with tied values; rows 20-23 repeat rows 0-3 and
+    rows 24-25 repeat the x of rows 4-5 with another target."""
+    rng = np.random.default_rng(2024)
+    n = 20
+    x = np.column_stack([
+        rng.integers(0, 4, n),
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 2, n),
+    ]).astype(float)
+    y_class = ((x[:, 0] + x[:, 1] + rng.normal(size=n)) > 1.5).astype(float)
+    y_reg = np.round(x[:, 0] * 0.3 + x[:, 1] + rng.normal(scale=0.5, size=n), 2)
+    x = np.vstack([x, x[:4], x[4:6]])
+    y_class = np.concatenate([y_class, y_class[:4], 1.0 - y_class[4:6]])
+    y_reg = np.concatenate([y_reg, y_reg[:4], y_reg[4:6] + 0.1])
+    return x, y_class, y_reg
+
+
+#: Preorder of fit_tree on golden_data, recorded from the depth-first grower
+#: that preceded the level-wise one; growth order must not change any tree.
+GOLDEN_TREES = [
+    ("gini", dict(max_depth=None, min_samples_split=2), [
+        (0, 2.5, 0.4230769230769231, 26),
+        (1, 0.8500000000000001, 0.3, 20),
+        (1, -0.15, 0.17647058823529413, 17),
+        (None, None, 0.0, 8),
+        (1, 0.25, 0.3333333333333333, 9),
+        (0, 0.5, 0.6666666666666666, 3),
+        (None, None, 1.0, 1),
+        (None, None, 0.5, 2),
+        (1, 0.7, 0.16666666666666666, 6),
+        (None, None, 0.0, 4),
+        (None, None, 0.5, 2),
+        (None, None, 1.0, 3),
+        (1, -1.05, 0.8333333333333334, 6),
+        (1, -1.35, 0.5, 2),
+        (None, None, 1.0, 1),
+        (None, None, 0.0, 1),
+        (None, None, 1.0, 4),
+    ]),
+    ("gini", dict(max_depth=3, min_samples_split=2, min_samples_leaf=3), [
+        (0, 2.5, 0.4230769230769231, 26),
+        (1, 0.8500000000000001, 0.3, 20),
+        (1, -0.15, 0.17647058823529413, 17),
+        (None, None, 0.0, 8),
+        (None, None, 0.3333333333333333, 9),
+        (None, None, 1.0, 3),
+        (1, -0.65, 0.8333333333333334, 6),
+        (None, None, 0.6666666666666666, 3),
+        (None, None, 1.0, 3),
+    ]),
+    ("entropy", dict(max_depth=None, min_samples_split=4), [
+        (1, 0.8500000000000001, 0.4230769230769231, 26),
+        (0, 2.5, 0.34782608695652173, 23),
+        (1, -0.15, 0.17647058823529413, 17),
+        (None, None, 0.0, 8),
+        (1, 0.25, 0.3333333333333333, 9),
+        (None, None, 0.6666666666666666, 3),
+        (1, 0.7, 0.16666666666666666, 6),
+        (None, None, 0.0, 4),
+        (None, None, 0.5, 2),
+        (1, -1.05, 0.8333333333333334, 6),
+        (None, None, 0.5, 2),
+        (None, None, 1.0, 4),
+        (None, None, 1.0, 3),
+    ]),
+    ("entropy", dict(max_depth=3, min_samples_split=2, min_samples_leaf=3), [
+        (1, 0.8500000000000001, 0.4230769230769231, 26),
+        (0, 2.5, 0.34782608695652173, 23),
+        (1, -0.15, 0.17647058823529413, 17),
+        (None, None, 0.0, 8),
+        (None, None, 0.3333333333333333, 9),
+        (1, -0.65, 0.8333333333333334, 6),
+        (None, None, 0.6666666666666666, 3),
+        (None, None, 1.0, 3),
+        (None, None, 1.0, 3),
+    ]),
+    ("mse", dict(max_depth=None, min_samples_split=2), [
+        (1, -0.6, 0.17192307692307696, 26),
+        (0, 1.0, -0.7644444444444445, 9),
+        (1, -0.9, -1.25, 4),
+        (1, -1.3, -1.5233333333333334, 3),
+        (None, None, -1.73, 1),
+        (None, None, -1.42, 2),
+        (None, None, -0.43, 1),
+        (1, -1.35, -0.376, 5),
+        (None, None, -0.9, 1),
+        (1, -0.75, -0.24499999999999997, 4),
+        (1, -1.05, -0.009999999999999995, 2),
+        (None, None, -0.19, 1),
+        (None, None, 0.17, 1),
+        (None, None, -0.48, 2),
+        (1, 0.7, 0.6676470588235293, 17),
+        (0, 2.0, 0.4249999999999999, 12),
+        (1, -0.35, 0.1711111111111111, 9),
+        (None, None, -0.41, 1),
+        (1, 0.1, 0.24375000000000002, 8),
+        (0, 0.5, 0.09000000000000001, 3),
+        (None, None, 0.03, 1),
+        (None, None, 0.12000000000000001, 2),
+        (0, 0.5, 0.336, 5),
+        (1, 0.44999999999999996, 0.275, 4),
+        (1, 0.25, 0.26, 2),
+        (None, None, 0.25, 1),
+        (None, None, 0.27, 1),
+        (None, None, 0.29, 2),
+        (None, None, 0.58, 1),
+        (1, -0.45, 1.1866666666666668, 3),
+        (None, None, 1.39, 1),
+        (1, -0.30000000000000004, 1.085, 2),
+        (None, None, 0.94, 1),
+        (None, None, 1.23, 1),
+        (1, 0.8500000000000001, 1.25, 5),
+        (None, None, 1.72, 2),
+        (1, 1.2, 0.9366666666666665, 3),
+        (None, None, 0.49, 1),
+        (None, None, 1.16, 2),
+    ]),
+    ("mse", dict(max_depth=4, min_samples_split=5, min_samples_leaf=3), [
+        (1, -0.6, 0.17192307692307696, 26),
+        (0, 1.0, -0.7644444444444445, 9),
+        (None, None, -1.25, 4),
+        (None, None, -0.376, 5),
+        (1, 0.7, 0.6676470588235293, 17),
+        (0, 2.0, 0.4249999999999999, 12),
+        (1, 0.1, 0.1711111111111111, 9),
+        (None, None, -0.03499999999999998, 4),
+        (None, None, 0.336, 5),
+        (None, None, 1.1866666666666668, 3),
+        (None, None, 1.25, 5),
+    ]),
+]
+
 
 class TestForest:
     def easy_classification(self, n=120, seed=0):
@@ -322,3 +526,29 @@ class TestForest:
     def test_rejects_unknown_task(self):
         with pytest.raises(ValueError):
             fit_forest(np.zeros((4, 1)), np.zeros(4), "ranking")
+
+    def test_rejects_empty_forest(self):
+        x, y = self.easy_classification(n=20)
+        for n_trees in (0, -1):
+            with pytest.raises(ValueError, match="n_trees"):
+                fit_forest(x, y, "classification", n_trees=n_trees)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_each_tree_is_fit_tree_on_its_bootstrap_sample(self, task):
+        rng = np.random.default_rng(6)
+        x = np.round(rng.normal(size=(50, 3)), 1)
+        y = (x[:, 0] > 0).astype(float) if task == "classification" else np.round(x @ [1.0, -0.5, 0.2], 2)
+        forest = fit_forest(x, y, task, n_trees=6, seed=9, subsample_features=False)
+        impurity = "gini" if task == "classification" else "mse"
+        for t, tree in enumerate(forest.trees):
+            idx = np.random.default_rng([9, t]).integers(0, 50, size=50)
+            alone = fit_tree(x[idx], y[idx], impurity=impurity, max_depth=None, min_samples_split=2)
+            assert preorder(tree) == preorder(alone), t
+
+    def test_feature_subsampling_is_seeded(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(80, 5))
+        y = (x[:, 0] + x[:, 3] > 0).astype(float)
+        a, b, c = (fit_forest(x, y, "classification", n_trees=8, seed=s) for s in (3, 3, 4))
+        assert [preorder(t) for t in a.trees] == [preorder(t) for t in b.trees]
+        assert [preorder(t) for t in a.trees] != [preorder(t) for t in c.trees]
