@@ -6,7 +6,6 @@ grid, and a rule-based encoder selection guide.
 """
 
 from .data import (
-    MISSING,
     ColumnKind,
     DataTable,
     SchemaError,
@@ -21,6 +20,7 @@ from .data import (
 )
 from .encoders import (
     ENCODER_VARIANTS,
+    Categorical,
     EncoderSpec,
     FittedEncoder,
     GroupStats,
@@ -36,7 +36,6 @@ from .synth import SynthConfig, generate_classification, generate_regression, ru
 __version__ = "0.1.0"
 
 __all__ = [
-    "MISSING",
     "ColumnKind",
     "DataTable",
     "SchemaError",
@@ -49,6 +48,7 @@ __all__ = [
     "read_schema",
     "split_train_test",
     "ENCODER_VARIANTS",
+    "Categorical",
     "EncoderSpec",
     "FittedEncoder",
     "GroupStats",

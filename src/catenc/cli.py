@@ -12,7 +12,7 @@ from . import guide as guide_mod
 from . import models as models_mod
 from . import synth as synth_mod
 from . import theory as theory_mod
-from .data import ColumnKind, infer_schema, load_csv, read_schema
+from .data import ColumnKind, fit_preprocessor, impute, infer_schema, load_csv, read_schema
 from .metrics import read_records_csv
 
 VERIFY_SUITES = ("onehot-equivalence", "split-count", "contiguity", "all")
@@ -93,7 +93,8 @@ def _cmd_encode(args) -> int:
     if table.kind(args.column) is not ColumnKind.CATEGORICAL:
         print(f"error: column {args.column!r} is numeric, nothing to encode", file=sys.stderr)
         return 1
-    column = [v for v in table.column(args.column)]
+    # missing cells take the table's mode, the fill every bench cell uses
+    column = impute(fit_preprocessor(table), table).column(args.column)
     spec = enc_mod.EncoderSpec(variant=args.encoder)
     target = (
         table.target_values() if args.encoder in enc_mod.TARGET_VARIANTS else None

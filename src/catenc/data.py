@@ -1,5 +1,8 @@
 """Column-major tables, CSV ingestion, splitting, and the preprocessing pipeline.
 
+Columns are arrays: float64 with NaN for a missing cell, or an `encoders.Categorical`
+(levels plus int codes, -1 for a missing cell). Splitting gathers rows.
+
 The pipeline order is fixed: impute on train statistics, encode categoricals,
 standardize every encoded column with train statistics. Nothing here ever looks
 at test rows while fitting; the tests pin that down.
@@ -14,22 +17,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import encoders as enc_mod
+from .encoders import Categorical
 
 
 class SchemaError(ValueError):
     """Raised when a table does not match its declared schema."""
 
-
-class _Missing:
-    """Sentinel for a missing cell. Distinct from every level string and float."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-
-MISSING = _Missing()
 
 #: Cell spellings treated as missing on ingestion, for both column kinds.
 MISSING_TOKENS = frozenset({"", "N.A", "N.A.", "NA", "N/A", "NaN", "nan", "NULL", "null", "?"})
@@ -42,16 +35,18 @@ class ColumnKind(enum.Enum):
 
 @dataclass
 class DataTable:
-    """A small column-major table with a declared schema and target column.
+    """A column-major table with a declared schema and target column.
 
     schema: ordered (name, kind) pairs covering every stored column.
-    columns: name -> list of cell values; numeric cells are float or MISSING,
-        categorical cells are str or MISSING.
+    columns: name -> column. A numeric column is a float64 array, NaN for a
+        missing cell; a categorical column is a Categorical, code -1 for a
+        missing cell. Construction converts plain cell lists: numbers (None or
+        NaN when missing) and strings (None when missing).
     target: name of the target column (must appear in the schema).
     """
 
     schema: tuple[tuple[str, ColumnKind], ...]
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray | Categorical]
     target: str
 
     def __post_init__(self) -> None:
@@ -62,6 +57,11 @@ class DataTable:
             raise SchemaError("schema names and stored columns disagree")
         if self.target not in self.columns:
             raise SchemaError(f"target column {self.target!r} not in table")
+        kinds = dict(self.schema)
+        self.columns = {
+            name: Categorical.of(col) if kinds[name] is ColumnKind.CATEGORICAL else np.asarray(col, dtype=float)
+            for name, col in self.columns.items()
+        }
         lengths = {len(col) for col in self.columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
@@ -71,12 +71,9 @@ class DataTable:
         return len(self.columns[self.target])
 
     def kind(self, name: str) -> ColumnKind:
-        for col, kind in self.schema:
-            if col == name:
-                return kind
-        raise KeyError(name)
+        return dict(self.schema)[name]
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray | Categorical:
         return self.columns[name]
 
     def feature_names(self) -> list[str]:
@@ -90,10 +87,11 @@ class DataTable:
         ]
 
     def target_values(self) -> np.ndarray:
-        vals = self.columns[self.target]
-        if any(v is MISSING for v in vals):
+        col = self.columns[self.target]
+        categorical = isinstance(col, Categorical)
+        if (col.codes < 0 if categorical else np.isnan(col)).any():
             raise SchemaError(f"target column {self.target!r} has missing values")
-        return np.asarray(vals, dtype=float)
+        return np.array(col.levels, dtype=float)[col.codes] if categorical else col.copy()
 
     def target_is_binary(self) -> bool:
         """True when every target value is 0 or 1; a single-class 0/1 target
@@ -105,13 +103,13 @@ class DataTable:
         return "classification" if self.target_is_binary() else "regression"
 
     def subset(self, rows: Sequence[int]) -> "DataTable":
-        cols = {name: [col[i] for i in rows] for name, col in self.columns.items()}
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = {name: col[rows] for name, col in self.columns.items()}
         return DataTable(schema=self.schema, columns=cols, target=self.target)
 
     def rows(self) -> Iterable[tuple]:
-        names = [name for name, _ in self.schema]
-        for i in range(self.row_count):
-            yield tuple(self.columns[name][i] for name in names)
+        """Cells row by row, in schema order; a missing cell reads NaN or None."""
+        return zip(*(self.columns[name] for name, _ in self.schema))
 
 
 def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
@@ -146,18 +144,18 @@ def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
     return kinds, target
 
 
-def _parse_numeric(cell: str) -> tuple[object, bool]:
-    """Return (value, was_bad). Missing tokens and unparsable cells map to MISSING;
+def _parse_numeric(cell: str) -> tuple[float, bool]:
+    """Return (value, was_bad). Missing tokens and unparsable cells map to NaN;
     only the latter count as bad."""
     text = cell.strip()
     if text in MISSING_TOKENS:
-        return MISSING, False
+        return np.nan, False
     try:
         value = float(text)
     except ValueError:
-        return MISSING, True
+        return np.nan, True
     if not np.isfinite(value):
-        return MISSING, True
+        return np.nan, True
     return value, False
 
 
@@ -165,7 +163,7 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
     """Load a header-ed CSV into a DataTable under a declared schema.
 
     Declared columns absent from the file raise SchemaError; file columns that are
-    not declared are dropped. Unparsable or empty cells become the missing marker.
+    not declared are dropped. Unparsable or empty cells become missing cells.
     A declared numeric column whose unparsable cells outnumber half the rows is a
     schema error (the declaration is considered wrong, not the data).
     """
@@ -197,7 +195,7 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
                     columns[name].append(value)
                 else:
                     text = cell.strip()
-                    columns[name].append(MISSING if text in MISSING_TOKENS else text)
+                    columns[name].append(None if text in MISSING_TOKENS else text)
     for name, kind in schema.items():
         if kind is ColumnKind.NUMERIC and n_rows and bad_counts[name] * 2 > n_rows:
             raise SchemaError(
@@ -212,28 +210,16 @@ def infer_schema(path: str, target: str) -> dict[str, ColumnKind]:
     """Guess column kinds from a CSV: numeric when every non-missing cell parses
     as a finite float, categorical otherwise. Convenience for schema-less input."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        numericish = {name: True for name in header}
-        seen_value = {name: False for name in header}
-        for row in reader:
-            if not row:
-                continue
-            for j, name in enumerate(header):
-                cell = row[j].strip() if j < len(row) else ""
-                if cell in MISSING_TOKENS:
-                    continue
-                seen_value[name] = True
-                value, bad = _parse_numeric(cell)
-                if bad or value is MISSING:
-                    numericish[name] = False
-    schema = {
-        name: ColumnKind.NUMERIC if (numericish[name] and seen_value[name]) else ColumnKind.CATEGORICAL
-        for name in header
-    }
-    if target not in schema:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    if target not in header:
         raise SchemaError(f"target {target!r} not among CSV columns {header}")
-    return schema
+    table = load_csv(path, dict.fromkeys(header, ColumnKind.CATEGORICAL), target)
+    return {
+        name: ColumnKind.NUMERIC
+        if col.levels and not any(_parse_numeric(v)[1] for v in col.levels)
+        else ColumnKind.CATEGORICAL
+        for name, col in table.columns.items()
+    }
 
 
 @dataclass
@@ -257,11 +243,9 @@ def split_train_test(table: DataTable, ratio: float, seed: int) -> SplitPair:
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(ratio * n))
     n_train = min(max(n_train, 1), n - 1)
-    train_rows = perm[:n_train].tolist()
-    test_rows = perm[n_train:].tolist()
     return SplitPair(
-        train=table.subset(train_rows),
-        test=table.subset(test_rows),
+        train=table.subset(perm[:n_train]),
+        test=table.subset(perm[n_train:]),
         ratio=ratio,
         seed=seed,
     )
@@ -277,26 +261,9 @@ class FittedPreprocessor:
 
     schema: tuple[tuple[str, ColumnKind], ...]
     target: str
-    impute_values: dict[str, object]
+    impute_values: dict[str, float | str]
     standardize_params: tuple[tuple[float, float], ...] | None = None
     layout: tuple[tuple[str, int], ...] | None = None
-
-
-def _mode_first_appearance(values: list) -> str:
-    counts: dict[str, int] = {}
-    order: list[str] = []
-    for v in values:
-        if v is MISSING:
-            continue
-        if v not in counts:
-            counts[v] = 0
-            order.append(v)
-        counts[v] += 1
-    best = order[0]
-    for v in order[1:]:
-        if counts[v] > counts[best]:
-            best = v
-    return best
 
 
 def fit_preprocessor(
@@ -310,18 +277,20 @@ def fit_preprocessor(
     per-column standardization statistics of the imputed, encoded train matrix
     (population std; a zero-spread column standardizes to zeros).
     """
-    fills: dict[str, object] = {}
+    fills: dict[str, float | str] = {}
     for name, kind in train.schema:
         if name == train.target:
             continue
         col = train.column(name)
-        present = [v for v in col if v is not MISSING]
-        if not present:
+        numeric = kind is ColumnKind.NUMERIC
+        present = col[~np.isnan(col)] if numeric else col.codes[col.codes >= 0]
+        if not present.size:
             raise SchemaError(f"column {name!r} is entirely missing; cannot impute")
-        if kind is ColumnKind.NUMERIC:
+        if numeric:
             fills[name] = float(np.mean(present))
         else:
-            fills[name] = _mode_first_appearance(col)
+            # levels are in first-appearance order, and argmax keeps the first tie
+            fills[name] = col.levels[int(np.argmax(np.bincount(present)))]
     pre = FittedPreprocessor(schema=train.schema, target=train.target, impute_values=fills)
     if encoders is None:
         return pre
@@ -334,15 +303,16 @@ def fit_preprocessor(
 
 
 def impute(pre: FittedPreprocessor, table: DataTable) -> DataTable:
-    """Fill missing feature cells with the preprocessor's train-time values."""
-    cols = {}
-    for name, _ in table.schema:
-        col = table.column(name)
-        if name == table.target or name not in pre.impute_values:
-            cols[name] = list(col)
+    """Fill missing feature cells with the preprocessor's train-time values. A
+    categorical fill absent from the table's levels becomes a new level."""
+    cols = dict(table.columns)
+    for name, fill in pre.impute_values.items():
+        col = cols[name]
+        if isinstance(col, Categorical):
+            levels = col.levels if fill in col.levels else col.levels + (fill,)
+            cols[name] = Categorical(levels, np.where(col.codes < 0, levels.index(fill), col.codes))
         else:
-            fill = pre.impute_values[name]
-            cols[name] = [fill if v is MISSING else v for v in col]
+            cols[name] = np.where(np.isnan(col), fill, col)
     return DataTable(schema=table.schema, columns=cols, target=table.target)
 
 
@@ -366,7 +336,7 @@ def _encode_features(
     encoders: Mapping[str, enc_mod.FittedEncoder],
     table: DataTable,
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    blocks: list[np.ndarray] = []
+    blocks = [np.empty((table.row_count, 0))]
     layout: list[tuple[str, int]] = []
     for name, kind in pre.schema:
         if name == pre.target:
@@ -377,11 +347,9 @@ def _encode_features(
                 raise ValueError(f"no fitted encoder for categorical column {name!r}")
             block = enc_mod.transform(encoders[name], col)
         else:
-            block = np.asarray(col, dtype=float).reshape(-1, 1)
+            block = col.reshape(-1, 1)
         blocks.append(block)
         layout.append((name, block.shape[1]))
-    if not blocks:
-        return np.empty((table.row_count, 0)), tuple(layout)
     return np.hstack(blocks), tuple(layout)
 
 
@@ -401,13 +369,8 @@ def apply_pipeline(
         raise SchemaError(
             f"encoded layout {layout} does not match fit-time layout {pre.layout}"
         )
-    out = np.empty_like(matrix)
-    for j, (mean, std) in enumerate(pre.standardize_params):
-        if std == 0.0:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = (matrix[:, j] - mean) / std
-    return out
+    mean, std = np.array(pre.standardize_params, dtype=float).reshape(-1, 2).T
+    return np.divide(matrix - mean, std, out=np.zeros_like(matrix), where=std != 0.0)
 
 
 def pipeline_layout(pre: FittedPreprocessor) -> tuple[tuple[str, int], ...]:

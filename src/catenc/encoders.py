@@ -7,14 +7,13 @@ Families:
 * string:   similarity, minhash                     (codes from the level string)
 * target:   mean, sshrink, mestimate, jamesstein, glmm  (codes from the target)
 
-Every fitted encoder is a level table plus a code matrix: row k of the (c, l)
-float matrix is the code of training level k, in first-appearance order, and
-an explicit policy vector covers unseen levels. String encoders can also encode
-unseen levels from the raw string on the fly.
+Columns are `Categorical`s, levels plus int codes (`Categorical.of` factorizes
+strings). A fitted encoder is a level table plus a code matrix: row k of the
+(c, l) float matrix codes training level k, in first-appearance order; a policy
+vector, or for string encoders the raw string, encodes unseen levels.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,28 +49,64 @@ class LevelTable:
         return self.levels.index(level)
 
 
-def _distinct(column: Sequence[str], known: Sequence[str] = ()) -> tuple[str, ...]:
-    """Distinct cells in first-appearance order, after the distinct `known` levels.
-    Cells must be strings; run imputation first if the column can contain
-    missing markers."""
-    distinct = tuple(dict.fromkeys(itertools.chain(known, column)))
-    for v in distinct[len(known) :]:
-        if not isinstance(v, str):
-            raise TypeError(f"categorical cell is not a string: {v!r} (impute first?)")
-    return distinct
+class Categorical:
+    """A sequence of cells stored as a `levels` tuple plus one intp code per row
+    into it, -1 for a missing cell (None). The constructor keeps `levels` to
+    exactly the levels present, in order of first appearance, renumbering
+    `codes` to match, so every row subset is canonical too."""
 
+    __slots__ = ("levels", "codes")
 
-def _factorize(column: Sequence[str], known: Sequence[str] = ()) -> tuple[tuple[str, ...], np.ndarray]:
-    """_distinct(column, known) plus each cell's position in it."""
-    distinct = _distinct(column, known)
-    position = {v: k for k, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+    def __init__(self, levels: Sequence[str], codes) -> None:
+        codes = np.asarray(codes, dtype=np.intp)
+        n, k = codes.size, len(levels)
+        if len(set(levels)) != k or (n and not -1 <= codes.min() <= codes.max() < k):
+            raise ValueError(f"need distinct levels and codes in [-1, {k})")
+        present = codes >= 0
+        first = np.full(k, n, dtype=np.intp)
+        np.minimum.at(first, codes[present], np.flatnonzero(present))
+        order = np.argsort(first)[: np.count_nonzero(first < n)]
+        remap = np.full(k + 1, -1, dtype=np.intp)  # slot k takes code -1
+        remap[order] = np.arange(order.size)
+        self.levels = tuple(levels[i] for i in order)
+        self.codes = remap[codes]
+
+    @classmethod
+    def of(cls, cells: Sequence[str | None]) -> "Categorical":
+        """Factorize string cells, None meaning missing; a Categorical passes through."""
+        if isinstance(cells, Categorical):
+            return cells
+        position: dict[str, int] = {}
+        codes = [-1 if v is None else position.setdefault(v, len(position)) for v in cells]
+        for v in position:
+            if not isinstance(v, str):
+                raise TypeError(f"categorical cell is not a string: {v!r}")
+        return cls(tuple(position), codes)
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, rows):
+        """The cell at an int index (None when missing), else the rows' sub-column."""
+        if isinstance(rows, (int, np.integer)):
+            return self.levels[self.codes[rows]] if self.codes[rows] >= 0 else None
+        return Categorical(self.levels, self.codes[rows])
+
+    def __iter__(self):
+        return map((self.levels + (None,)).__getitem__, self.codes.tolist())
 
 
 def fit_levels(column: Sequence[str]) -> LevelTable:
-    """Collect distinct levels in order of first appearance. Cells must be strings;
-    run imputation first if the column can contain missing markers."""
-    return LevelTable(levels=_distinct(column))
+    """Distinct levels in order of first appearance."""
+    return LevelTable(levels=Categorical.of(column).levels)
+
+
+def _complete(column: Sequence[str]) -> Categorical:
+    """The column as a Categorical, refusing missing cells."""
+    col = Categorical.of(column)
+    if (col.codes < 0).any():
+        raise ValueError("categorical column has missing cells; impute first")
+    return col
 
 
 @dataclass(frozen=True)
@@ -137,12 +172,13 @@ class FittedEncoder:
 
 
 def transform(enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
-    """Encode a column into an (n_rows, output_dim) float matrix. Each distinct
-    unseen level is encoded once, by encode_fn or as the unseen policy."""
-    distinct, codes = _factorize(column, enc.levels.levels)
+    """Encode a column into an (n_rows, output_dim) float matrix: look up each
+    level once (encode_fn or the unseen policy for a new one), then gather rows."""
+    col = _complete(column)
+    known = dict(zip(enc.levels.levels, enc.codes))
     fill = enc.encode_fn or (lambda _: enc.unseen_policy)
-    table = np.vstack([enc.codes, *(fill(v) for v in distinct[enc.levels.cardinality :])])
-    return table[codes]
+    table = [known[v] if v in known else fill(v) for v in col.levels]
+    return np.array(table, dtype=float).reshape(len(table), enc.output_dim)[col.codes]
 
 
 def output_dim(variant: str, cardinality: int, spec: EncoderSpec | None = None) -> int:
@@ -236,9 +272,9 @@ def fit_ordinal(levels: LevelTable) -> FittedEncoder:
 
 def fit_count(column: Sequence[str]) -> FittedEncoder:
     """Level -> [number of occurrences in the training column]; unseen -> [0]."""
-    distinct, codes = _factorize(column)
-    levels = LevelTable(levels=distinct)
-    counts = np.bincount(codes, minlength=levels.cardinality).astype(float)
+    col = _complete(column)
+    levels = LevelTable(levels=col.levels)
+    counts = np.bincount(col.codes, minlength=levels.cardinality).astype(float)
     return FittedEncoder(variant="count", levels=levels, codes=counts[:, None], unseen_policy=np.zeros(1))
 
 
@@ -373,17 +409,17 @@ class GroupStats:
 
 def compute_group_stats(column: Sequence[str], target: Sequence[float]) -> GroupStats:
     y = np.asarray(target, dtype=float)
-    if len(column) != y.shape[0]:
+    col = _complete(column)
+    if len(col) != y.shape[0]:
         raise ValueError("column and target lengths differ")
     if y.shape[0] == 0:
         raise ValueError("empty column")
-    distinct, codes = _factorize(column)
-    levels = LevelTable(levels=distinct)
+    levels = LevelTable(levels=col.levels)
     c = levels.cardinality
-    counts = np.bincount(codes, minlength=c)
-    sums = np.bincount(codes, weights=y, minlength=c)
+    counts = np.bincount(col.codes, minlength=c)
+    sums = np.bincount(col.codes, weights=y, minlength=c)
     means = sums / counts
-    sq = np.bincount(codes, weights=y * y, minlength=c)
+    sq = np.bincount(col.codes, weights=y * y, minlength=c)
     sse = np.maximum(sq - counts * means**2, 0.0)
     return GroupStats(
         levels=levels,
@@ -524,10 +560,12 @@ def fit_glmm_encoder(
 
 
 def fit(spec: EncoderSpec, column: Sequence[str], target: Sequence[float] | None = None) -> FittedEncoder:
-    """Fit any cataloged encoder on a training column (plus target where needed)."""
+    """Fit any cataloged encoder on a training column with no missing cell (plus
+    target where needed)."""
     variant = spec.variant
     if variant in TARGET_VARIANTS and target is None:
         raise ValueError(f"encoder {variant!r} needs a target")
+    column = _complete(column)
     if variant == "onehot":
         return fit_onehot(fit_levels(column))
     if variant == "basen":

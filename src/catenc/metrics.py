@@ -7,8 +7,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MISSING, DataTable
-from .encoders import fit_levels
+from .data import DataTable
 
 #: minASPL at or above which per-level data is considered sufficient
 SUFFICIENT_MINASPL = 100.0
@@ -24,7 +23,8 @@ def f1_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     p = np.asarray(y_pred, dtype=float)
     if t.shape != p.shape:
         raise ValueError("length mismatch")
-    bad = (set(np.unique(t)) | set(np.unique(p))) - {0.0, 1.0}
+    both = np.concatenate([t, p])
+    bad = set(both[(both != 0) & (both != 1)].tolist())
     if bad:
         raise ValueError(f"labels must be 0/1, got extras {sorted(bad)}")
     tp = float(np.sum((t == 1) & (p == 1)))
@@ -72,12 +72,11 @@ def minaspl(table: DataTable) -> float:
     Missing cells count as rows but not as a level; a categorical column with
     no present cell raises ValueError.
     """
-    cards = []
-    for name in table.categorical_names():
-        present = [v for v in table.column(name) if v is not MISSING]
-        cards.append(fit_levels(present).cardinality)
+    cards = [len(table.column(name).levels) for name in table.categorical_names()]
     if not cards:
         raise ValueError("table has no categorical feature columns")
+    if min(cards) == 0:
+        raise ValueError("a categorical column has no present cell")
     return table.row_count / max(cards)
 
 

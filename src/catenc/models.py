@@ -120,10 +120,10 @@ def fit_logistic(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    classes = set(np.unique(y).tolist())
-    if not classes <= {0.0, 1.0}:
-        raise ValueError(f"labels must be 0/1, got {sorted(classes)}")
-    if len(classes) < 2:
+    is_one = y == 1
+    if not (is_one | (y == 0)).all():
+        raise ValueError(f"labels must be 0/1, got {sorted(set(y.tolist()))}")
+    if is_one.all() or not is_one.any():
         raise ValueError("single-class targets: nothing to separate")
     n, p = x.shape
     params = np.zeros(p + 1)

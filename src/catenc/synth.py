@@ -36,11 +36,10 @@ def generate_regression(n: int, rng: np.random.Generator, sigma: float = 1.0) ->
         raise ValueError("sigma must be nonnegative")
     idx = rng.integers(0, 4, size=n)
     noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
-    season = [SEASONS[i] for i in idx]
-    y = np.array([REGRESSION_TRUTH[s] for s in season]) + noise
+    y = np.array([REGRESSION_TRUTH[s] for s in SEASONS])[idx] + noise
     return DataTable(
         schema=(("season", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-        columns={"season": season, "y": y.tolist()},
+        columns={"season": enc_mod.Categorical(SEASONS, idx), "y": y},
         target="y",
     )
 
@@ -56,9 +55,8 @@ def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
         raise ValueError("need at least one row")
     idx = rng.integers(0, 4, size=n)
     phase = rng.uniform(-2.0, 3.0, size=n)
-    season = [SEASONS[i] for i in idx]
     sign = np.where(np.sin(np.pi * phase) > 0.0, 1.0, -1.0)
-    truth = np.array([CLASSIFICATION_TRUTH[s] for s in season])
+    truth = np.array([CLASSIFICATION_TRUTH[s] for s in SEASONS])[idx]
     label = (truth * sign + 1.0) / 2.0
     return DataTable(
         schema=(
@@ -66,7 +64,7 @@ def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
             ("phase", ColumnKind.NUMERIC),
             ("label", ColumnKind.NUMERIC),
         ),
-        columns={"season": season, "phase": phase.tolist(), "label": label.tolist()},
+        columns={"season": enc_mod.Categorical(SEASONS, idx), "phase": phase, "label": label},
         target="label",
     )
 

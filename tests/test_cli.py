@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from catenc import encoders as enc_mod
 from catenc.cli import main
+from catenc.data import fit_preprocessor, impute, infer_schema, load_csv
 
 
 @pytest.fixture
@@ -84,6 +86,22 @@ def test_encode_target_family_uses_target(tmp_path, city_csv):
     assert got == {"paris": 2.0, "rome": 3.5, "kyoto": 4.0}
 
 
+def test_encode_fills_missing_cells_with_the_table_mode(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("city,y\na,1\n,2\nb,3\n")
+    rc = main(
+        ["encode", "--encoder", "count", "--input", str(path), "--column", "city", "--target", "y",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    with open(tmp_path / "city_count.csv", newline="") as fh:
+        got = {r["level"]: float(r["c1"]) for r in csv.DictReader(fh)}
+    table = load_csv(str(path), infer_schema(str(path), "y"), "y")
+    filled = impute(fit_preprocessor(table), table).column("city")
+    want = enc_mod.fit(enc_mod.EncoderSpec("count"), filled)
+    assert got == dict(zip(want.levels.levels, want.codes[:, 0].tolist())) == {"a": 2.0, "b": 1.0}
+
+
 def test_encode_rejects_numeric_column(tmp_path, city_csv, capsys):
     rc = main(
         [
@@ -109,6 +127,14 @@ def test_encode_missing_file_is_diagnostic_not_traceback(tmp_path, capsys):
             "--target", "y",
         ]
     )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_encode_empty_file_is_diagnostic_not_traceback(tmp_path, capsys):
+    (tmp_path / "empty.csv").write_text("")
+    rc = main(["encode", "--encoder", "onehot", "--input", str(tmp_path / "empty.csv"), "--column", "c",
+               "--target", "y"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 

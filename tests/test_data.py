@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from catenc.data import (
-    MISSING,
     ColumnKind,
     DataTable,
     SchemaError,
@@ -15,7 +14,8 @@ from catenc.data import (
     read_schema,
     split_train_test,
 )
-from catenc.encoders import EncoderSpec
+from catenc.encoders import Categorical, EncoderSpec
+from catenc.metrics import minaspl
 
 
 @pytest.fixture
@@ -53,8 +53,8 @@ class TestLoadCsv:
         table = load_csv(csv_path, kinds, target)
         assert table.row_count == 5
         assert table.kind("season") is ColumnKind.CATEGORICAL
-        assert table.column("temp")[1] is MISSING
-        assert table.column("temp")[3] is MISSING
+        assert np.isnan(table.column("temp")[1])
+        assert np.isnan(table.column("temp")[3])
         assert table.column("temp")[0] == 10.0
         assert table.target == "y"
 
@@ -134,8 +134,8 @@ class TestPreprocessor:
         table = DataTable(
             schema=(("a", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
             columns={
-                "a": ["u", "v", MISSING, "u", "w"],
-                "x": [1.0, MISSING, 3.0, MISSING, 8.0],
+                "a": ["u", "v", None, "u", "w"],
+                "x": [1.0, None, 3.0, None, 8.0],
                 "y": [0.0, 1.0, 0.0, 1.0, 0.0],
             },
             target="y",
@@ -146,6 +146,25 @@ class TestPreprocessor:
         filled = impute(pre, table)
         assert filled.column("a")[2] == "u"
         assert filled.column("x")[1] == pytest.approx(4.0)
+
+    def test_fill_absent_from_test_levels_becomes_a_level(self):
+        schema = (("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC))
+        train = DataTable(schema=schema, columns={"a": ["u", "u", "v"], "y": [0.0] * 3}, target="y")
+        test = DataTable(schema=schema, columns={"a": ["v", None, "w"], "y": [0.0] * 3}, target="y")
+        col = impute(fit_preprocessor(train), test).column("a")
+        assert list(col) == ["v", "u", "w"]
+        assert col.levels == ("v", "u", "w")
+
+    def test_fill_already_present_adds_no_level(self):
+        table = DataTable(
+            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
+            columns={"a": [None, "v", "u", "u"], "y": [0.0] * 4},
+            target="y",
+        )
+        filled = impute(fit_preprocessor(table), table)
+        assert list(filled.column("a")) == ["u", "v", "u", "u"]
+        assert filled.column("a").levels == ("u", "v")
+        assert minaspl(filled) == minaspl(table) == 2.0
 
     def test_mode_tie_breaks_by_first_appearance(self):
         table = DataTable(
@@ -158,7 +177,7 @@ class TestPreprocessor:
     def test_entirely_missing_column_named_in_error(self):
         table = DataTable(
             schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": [MISSING, MISSING], "y": [0.0, 1.0]},
+            columns={"a": [None, None], "y": [0.0, 1.0]},
             target="y",
         )
         with pytest.raises(SchemaError, match="'a'"):
@@ -210,7 +229,7 @@ class TestPreprocessor:
         # mutate a test cell and re-apply: fitted statistics cannot move
         test_b = test_a.subset(range(test_a.row_count))
         test_b.columns["y"][0] = 99.0
-        test_b.columns["season"][0] = "winter"
+        test_b.columns["season"] = Categorical.of(["winter", *list(test_b.columns["season"])[1:]])
         apply_pipeline(pre, encoders, test_b)
         assert pre.standardize_params == params_before
         assert pre.impute_values == fit_preprocessor(train).impute_values

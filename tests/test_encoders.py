@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from catenc.encoders import (
     ENCODER_VARIANTS,
+    Categorical,
     EncoderSpec,
     FittedEncoder,
     compute_group_stats,
@@ -51,6 +52,50 @@ class TestLevelTable:
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
             fit_levels(["a", 3])
+
+
+class TestCategorical:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.none() | st.text(alphabet="abc", max_size=2), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_row_subset_is_canonical_and_fits_like_its_cells(self, cells, data):
+        rows = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=40))
+        sub = Categorical.of(cells)[rows]
+        decoded = [cells[i] for i in rows]
+        assert list(sub) == decoded
+        assert sub.levels == tuple(dict.fromkeys(v for v in decoded if v is not None))
+        present = [i for i in rows if cells[i] is not None]
+        if not present:
+            return
+        col = Categorical.of(cells)[present]
+        target = data.draw(st.lists(st.floats(-100, 100), min_size=len(present), max_size=len(present)))
+        for variant in ("onehot", "count", "mean", "glmm"):
+            got = fit(EncoderSpec(variant), col, target)
+            want = fit(EncoderSpec(variant), list(col), target)
+            assert got.levels == want.levels
+            assert got.codes.tobytes() == want.codes.tobytes()
+
+    def test_constructor_drops_absent_levels_and_renumbers(self):
+        col = Categorical(("x", "y", "z"), [2, -1, 0, 2])
+        assert col.levels == ("z", "x")
+        np.testing.assert_array_equal(col.codes, [0, -1, 1, 0])
+        assert col[1] is None and col[3] == "z"
+
+    def test_constructor_rejects_bad_codes_and_repeated_levels(self):
+        with pytest.raises(ValueError):
+            Categorical(("x",), [0, 1])
+        with pytest.raises(ValueError):
+            Categorical(("x",), [-2])
+        with pytest.raises(ValueError):
+            Categorical(("x", "x"), [0, 1])
+
+    def test_missing_cells_must_be_imputed_before_fit_and_transform(self):
+        with pytest.raises(ValueError, match="impute"):
+            fit(EncoderSpec("onehot"), ["a", None])
+        with pytest.raises(ValueError, match="impute"):
+            transform(fit(EncoderSpec("onehot"), ["a"]), [None])
 
 
 class TestOnehot:

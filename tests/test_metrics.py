@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenc.data import MISSING, ColumnKind, DataTable
+import catenc
+from catenc.data import ColumnKind, DataTable
 from catenc.metrics import (
     MetricRecord,
     accuracy,
@@ -44,8 +48,23 @@ class TestScalarMetrics:
         assert f1_score([0, 0], [0, 0]) == 0.0
 
     def test_f1_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            f1_score([0, 2], [0, 1])
+        with pytest.raises(ValueError, match=r"extras \[2\.0, 3\.0\]"):
+            f1_score([0, 2], [3, 1])
+
+    def test_label_checks_do_not_import_numpy_ma(self):
+        # numpy.ma costs about 1 MiB of resident memory per process
+        script = (
+            "import sys, numpy as np, catenc\n"
+            "from catenc import models, synth\n"
+            "catenc.f1_score([0, 1, 1], [1, 1, 0])\n"
+            "models.fit_logistic(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))\n"
+            "cfg = synth.SynthConfig(problem='classification', aspl_values=(5,), seeds_per_aspl=1, test_size=20)\n"
+            "synth.run_aspl_sweep(cfg, 'forest', catenc.EncoderSpec('mean'))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(catenc.__file__))}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_mse_rmse(self):
         y = [1.0, 2.0, 3.0]
@@ -80,7 +99,7 @@ class TestScalarMetrics:
     def test_minaspl_does_not_count_missing_as_a_level(self):
         table = DataTable(
             schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"g": ["x", "y", MISSING, MISSING], "y": [0.0] * 4},
+            columns={"g": ["x", "y", None, None], "y": [0.0] * 4},
             target="y",
         )
         assert minaspl(table) == pytest.approx(2.0)
@@ -88,7 +107,7 @@ class TestScalarMetrics:
     def test_minaspl_rejects_a_column_with_no_present_cell(self):
         table = DataTable(
             schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"g": [MISSING, MISSING], "y": [0.0, 1.0]},
+            columns={"g": [None, None], "y": [0.0, 1.0]},
             target="y",
         )
         with pytest.raises(ValueError):
