@@ -189,61 +189,73 @@ class CellFailure:
     error: str
 
 
-@lru_cache(maxsize=32)
 def _load_dataset(csv_path: str, schema_path: str) -> DataTable:
+    """Load a dataset once per process; each file's (mtime, size) is part of the
+    cache key, so a rewritten file is read again."""
+    stamps = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (schema_path, csv_path)))
+    return _read_dataset(csv_path, schema_path, stamps)
+
+
+@lru_cache(maxsize=32)
+def _read_dataset(csv_path: str, schema_path: str, stamps: tuple) -> DataTable:
     kinds, target = read_schema(schema_path)
     return load_csv(csv_path, kinds, target)
 
 
-def _run_cell(
+def _run_unit(
     dataset: DatasetSpec,
     enc_spec: enc_mod.EncoderSpec,
-    model_spec: ModelSpec,
+    models: Sequence[ModelSpec],
     seed: int,
     split_ratio: float,
     record_timing: bool,
-) -> MetricRecord | CellFailure:
-    try:
+) -> list[MetricRecord | CellFailure]:
+    """Score every model on one (dataset, encoder, seed): load, split and fit the
+    pipeline once, then fit, predict and score each model on the shared matrices.
+    A failure before the model loop fails every model's cell with that error."""
+
+    def failure(model_spec: ModelSpec, exc: Exception) -> CellFailure:
+        error = f"{type(exc).__name__}: {exc}"
+        return CellFailure(dataset.name, enc_spec.variant, model_spec.name, seed, error)
+
+    try:  # a bad cell must not sink the grid
         table = _load_dataset(dataset.csv_path, dataset.schema_path)
         pair = split_train_test(table, split_ratio, seed)
         task = table.task()
         y_train = pair.train.target_values()
         y_test = pair.test.target_values()
         t0 = time.perf_counter()
-        pre, fitted = fit_pipeline(pair.train, enc_spec)
-        x_train = apply_pipeline(pre, fitted, pair.train)
-        x_test = apply_pipeline(pre, fitted, pair.test)
+        pipeline, x_train = fit_pipeline(pair.train, enc_spec)
+        x_test = apply_pipeline(pipeline, pair.test)
         encode_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        model = mod.fit_model(model_spec.name, task, x_train, y_train, seed, **model_spec.kwargs())
-        train_time = time.perf_counter() - t0
-        pred = mod.predict(model, x_test, task=task)
-        if task == "classification":
-            metric, value = "f1", f1_score(y_test, pred)
-        else:
-            metric, value = "rmse", rmse(y_test, pred)
-        return MetricRecord(
-            dataset=dataset.name,
-            encoder=enc_spec.variant,
-            model=model_spec.name,
-            seed=seed,
-            metric=metric,
-            value=value,
-            encode_time=encode_time if record_timing else 0.0,
-            train_time=train_time if record_timing else 0.0,
-        )
-    except Exception as exc:  # a bad cell must not sink the grid
-        return CellFailure(
-            dataset=dataset.name,
-            encoder=enc_spec.variant,
-            model=model_spec.name,
-            seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _run_cell_job(args) -> MetricRecord | CellFailure:
-    return _run_cell(*args)
+    except Exception as exc:
+        return [failure(m, exc) for m in models]
+    results: list[MetricRecord | CellFailure] = []
+    for model_spec in models:
+        try:
+            t0 = time.perf_counter()
+            model = mod.fit_model(model_spec.name, task, x_train, y_train, seed, **model_spec.kwargs())
+            train_time = time.perf_counter() - t0
+            pred = mod.predict(model, x_test, task=task)
+            if task == "classification":
+                metric, value = "f1", f1_score(y_test, pred)
+            else:
+                metric, value = "rmse", rmse(y_test, pred)
+            results.append(
+                MetricRecord(
+                    dataset=dataset.name,
+                    encoder=enc_spec.variant,
+                    model=model_spec.name,
+                    seed=seed,
+                    metric=metric,
+                    value=value,
+                    encode_time=encode_time if record_timing else 0.0,
+                    train_time=train_time if record_timing else 0.0,
+                )
+            )
+        except Exception as exc:
+            results.append(failure(model_spec, exc))
+    return results
 
 
 def run_grid(
@@ -253,23 +265,26 @@ def run_grid(
 ) -> tuple[list[MetricRecord], list[CellFailure], dict[str, float]]:
     """Evaluate every cell; returns (records, failures, minaspl per dataset).
 
-    Output order is sorted by (dataset, encoder, model, seed) no matter how many
-    workers ran the cells, so runs are reproducible modulo the timing columns.
+    Work is done per (dataset, encoder, seed) unit, whose encoding every model
+    shares; `workers` processes run the units. Output order is sorted by
+    (dataset, encoder, model, seed) no matter how many workers ran, so runs are
+    reproducible modulo the timing columns.
     """
-    jobs = [
-        (d, e, m, s, grid.split_ratio, record_timing)
-        for d in grid.datasets
-        for e in grid.encoders
-        for m in grid.models
-        for s in grid.seeds
-    ]
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    units = [
+        (d, e, grid.models, s, grid.split_ratio, record_timing)
+        for d in grid.datasets
+        for e in grid.encoders
+        for s in grid.seeds
+    ]
+    args = zip(*units)
     if workers == 1:
-        results = [_run_cell_job(job) for job in jobs]
+        per_unit = list(map(_run_unit, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_job, jobs))
+            per_unit = list(pool.map(_run_unit, *args))
+    results = [r for unit in per_unit for r in unit]
     records = [r for r in results if isinstance(r, MetricRecord)]
     failures = [r for r in results if isinstance(r, CellFailure)]
     records.sort(key=lambda r: (r.dataset, r.encoder, r.model, r.seed))

@@ -74,32 +74,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_table(args) -> "object":
+def _read_kinds(args) -> tuple[dict[str, ColumnKind], str]:
     if args.schema:
-        kinds, target = read_schema(args.schema)
-    else:
-        if not args.target:
-            raise SystemExit("need --target when --schema is omitted")
-        target = args.target
-        kinds = infer_schema(args.input, target)
-    return load_csv(args.input, kinds, target)
+        return read_schema(args.schema)
+    if not args.target:
+        raise SystemExit("need --target when --schema is omitted")
+    return infer_schema(args.input, args.target), args.target
 
 
 def _cmd_encode(args) -> int:
-    table = _load_table(args)
-    if args.column not in dict(table.schema):
+    kinds, target = _read_kinds(args)
+    if args.column not in kinds:
         print(f"error: no column {args.column!r} in {args.input}", file=sys.stderr)
         return 1
-    if table.kind(args.column) is not ColumnKind.CATEGORICAL:
+    if kinds[args.column] is not ColumnKind.CATEGORICAL:
         print(f"error: column {args.column!r} is numeric, nothing to encode", file=sys.stderr)
         return 1
-    # missing cells take the table's mode, the fill every bench cell uses
+    # read only the column and the target, so a blank other column cannot fail the fill;
+    # missing cells take the column's mode, the fill every bench cell uses
+    table = load_csv(args.input, {args.column: kinds[args.column], target: kinds[target]}, target)
     column = impute(fit_preprocessor(table), table).column(args.column)
     spec = enc_mod.EncoderSpec(variant=args.encoder)
-    target = (
-        table.target_values() if args.encoder in enc_mod.TARGET_VARIANTS else None
-    )
-    enc = enc_mod.fit(spec, column, target)
+    y = table.target_values() if args.encoder in enc_mod.TARGET_VARIANTS else None
+    enc = enc_mod.fit(spec, column, y)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.column}_{args.encoder}.csv")
     enc_mod.export_encoder_csv(enc, out_path)
@@ -178,7 +175,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_guide(args) -> int:
     if args.input:
-        table = _load_table(args)
+        table = load_csv(args.input, *_read_kinds(args))
         query = guide_mod.query_from_table(table, args.model_family, args.time_sensitive)
         print(f"measured minASPL = {query.min_aspl:.2f}")
     else:

@@ -4,8 +4,11 @@ Columns are arrays: float64 with NaN for a missing cell, or an `encoders.Categor
 (levels plus int codes, -1 for a missing cell). Splitting gathers rows.
 
 The pipeline order is fixed: impute on train statistics, encode categoricals,
-standardize every encoded column with train statistics. Nothing here ever looks
-at test rows while fitting; the tests pin that down.
+standardize every encoded column with train statistics. `fit_pipeline` does all
+three on the train table in one pass and returns a frozen `FittedPipeline` with
+the standardized train matrix; `apply_pipeline` replays them on other rows.
+`fit_preprocessor` and `impute` are the imputation step on its own. Nothing here
+ever looks at test rows while fitting; the tests pin that down.
 """
 from __future__ import annotations
 
@@ -251,32 +254,26 @@ def split_train_test(table: DataTable, ratio: float, seed: int) -> SplitPair:
     )
 
 
-@dataclass
-class FittedPreprocessor:
-    """Frozen imputation fills plus per-encoded-column standardization stats.
-
-    standardize_params aligns with the encoded feature matrix; layout records the
-    (column name, width) block structure of that matrix in schema order.
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
+class FittedPipeline:
+    """Everything fitted on a train table: imputation fills, one encoder per
+    categorical feature, the (column name, width) blocks of the encoded matrix in
+    schema order, and the per-column mean and population std of the imputed,
+    encoded train matrix (float64 arrays aligned with its columns).
     """
 
     schema: tuple[tuple[str, ColumnKind], ...]
     target: str
-    impute_values: dict[str, float | str]
-    standardize_params: tuple[tuple[float, float], ...] | None = None
-    layout: tuple[tuple[str, int], ...] | None = None
+    fills: dict[str, float | str]
+    encoders: dict[str, enc_mod.FittedEncoder]
+    layout: tuple[tuple[str, int], ...]
+    mean: np.ndarray
+    std: np.ndarray
 
 
-def fit_preprocessor(
-    train: DataTable,
-    encoders: Mapping[str, enc_mod.FittedEncoder] | None = None,
-) -> FittedPreprocessor:
-    """Learn imputation fills (numeric mean, categorical mode with first-appearance
-    tie-break) from train rows only.
-
-    When fitted encoders for every categorical feature are supplied, also freeze
-    per-column standardization statistics of the imputed, encoded train matrix
-    (population std; a zero-spread column standardizes to zeros).
-    """
+def fit_preprocessor(train: DataTable) -> dict[str, float | str]:
+    """Imputation fills learned from train rows only: numeric mean, categorical
+    mode with first-appearance tie-break."""
     fills: dict[str, float | str] = {}
     for name, kind in train.schema:
         if name == train.target:
@@ -291,22 +288,14 @@ def fit_preprocessor(
         else:
             # levels are in first-appearance order, and argmax keeps the first tie
             fills[name] = col.levels[int(np.argmax(np.bincount(present)))]
-    pre = FittedPreprocessor(schema=train.schema, target=train.target, impute_values=fills)
-    if encoders is None:
-        return pre
-    matrix, layout = _encode_features(pre, encoders, impute(pre, train))
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0)  # population std
-    pre.standardize_params = tuple((float(m), float(s)) for m, s in zip(means, stds))
-    pre.layout = layout
-    return pre
+    return fills
 
 
-def impute(pre: FittedPreprocessor, table: DataTable) -> DataTable:
-    """Fill missing feature cells with the preprocessor's train-time values. A
-    categorical fill absent from the table's levels becomes a new level."""
+def impute(fills: Mapping[str, float | str], table: DataTable) -> DataTable:
+    """Fill missing feature cells with train-time values. A categorical fill
+    absent from the table's levels becomes a new level."""
     cols = dict(table.columns)
-    for name, fill in pre.impute_values.items():
+    for name, fill in fills.items():
         col = cols[name]
         if isinstance(col, Categorical):
             levels = col.levels if fill in col.levels else col.levels + (fill,)
@@ -317,29 +306,47 @@ def impute(pre: FittedPreprocessor, table: DataTable) -> DataTable:
 
 
 def fit_pipeline(
-    train: DataTable, spec: "enc_mod.EncoderSpec"
-) -> tuple[FittedPreprocessor, dict[str, enc_mod.FittedEncoder]]:
-    """Canonical train-side flow: impute, fit one encoder per categorical feature,
-    freeze standardization stats. Returns the preprocessor and encoder map."""
-    base = fit_preprocessor(train)
-    filled = impute(base, train)
-    target = filled.target_values() if spec.variant in enc_mod.TARGET_VARIANTS else None
-    fitted = {
-        name: enc_mod.fit(spec, filled.column(name), target)
-        for name in train.categorical_names()
-    }
-    return fit_preprocessor(train, fitted), fitted
+    train: DataTable,
+    spec: "enc_mod.EncoderSpec | Mapping[str, enc_mod.FittedEncoder]",
+) -> tuple[FittedPipeline, np.ndarray]:
+    """Fit the pipeline on train rows in one pass: fills, imputation, one encoder
+    per categorical feature, standardization statistics.
+
+    `spec` is an EncoderSpec to fit on every categorical feature, or a mapping
+    from each categorical feature to an already-fitted encoder. Returns the
+    pipeline and the standardized train matrix, which equals
+    `apply_pipeline(pipeline, train)` bit for bit.
+    """
+    fills = fit_preprocessor(train)
+    filled = impute(fills, train)
+    if isinstance(spec, enc_mod.EncoderSpec):
+        target = filled.target_values() if spec.variant in enc_mod.TARGET_VARIANTS else None
+        encoders = {
+            name: enc_mod.fit(spec, filled.column(name), target)
+            for name in train.categorical_names()
+        }
+    else:
+        encoders = dict(spec)
+    matrix, layout = _encode_features(encoders, filled)
+    pipeline = FittedPipeline(
+        schema=train.schema,
+        target=train.target,
+        fills=fills,
+        encoders=encoders,
+        layout=layout,
+        mean=matrix.mean(axis=0),
+        std=matrix.std(axis=0),  # population std
+    )
+    return pipeline, _standardize(pipeline, matrix)
 
 
 def _encode_features(
-    pre: FittedPreprocessor,
-    encoders: Mapping[str, enc_mod.FittedEncoder],
-    table: DataTable,
+    encoders: Mapping[str, enc_mod.FittedEncoder], table: DataTable
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     blocks = [np.empty((table.row_count, 0))]
     layout: list[tuple[str, int]] = []
-    for name, kind in pre.schema:
-        if name == pre.target:
+    for name, kind in table.schema:
+        if name == table.target:
             continue
         col = table.column(name)
         if kind is ColumnKind.CATEGORICAL:
@@ -353,28 +360,17 @@ def _encode_features(
     return np.hstack(blocks), tuple(layout)
 
 
-def apply_pipeline(
-    pre: FittedPreprocessor,
-    encoders: Mapping[str, enc_mod.FittedEncoder],
-    table: DataTable,
-) -> np.ndarray:
-    """Impute, encode, standardize a table into a float matrix using train-time
-    statistics only. The table's schema must match the fit-time schema."""
-    if table.schema != pre.schema or table.target != pre.target:
-        raise SchemaError("table schema does not match the fitted preprocessor")
-    if pre.standardize_params is None:
-        raise ValueError("preprocessor lacks standardization stats; refit with encoders")
-    matrix, layout = _encode_features(pre, encoders, impute(pre, table))
-    if layout != pre.layout:
-        raise SchemaError(
-            f"encoded layout {layout} does not match fit-time layout {pre.layout}"
-        )
-    mean, std = np.array(pre.standardize_params, dtype=float).reshape(-1, 2).T
-    return np.divide(matrix - mean, std, out=np.zeros_like(matrix), where=std != 0.0)
+def _standardize(pipeline: FittedPipeline, matrix: np.ndarray) -> np.ndarray:
+    """Train-statistics standardization; a zero-spread column reads 0."""
+    std = pipeline.std
+    return np.divide(matrix - pipeline.mean, std, out=np.zeros_like(matrix), where=std != 0.0)
 
 
-def pipeline_layout(pre: FittedPreprocessor) -> tuple[tuple[str, int], ...]:
-    """(column name, encoded width) blocks of the feature matrix, in schema order."""
-    if pre.layout is None:
-        raise ValueError("preprocessor was fitted without encoders; no layout")
-    return pre.layout
+def apply_pipeline(pipeline: FittedPipeline, table: DataTable) -> np.ndarray:
+    """Impute, encode and standardize a table (typically the test rows) into a
+    float matrix with the train-time fills, encoders and statistics. The table's
+    schema must match the fit-time schema."""
+    if table.schema != pipeline.schema or table.target != pipeline.target:
+        raise SchemaError("table schema does not match the fitted pipeline")
+    matrix, _ = _encode_features(pipeline.encoders, impute(pipeline.fills, table))
+    return _standardize(pipeline, matrix)

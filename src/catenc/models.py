@@ -8,7 +8,7 @@ all the trees of a forest, in a few vectorized prefix scans per feature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -176,7 +176,6 @@ class MLPModel:
     w2: np.ndarray
     b2: np.ndarray
     task: str
-    adam_state: dict = field(default_factory=dict)
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -288,7 +287,6 @@ def train_mlp(
                 mhat = m1 / (1 - beta1**t)
                 vhat = m2 / (1 - beta2**t)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
-    model.adam_state = {"t": t, "m": moment1, "v": moment2}
     return model
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoders as enc_mod
 from . import models as mod
-from .data import ColumnKind, DataTable, apply_pipeline, fit_pipeline, fit_preprocessor
+from .data import ColumnKind, DataTable, apply_pipeline, fit_pipeline
 from .metrics import accuracy, mse
 
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -160,13 +160,9 @@ def run_aspl_sweep(
         for s in range(config.seeds_per_aspl):
             train = generate(4 * a, np.random.default_rng([config.base_seed, a, s]))
             y_train = train.target_values()
-            runs = (
-                (encoder_spec.variant, *fit_pipeline(train, encoder_spec)),
-                ("truth", fit_preprocessor(train, truth_encoders), truth_encoders),
-            )
-            for enc_name, pre, encoders in runs:
-                x_train = apply_pipeline(pre, encoders, train)
-                x_test = apply_pipeline(pre, encoders, test)
+            for enc_name, spec in ((encoder_spec.variant, encoder_spec), ("truth", truth_encoders)):
+                pipeline, x_train = fit_pipeline(train, spec)
+                x_test = apply_pipeline(pipeline, test)
                 model = mod.fit_model(model_kind, task, x_train, y_train, s)
                 metric, value = _score(task, model, x_test, y_test)
                 cells.append(

@@ -24,15 +24,9 @@ from .encoders import FittedEncoder, LevelTable, compute_group_stats, transform
 
 @dataclass(frozen=True)
 class AffineMap:
-    """First layer of a model: z = w_encoded @ phi(v) + w_other @ u + bias.
-
-    Only the categorical block w_encoded matters for the checks here; w_other
-    and bias ride along so maps read like the models they come from.
-    """
+    """The categorical block of a model's first layer: z = w_encoded @ phi(v)."""
 
     w_encoded: np.ndarray
-    w_other: np.ndarray | None = None
-    bias: np.ndarray | None = None
 
     @property
     def width(self) -> int:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from catenc import bench
 from catenc.bench import (
     CellFailure,
     ConfigError,
@@ -169,6 +170,53 @@ class TestRunGrid:
         assert all(f.dataset == "clf" for f in failures)
         assert len(records) == len(failures) == 2 * 2
         assert all("regression-only" in f.error for f in failures)
+
+    def test_one_run_mixes_model_failures_and_records(self, tmp_path):
+        grid = small_grid(tmp_path, models=("ridge", "tree"), datasets=("clf",))
+        records, failures, _ = run_grid(grid)
+        assert {r.model for r in records} == {"tree"}
+        assert {f.model for f in failures} == {"ridge"}
+        assert len(records) == len(failures) == 2 * 2
+
+    def test_encoding_fitted_once_per_dataset_encoder_seed(self, tmp_path, monkeypatch):
+        calls = []
+        fit_pipeline = bench.fit_pipeline
+
+        def counting_fit_pipeline(train, spec):
+            calls.append(spec)
+            return fit_pipeline(train, spec)
+
+        monkeypatch.setattr(bench, "fit_pipeline", counting_fit_pipeline)
+        grid = small_grid(tmp_path, models=("ridge", "tree", "logistic"))
+        records, failures, _ = run_grid(grid)
+        assert len(records) + len(failures) == 2 * 2 * 3 * 2
+        assert len(calls) == 2 * 2 * 2
+
+    def test_failure_before_model_loop_fails_every_model(self, tmp_path):
+        csv_path = tmp_path / "blank.csv"
+        csv_path.write_text("grade,x,y\n" + "".join(f",{k / 10!r},{k % 3}.0\n" for k in range(20)))
+        schema_path = tmp_path / "blank.schema"
+        schema_path.write_text("grade = categorical\nx = numeric\ny = numeric\ntarget = y\n")
+        grid = ExperimentGrid(
+            datasets=(DatasetSpec("blank", str(csv_path), str(schema_path)),),
+            encoders=(EncoderSpec("onehot"),),
+            models=(ModelSpec("ridge"), ModelSpec("tree"), ModelSpec("forest")),
+            seeds=(0,),
+        )
+        records, failures, _ = run_grid(grid)
+        assert records == []
+        assert [f.model for f in failures] == ["forest", "ridge", "tree"]
+        assert len({f.error for f in failures}) == 1
+        assert "'grade' is entirely missing" in failures[0].error
+
+    def test_rewritten_dataset_is_reloaded(self, tmp_path):
+        grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))
+        _, _, before = run_grid(grid)
+        write_dataset(tmp_path, "reg", "regression", n=90, seed=10)
+        _, _, after = run_grid(grid)
+        # 3 levels: 60 rows, then 90
+        assert before["reg"] == pytest.approx(20.0)
+        assert after["reg"] == pytest.approx(30.0)
 
     def test_timing_mask_zeroes_time_columns(self, tmp_path):
         grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))

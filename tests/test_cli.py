@@ -102,6 +102,19 @@ def test_encode_fills_missing_cells_with_the_table_mode(tmp_path):
     assert got == dict(zip(want.levels.levels, want.codes[:, 0].tolist())) == {"a": 2.0, "b": 1.0}
 
 
+def test_encode_ignores_an_all_blank_other_column(tmp_path, capsys):
+    path = tmp_path / "notes.csv"
+    path.write_text("city,notes,y\na,,1\nb,,2\na,,3\n")
+    rc = main(
+        ["encode", "--encoder", "onehot", "--input", str(path), "--column", "city", "--target", "y",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    with open(tmp_path / "city_onehot.csv", newline="") as fh:
+        assert [r["level"] for r in csv.DictReader(fh)] == ["a", "b"]
+    assert "2 level codes" in capsys.readouterr().out
+
+
 def test_encode_rejects_numeric_column(tmp_path, city_csv, capsys):
     rc = main(
         [

@@ -14,7 +14,7 @@ from catenc.data import (
     read_schema,
     split_train_test,
 )
-from catenc.encoders import Categorical, EncoderSpec
+from catenc.encoders import Categorical, EncoderSpec, FittedEncoder, LevelTable
 from catenc.metrics import minaspl
 
 
@@ -140,10 +140,10 @@ class TestPreprocessor:
             },
             target="y",
         )
-        pre = fit_preprocessor(table)
-        assert pre.impute_values["x"] == pytest.approx(4.0)
-        assert pre.impute_values["a"] == "u"
-        filled = impute(pre, table)
+        fills = fit_preprocessor(table)
+        assert fills["x"] == pytest.approx(4.0)
+        assert fills["a"] == "u"
+        filled = impute(fills, table)
         assert filled.column("a")[2] == "u"
         assert filled.column("x")[1] == pytest.approx(4.0)
 
@@ -172,7 +172,7 @@ class TestPreprocessor:
             columns={"a": ["v", "u", "u", "v"], "y": [0.0, 0.0, 0.0, 0.0]},
             target="y",
         )
-        assert fit_preprocessor(table).impute_values["a"] == "v"
+        assert fit_preprocessor(table)["a"] == "v"
 
     def test_entirely_missing_column_named_in_error(self):
         table = DataTable(
@@ -185,8 +185,8 @@ class TestPreprocessor:
 
     def test_pipeline_standardizes_train_columns(self):
         table = make_table(n=50, seed=1)
-        pre, encoders = fit_pipeline(table, EncoderSpec("onehot"))
-        x = apply_pipeline(pre, encoders, table)
+        pipeline, _ = fit_pipeline(table, EncoderSpec("onehot"))
+        x = apply_pipeline(pipeline, table)
         assert x.shape == (50, 4)
         # population standardization: mean 0, std 1 per non-constant column
         np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-12)
@@ -198,8 +198,8 @@ class TestPreprocessor:
             columns={"a": ["u", "v", "u"], "x": [7.0, 7.0, 7.0], "y": [1.0, 2.0, 3.0]},
             target="y",
         )
-        pre, encoders = fit_pipeline(table, EncoderSpec("ordinal"))
-        x = apply_pipeline(pre, encoders, table)
+        pipeline, _ = fit_pipeline(table, EncoderSpec("ordinal"))
+        x = apply_pipeline(pipeline, table)
         np.testing.assert_array_equal(x[:, 1], 0.0)
 
     def test_unseen_level_goes_through_policy_then_standardization(self):
@@ -213,8 +213,8 @@ class TestPreprocessor:
             columns={"a": ["w"], "y": [0.0]},
             target="y",
         )
-        pre, encoders = fit_pipeline(train, EncoderSpec("ordinal"))
-        x = apply_pipeline(pre, encoders, test)
+        pipeline, _ = fit_pipeline(train, EncoderSpec("ordinal"))
+        x = apply_pipeline(pipeline, test)
         # train codes are [1, 2, 1]: mean 4/3, population std sqrt(2)/3
         mean = 4.0 / 3.0
         std = np.sqrt(2.0) / 3.0
@@ -223,16 +223,17 @@ class TestPreprocessor:
     def test_no_leakage_from_test_rows(self):
         train = make_table(n=30, seed=5)
         test_a = make_table(n=10, seed=6)
-        pre, encoders = fit_pipeline(train, EncoderSpec("mean"))
-        params_before = pre.standardize_params
-        apply_pipeline(pre, encoders, test_a)
+        pipeline, _ = fit_pipeline(train, EncoderSpec("mean"))
+        mean_before, std_before = pipeline.mean.copy(), pipeline.std.copy()
+        apply_pipeline(pipeline, test_a)
         # mutate a test cell and re-apply: fitted statistics cannot move
         test_b = test_a.subset(range(test_a.row_count))
         test_b.columns["y"][0] = 99.0
         test_b.columns["season"] = Categorical.of(["winter", *list(test_b.columns["season"])[1:]])
-        apply_pipeline(pre, encoders, test_b)
-        assert pre.standardize_params == params_before
-        assert pre.impute_values == fit_preprocessor(train).impute_values
+        apply_pipeline(pipeline, test_b)
+        assert np.array_equal(pipeline.mean, mean_before)
+        assert np.array_equal(pipeline.std, std_before)
+        assert pipeline.fills == fit_preprocessor(train)
 
     def test_schema_mismatch_rejected(self):
         train = make_table(n=10)
@@ -241,18 +242,46 @@ class TestPreprocessor:
             columns={"other": ["a"] * 10, "y": [0.0] * 10},
             target="y",
         )
-        pre, encoders = fit_pipeline(train, EncoderSpec("onehot"))
+        pipeline, _ = fit_pipeline(train, EncoderSpec("onehot"))
         with pytest.raises(SchemaError):
-            apply_pipeline(pre, encoders, other)
+            apply_pipeline(pipeline, other)
 
     def test_matrix_width_is_encoded_plus_numeric(self, season_csv):
         csv_path, schema_path = season_csv
         kinds, target = read_schema(schema_path)
         table = load_csv(csv_path, kinds, target)
-        pre, encoders = fit_pipeline(table, EncoderSpec("onehot"))
-        x = apply_pipeline(pre, encoders, table)
+        pipeline, _ = fit_pipeline(table, EncoderSpec("onehot"))
+        x = apply_pipeline(pipeline, table)
         # 4 one-hot columns for season + 1 numeric temp; target excluded
         assert x.shape == (5, 5)
+
+    @pytest.mark.parametrize("variant", ["onehot", "mean", "basen", "truth"])
+    def test_train_matrix_equals_applying_the_pipeline_to_train(self, variant):
+        rng = np.random.default_rng(4)
+        seasons = ["spring", "summer", "autumn", "winter"]
+        table = DataTable(
+            schema=(("season", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
+            columns={
+                "season": [None if k == 4 else seasons[k] for k in rng.integers(0, 5, 40)],
+                "x": [None if v > 1.5 else v for v in rng.normal(size=40)],
+                "y": rng.normal(size=40).tolist(),
+            },
+            target="y",
+        )
+        if variant == "truth":  # an already-fitted encoder, as the sweep's truth run passes
+            spec = {
+                "season": FittedEncoder(
+                    variant="truth",
+                    levels=LevelTable(levels=tuple(seasons)),
+                    codes=np.array([[0.0], [1.0], [2.0], [3.0]]),
+                    unseen_policy=np.array([1.5]),
+                )
+            }
+        else:
+            spec = EncoderSpec(variant)
+        pipeline, x_train = fit_pipeline(table, spec)
+        assert np.array_equal(x_train, apply_pipeline(pipeline, table))
+        assert x_train.shape[1] == sum(width for _, width in pipeline.layout)
 
     def test_target_and_task_detection(self):
         t = make_table()
