@@ -2,9 +2,11 @@
 
 All five are deterministic functions of (data, hyperparameters, seed). The
 gradient-based ones expose their loss/gradient so tests can finite-difference
-them. The trees search exact midpoint thresholds: each feature is presorted
-once per tree, and one level-wise grower scores every node of a level, across
-all the trees of a forest, in a few vectorized prefix scans per feature.
+them. The trees search exact midpoint thresholds: one level-wise grower
+scores every node of a level, across all the trees of a forest, in a few
+vectorized prefix scans per presorted feature. The trees are flat node arrays
+that prediction walks in lock step, one row per group of rows that no
+threshold separates.
 """
 from __future__ import annotations
 
@@ -23,13 +25,15 @@ class RidgeModel:
     alpha: float
 
 
-def _ridge_solve(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean()
-    xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc + alpha * np.eye(x.shape[1])
-    w = np.linalg.solve(gram, xc.T @ yc)
+def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Column means, target mean, and the centered x'x and x'y of a ridge fit."""
+    x_mean, y_mean = x.mean(axis=0), y.mean()
+    xc, yc = x - x_mean, y - y_mean
+    return x_mean, y_mean, xc.T @ xc, xc.T @ yc
+
+
+def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, float]:
+    w = np.linalg.solve(xtx + alpha * np.eye(xtx.shape[0]), xty)
     return w, float(y_mean - x_mean @ w)
 
 
@@ -37,7 +41,8 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     """L2-penalized least squares with an unpenalized intercept.
 
     alpha is picked from the candidates by deterministic k-fold CV (round-robin
-    fold assignment, k = min(5, n)); ties keep the earliest candidate.
+    fold assignment, k = min(5, n)); ties keep the earliest candidate. Each
+    fold's centered moments are computed once and shared by the candidates.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -54,18 +59,19 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     else:
         k = min(5, n)
         folds = np.arange(n) % k
+        moments = [_ridge_moments(x[folds != f], y[folds != f]) for f in range(k)]  # (p, p) each, no copy of x
         best, best_err = None, np.inf
         for alpha in alphas:
             err = 0.0
             for f in range(k):
                 mask = folds == f
-                w, b = _ridge_solve(x[~mask], y[~mask], alpha)
+                w, b = _ridge_solve(*moments[f], alpha)
                 resid = y[mask] - (x[mask] @ w + b)
                 err += float(resid @ resid)
             if err < best_err:
                 best, best_err = alpha, err
         assert best is not None
-    w, b = _ridge_solve(x, y, best)
+    w, b = _ridge_solve(*_ridge_moments(x, y), best)
     return RidgeModel(weights=w, intercept=b, alpha=best)
 
 
@@ -309,18 +315,24 @@ def fit_mlp(
 
 
 @dataclass
-class TreeNode:
-    value: float
-    n_samples: int
-    depth: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+class Tree:
+    """One or more CART trees as flat parallel arrays over their nodes.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Node i sends a row with x[feature[i]] <= threshold[i] to node left[i] and
+    any other row, NaN included, to left[i] + 1 (children come in pairs); at a
+    leaf feature and left are -1 and threshold NaN. value is the target mean
+    (class-1 fraction for 0/1 labels), n_samples the training rows. Tree t
+    starts at node roots[t]; the roots come first, then each level's children
+    in level order. n_features is the width of the x the trees were fit on.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    roots: np.ndarray
+    n_features: int
 
 
 #: Sample rows times (features + 1) that the index arrays of one batch of
@@ -549,7 +561,7 @@ def _grow_trees(
     min_samples_leaf: int,
     rngs: Sequence[np.random.Generator | None],
     max_features: int | None,
-) -> list[TreeNode]:
+) -> Tree:
     """Grow one CART tree per row of samples (row indices into x), level by level.
 
     The trees share one layout: per feature an int32 array of sample ids in
@@ -558,7 +570,9 @@ def _grow_trees(
     tree), plus one such array in sample order. A level scores every split
     position of every segment in a few numpy passes per feature, then stably
     partitions each array into the children that may split in turn; leaves
-    drop out.
+    drop out. Each level appends its children's values and sizes and its
+    split parents, features and thresholds to levels, so the k-th split's left
+    child is node n_trees + 2k.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -576,18 +590,17 @@ def _grow_trees(
     sizes = np.full(n_trees, n)
     check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
     values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary, check)
-    roots = [TreeNode(value=v, n_samples=n, depth=0) for v in values.tolist()]
+    levels = [(values, sizes, np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
     keep = impure & check
     if not keep.all():
         kept = np.repeat(keep, sizes)
         orders = [order[kept] for order in orders]
         row_order = row_order[kept]
-    nodes = [root for root, k in zip(roots, keep.tolist()) if k]
-    trees = np.flatnonzero(keep)
+    nodes = trees = np.flatnonzero(keep)  # a root's node id is its tree's
     sizes = sizes[keep]
     starts = np.cumsum(sizes) - sizes
     depth = 0
-    while nodes:
+    while nodes.size:
         candidate = None
         if max_features is not None and max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
@@ -606,7 +619,7 @@ def _grow_trees(
         # the pair after the last one stands for the segments that did not split
         n_split = int(split.sum())
         child_of = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(np.int32)[seg_of]
-        n_left = np.bincount(seg_of[goes_left[row_order]], minlength=len(nodes))[split]
+        n_left = np.bincount(seg_of[goes_left[row_order]], minlength=nodes.size)[split]
         child_sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
         child_starts = np.cumsum(child_sizes) - child_sizes
         row_order = _partition(
@@ -617,14 +630,8 @@ def _grow_trees(
         if max_depth is not None and depth + 1 >= max_depth:
             check[:] = False
         values, impure = _node_stats(ys[row_order], child_starts, child_sizes, binary, check)
-        children = [
-            TreeNode(value=v, n_samples=c, depth=depth + 1)
-            for v, c in zip(values.tolist(), child_sizes.tolist())
-        ]
-        parents = [node for node, s in zip(nodes, split.tolist()) if s]
-        for k, (node, f, thr) in enumerate(zip(parents, best_feat[split].tolist(), best_thr[split].tolist())):
-            node.feature, node.threshold = f, thr
-            node.left, node.right = children[2 * k], children[2 * k + 1]
+        children = sum(len(level[0]) for level in levels) + np.arange(2 * n_split)  # after the nodes so far
+        levels.append((values, child_sizes, nodes[split], best_feat[split], best_thr[split]))
 
         keep = impure & check
         sizes = child_sizes[keep]
@@ -635,11 +642,14 @@ def _grow_trees(
         for f in range(p):  # one array at a time, so the old one is freed as the next is built
             orders[f] = _partition(orders[f], goes_left, lev, child_of, kept_starts, m)
         row_order = row_order[np.repeat(keep, child_sizes)]
-        nodes = [child for child, k in zip(children, keep.tolist()) if k]
+        nodes = children[keep]
         trees = np.repeat(trees[split], 2)[keep]
         depth += 1
         del lev, seg_of, child_of, mine, order  # free before the next scan
-    return roots
+    value, n_samples, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
+    feature, threshold, left = np.full(value.shape, -1), np.full(value.shape, np.nan), np.full(value.shape, -1)
+    feature[parents], threshold[parents], left[parents] = feats, thrs, n_trees + 2 * np.arange(parents.shape[0])
+    return Tree(feature, threshold, left, value, n_samples, np.arange(n_trees), p)
 
 
 def fit_tree(
@@ -651,7 +661,7 @@ def fit_tree(
     min_samples_leaf: int = 1,
     rng: np.random.Generator | None = None,
     max_features: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Greedy binary CART with midpoint thresholds, grown level by level.
 
     A node becomes a leaf when it is pure, too small to split, at max depth, or
@@ -671,32 +681,46 @@ def fit_tree(
     return _grow_trees(
         x, y, np.arange(n, dtype=np.int32)[None, :], impurity, max_depth, min_samples_split,
         min_samples_leaf, [rng], max_features,
-    )[0]
+    )
 
 
-def predict_tree(root: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Leaf values per row (group mean / class-1 fraction), batch traversal."""
+def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """(trees, rows) leaf values (target mean / class-1 fraction) of x's rows.
+
+    Rows in the same gap between the sorted thresholds of every feature take
+    the same path, so one row per group walks all trees in lock step, leaving
+    at its leaves, and the table is gathered back to rows. The walk compares
+    real values with the thresholds, so it is exact: a NaN fails <= and goes right.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[0])
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+    if x.ndim != 2 or x.shape[1] != tree.n_features:
+        raise ValueError(f"model was fit on {tree.n_features} columns, got x of shape {x.shape}")
+    key = np.zeros(x.shape[0], dtype=np.intp)
+    for f in range(x.shape[1]):
+        cuts = np.sort(tree.threshold[tree.feature == f])
+        if cuts.size:  # renumbered after each column, so the key stays below the row count
+            _, key = np.unique(key * (cuts.size + 1) + np.searchsorted(cuts, x[:, f]), return_inverse=True)
+    _, rep, key = np.unique(key, return_index=True, return_inverse=True)  # rep: a row per group
+    table = np.empty((tree.roots.shape[0], rep.shape[0]))
+    at = np.arange(table.size)  # (tree, group) pairs still walking, as flat indices into table
+    node = np.repeat(tree.roots, rep.shape[0])
+    xg = x[rep].ravel()  # the groups' rows, flat
+    start = np.tile(np.arange(rep.shape[0]) * x.shape[1], tree.roots.shape[0])  # each pair's row in xg
+    while at.size:
+        f = tree.feature[node]
+        leaf = f < 0
+        table.flat[at[leaf]] = tree.value[node[leaf]]
+        walk = ~leaf
+        at, node, f, start = at[walk], node[walk], f[walk], start[walk]
+        node = tree.left[node] + ~(xg[start + f] <= tree.threshold[node])
+    # np.take keeps the table C-ordered, so a mean over trees adds them in order
+    return np.take(table, key, axis=1)
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]  # one per batch of trees grown together
     task: str
-    n_features: int
 
 
 def fit_forest(
@@ -716,7 +740,7 @@ def fit_forest(
     sample, then, level by level, the candidate features of the tree's nodes
     (see fit_tree), so cells are reproducible regardless of execution order.
     The trees are grown together, level by level, in as few batches as memory
-    allows.
+    allows; each batch is one flat Tree.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
@@ -727,17 +751,17 @@ def fit_forest(
     n, p = x.shape
     max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
     per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     for first in range(0, n_trees, per_batch):
         rngs = [np.random.default_rng([seed, t]) for t in range(first, min(first + per_batch, n_trees))]
         samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
-        trees += _grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features)
-    return ForestModel(trees=trees, task=task, n_features=p)
+        trees.append(_grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features))
+    return ForestModel(trees=trees, task=task)
 
 
 def predict_forest_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Classification: fraction of trees voting class 1. Regression: tree mean."""
-    votes = np.stack([predict_tree(t, x) for t in model.trees])
+    votes = np.concatenate([predict_tree(t, x) for t in model.trees])
     if model.task == "classification":
         votes = (votes >= 0.5).astype(float)
     return votes.mean(axis=0)
@@ -780,9 +804,9 @@ def predict(model, x: np.ndarray, task: str | None = None) -> np.ndarray:
     """Point predictions: real values for regression, 0/1 labels at a 0.5 cut
     for the classifiers.
 
-    Every model but a bare TreeNode knows its own task; a tree grown on 0/1
-    targets stores class-1 fractions in its leaves, so classification callers
-    must say so to get labels back.
+    Every model but a Tree knows its own task; a tree grown on 0/1 targets
+    stores class-1 fractions in its leaves, so classification callers must say
+    so to get labels back. A Tree predicts with its first tree (fit_tree grows one).
     """
     x = np.asarray(x, dtype=float)
     if isinstance(model, RidgeModel):
@@ -794,16 +818,12 @@ def predict(model, x: np.ndarray, task: str | None = None) -> np.ndarray:
         if model.task == "classification":
             return (_sigmoid(out) >= 0.5).astype(float)
         return out
-    if isinstance(model, TreeNode):
-        raw = predict_tree(model, x)
-        if task == "classification":
-            return (raw >= 0.5).astype(float)
-        return raw
+    if isinstance(model, Tree):
+        raw = predict_tree(model, x)[0]
+        return (raw >= 0.5).astype(float) if task == "classification" else raw
     if isinstance(model, ForestModel):
         vals = predict_forest_proba(model, x)
-        if model.task == "classification":
-            return (vals >= 0.5).astype(float)
-        return vals
+        return (vals >= 0.5).astype(float) if model.task == "classification" else vals
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -816,8 +836,8 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
         if model.task != "classification":
             raise ValueError("regression MLP has no probabilities")
         return _sigmoid(_mlp_output(model, x))
-    if isinstance(model, TreeNode):
-        return predict_tree(model, x)
+    if isinstance(model, Tree):
+        return predict_tree(model, x)[0]
     if isinstance(model, ForestModel):
         if model.task != "classification":
             raise ValueError("regression forest has no probabilities")

@@ -378,14 +378,15 @@ def test_model_gradient_and_fit_oracles():
         failures.append(f"mlp FD rel err {worst_mlp:.1e}")
 
     # 4-point 1-D fixture: the split must fall midway between the classes
-    root = fit_tree(
+    tree = fit_tree(
         np.array([[1.0], [2.0], [3.0], [4.0]]),
         np.array([0.0, 0.0, 1.0, 1.0]),
         impurity="gini",
         min_samples_split=2,
     )
-    if root.threshold != 2.5:
-        failures.append(f"tree threshold {root.threshold}")
+    root_threshold = tree.threshold[tree.roots[0]]
+    if root_threshold != 2.5:
+        failures.append(f"tree threshold {root_threshold}")
 
     xr = rng.normal(size=(500, 4))
     yr = xr @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.25

@@ -5,7 +5,7 @@ from catenc import models
 from catenc.models import (
     MLP_DEFAULTS,
     RIDGE_ALPHAS,
-    TreeNode,
+    Tree,
     fit_forest,
     fit_logistic,
     fit_mlp,
@@ -66,6 +66,36 @@ class TestRidge:
         small = fit_ridge(x, y, alphas=[0.01])
         large = fit_ridge(x, y, alphas=[100.0])
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
+
+    def test_cv_matches_a_solve_per_alpha_and_fold(self):
+        def solve(x, y, alpha):
+            x_mean, y_mean = x.mean(axis=0), y.mean()
+            xc, yc = x - x_mean, y - y_mean
+            w = np.linalg.solve(xc.T @ xc + alpha * np.eye(x.shape[1]), xc.T @ yc)
+            return w, float(y_mean - x_mean @ w)
+
+        rng = np.random.default_rng(11)
+        alphas = (0.01, 0.1, 1.0, 10.0, 100.0)
+        for _ in range(40):
+            n, p = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            x = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+            y = x @ rng.normal(size=p) + rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
+            folds = np.arange(n) % min(5, n)
+            best, best_err = None, np.inf
+            for alpha in alphas:
+                err = 0.0
+                for f in range(min(5, n)):
+                    mask = folds == f
+                    w, b = solve(x[~mask], y[~mask], alpha)
+                    resid = y[mask] - (x[mask] @ w + b)
+                    err += float(resid @ resid)
+                if err < best_err:
+                    best, best_err = alpha, err
+            w, b = solve(x, y, best)
+            model = fit_ridge(x, y, alphas=alphas)
+            assert model.alpha == best
+            assert np.array_equal(model.weights, w)
+            assert model.intercept == b
 
 
 class TestLogistic:
@@ -232,50 +262,50 @@ class TestTree:
     def test_root_split_at_midpoint_between_classes(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        root = fit_tree(x, y, impurity="gini", min_samples_split=2)
-        assert root.feature == 0
-        assert root.threshold == pytest.approx(2.5)
-        assert root.left.value == 0.0
-        assert root.right.value == 1.0
-        np.testing.assert_array_equal(predict_tree(root, x), y)
+        tree = fit_tree(x, y, impurity="gini", min_samples_split=2)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(2.5)
+        assert tree.value[tree.left[0]] == 0.0
+        assert tree.value[tree.left[0] + 1] == 1.0
+        np.testing.assert_array_equal(predict_tree(tree, x)[0], y)
 
     def test_min_samples_split_stops_growth(self):
         x = np.arange(9.0).reshape(-1, 1)
         y = (x[:, 0] > 4).astype(float)
-        root = fit_tree(x, y, impurity="gini", min_samples_split=10)
-        assert root.is_leaf
-        assert root.value == pytest.approx(4.0 / 9.0)
+        tree = fit_tree(x, y, impurity="gini", min_samples_split=10)
+        assert tree.feature[0] == -1
+        assert tree.value[0] == pytest.approx(4.0 / 9.0)
 
     def test_max_depth_zero_is_single_leaf(self):
         x, y, _ = linear_data(n=30, p=2, seed=1)
-        root = fit_tree(x, y, max_depth=0)
-        assert root.is_leaf
-        assert root.value == pytest.approx(y.mean())
+        tree = fit_tree(x, y, max_depth=0)
+        assert tree.feature[0] == -1
+        assert tree.value[0] == pytest.approx(y.mean())
 
     def test_tie_prefers_lowest_feature_index(self):
         base = np.array([1.0, 2.0, 3.0, 4.0])
         x = np.column_stack([base, base])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        root = fit_tree(x, y, impurity="gini", min_samples_split=2)
-        assert root.feature == 0
+        tree = fit_tree(x, y, impurity="gini", min_samples_split=2)
+        assert tree.feature[0] == 0
 
     def test_deep_tree_memorizes_distinct_points(self):
         rng = np.random.default_rng(3)
         x = rng.permutation(40).astype(float).reshape(-1, 1)
         y = rng.normal(size=40)
-        root = fit_tree(x, y, max_depth=None, min_samples_split=2)
-        np.testing.assert_allclose(predict_tree(root, x), y, atol=1e-12)
+        tree = fit_tree(x, y, max_depth=None, min_samples_split=2)
+        np.testing.assert_allclose(predict_tree(tree, x)[0], y, atol=1e-12)
 
     def test_constant_feature_makes_leaf(self):
         x = np.ones((20, 1))
         y = np.arange(20.0)
-        root = fit_tree(x, y, min_samples_split=2)
-        assert root.is_leaf
+        tree = fit_tree(x, y, min_samples_split=2)
+        assert tree.feature[0] == -1
 
     def test_predictions_constant_within_leaf_regions(self):
         x, y, _ = linear_data(n=100, p=1, noise=0.2, seed=8)
-        root = fit_tree(x, y, max_depth=3, min_samples_split=2)
-        got = predict_tree(root, x)
+        tree = fit_tree(x, y, max_depth=3, min_samples_split=2)
+        got = predict_tree(tree, x)[0]
         # at depth <= 3 there are at most 8 distinct leaf values
         assert np.unique(got).size <= 8
 
@@ -327,21 +357,29 @@ class TestTree:
         hi = np.nextafter(lo, np.inf) if lo < 2.0 else 1.5e308
         x = np.array([[lo], [hi], [lo], [hi]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        root = fit_tree(x, y, impurity="gini", max_depth=3, min_samples_split=2)
-        assert root.threshold == lo
-        assert (root.left.n_samples, root.right.n_samples) == (2, 2)
-        np.testing.assert_array_equal(predict_tree(root, x), y)
+        tree = fit_tree(x, y, impurity="gini", max_depth=3, min_samples_split=2)
+        assert tree.threshold[0] == lo
+        assert (tree.n_samples[tree.left[0]], tree.n_samples[tree.left[0] + 1]) == (2, 2)
+        np.testing.assert_array_equal(predict_tree(tree, x)[0], y)
 
 
-def preorder(node: TreeNode) -> list[tuple]:
-    """(feature, threshold, value, n_samples) of every node, parent before children."""
-    out, stack = [], [node]
+def preorder(tree: Tree, t: int = 0) -> list[tuple]:
+    """(feature, threshold, value, n_samples) of every node of tree t, parent
+    before children; feature and threshold are None at a leaf."""
+    out, stack = [], [tree.roots[t]]
     while stack:
-        node = stack.pop()
-        out.append((node.feature, node.threshold, node.value, node.n_samples))
-        if not node.is_leaf:
-            stack.extend([node.right, node.left])
+        i = stack.pop()
+        split = tree.feature[i] >= 0
+        feature, threshold = (int(tree.feature[i]), float(tree.threshold[i])) if split else (None, None)
+        out.append((feature, threshold, float(tree.value[i]), int(tree.n_samples[i])))
+        if split:
+            stack.extend([tree.left[i] + 1, tree.left[i]])
     return out
+
+
+def forest_preorders(forest) -> list[list[tuple]]:
+    """preorder of every tree of a forest, across its batches."""
+    return [preorder(batch, t) for batch in forest.trees for t in range(batch.roots.shape[0])]
 
 
 def golden_data():
@@ -502,7 +540,7 @@ class TestForest:
         tree = fit_tree(x, y, impurity="gini", max_depth=None, min_samples_split=2)
         np.testing.assert_array_equal(
             predict_forest_proba(forest, x),
-            (predict_tree(tree, x) >= 0.5).astype(float),
+            (predict_tree(tree, x)[0] >= 0.5).astype(float),
         )
 
     def test_classification_proba_is_vote_fraction(self):
@@ -540,15 +578,119 @@ class TestForest:
         y = (x[:, 0] > 0).astype(float) if task == "classification" else np.round(x @ [1.0, -0.5, 0.2], 2)
         forest = fit_forest(x, y, task, n_trees=6, seed=9, subsample_features=False)
         impurity = "gini" if task == "classification" else "mse"
-        for t, tree in enumerate(forest.trees):
+        for t, got in enumerate(forest_preorders(forest)):
             idx = np.random.default_rng([9, t]).integers(0, 50, size=50)
             alone = fit_tree(x[idx], y[idx], impurity=impurity, max_depth=None, min_samples_split=2)
-            assert preorder(tree) == preorder(alone), t
+            assert got == preorder(alone), t
 
     def test_feature_subsampling_is_seeded(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(80, 5))
         y = (x[:, 0] + x[:, 3] > 0).astype(float)
         a, b, c = (fit_forest(x, y, "classification", n_trees=8, seed=s) for s in (3, 3, 4))
-        assert [preorder(t) for t in a.trees] == [preorder(t) for t in b.trees]
-        assert [preorder(t) for t in a.trees] != [preorder(t) for t in c.trees]
+        assert forest_preorders(a) == forest_preorders(b)
+        assert forest_preorders(a) != forest_preorders(c)
+
+
+def walk_reference(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """predict_tree from one walk per (tree, row) over the flat arrays."""
+    table = np.empty((tree.roots.shape[0], x.shape[0]))
+    for t, root in enumerate(tree.roots):
+        for r, row in enumerate(x):
+            i = root
+            while tree.feature[i] >= 0:
+                i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.left[i] + 1
+            table[t, r] = tree.value[i]
+    return table
+
+
+def forest_reference(forest, x: np.ndarray) -> np.ndarray:
+    """predict_forest_proba from the walked (trees, rows) votes, a C-ordered
+    array: for more than one row its mean adds the trees one at a time."""
+    votes = np.vstack([walk_reference(batch, x) for batch in forest.trees])
+    if forest.task == "classification":
+        votes = (votes >= 0.5).astype(float)
+    return votes.mean(axis=0)
+
+
+class TestFlatPrediction:
+    """predict equals a per-row walk bit for bit, on the inputs where grouping
+    rows by threshold gaps could go wrong."""
+
+    @pytest.fixture(scope="class", params=["classification", "regression"])
+    def fitted(self, request):
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=(150, 3)), 1)  # ties in every column
+        if request.param == "classification":
+            y = (x[:, 0] + rng.normal(size=150) > 0).astype(float)
+        else:
+            y = x @ [1.0, -0.5, 0.3] + rng.normal(size=150)
+        return fit_forest(x, y, request.param, n_trees=30, seed=5), x
+
+    def check(self, forest, x):
+        want = forest_reference(forest, x)
+        got = predict_forest_proba(forest, x)
+        assert got.shape == want.shape == (x.shape[0],)
+        assert np.array_equal(got, want)
+        for batch in forest.trees:
+            assert np.array_equal(predict_tree(batch, x), walk_reference(batch, x))
+
+    def test_training_rows(self, fitted):
+        self.check(*fitted)
+
+    def test_rows_at_and_next_to_thresholds(self, fitted):
+        forest, x = fitted
+        (tree,) = forest.trees
+        for f in range(x.shape[1]):  # one column varies, so rows on both sides of a cut meet
+            cuts = tree.threshold[tree.feature == f][:60]
+            near = np.repeat(x[:1], 3 * cuts.size, axis=0)
+            near[:, f] = np.r_[cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)]
+            self.check(forest, near)
+
+    def test_nan_and_infinite_cells(self, fitted):
+        forest, x = fitted
+        rng = np.random.default_rng(2)
+        odd = x.copy()
+        cells = rng.random(odd.shape) < 0.3
+        odd[cells] = rng.choice([np.nan, np.inf, -np.inf], size=int(cells.sum()))
+        self.check(forest, odd)
+        self.check(forest, np.full((4, x.shape[1]), np.nan))
+
+    def test_identical_rows_form_one_group(self, fitted):
+        forest, x = fitted
+        for row in x[:20]:
+            self.check(forest, np.repeat(row[None, :], 7, axis=0))
+
+    def test_zero_rows(self, fitted):
+        forest, x = fitted
+        self.check(forest, np.empty((0, x.shape[1])))
+        assert predict(forest, np.empty((0, x.shape[1]))).shape == (0,)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_depth_zero_forest_has_no_cuts(self, task):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 2))
+        y = (x[:, 0] > 0).astype(float) if task == "classification" else x[:, 0]
+        forest = fit_forest(x, y, task, n_trees=12, seed=1, max_depth=0)
+        assert (forest.trees[0].feature == -1).all()
+        self.check(forest, np.vstack([x, [[np.nan, np.inf]]]))
+
+    def test_multi_batch_forest(self):
+        rng = np.random.default_rng(4)
+        x = np.round(rng.normal(size=(3000, 3)), 2)
+        y = x[:, 0] - x[:, 1] + rng.normal(size=3000)
+        forest = fit_forest(x, y, "regression", n_trees=60, seed=2, max_depth=4)
+        assert 3000 * (3 + 1) * 60 > models._BATCH_CELLS and len(forest.trees) > 1
+        self.check(forest, x[:300])
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_wrong_width_is_rejected(self, width):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 2))
+        y = (x[:, 0] > 0).astype(float)
+        tree = fit_tree(x, y, impurity="gini", min_samples_split=2)
+        forest = fit_forest(x, y, "classification", n_trees=5, seed=0)
+        for model in (tree, forest):
+            for fn in (predict, predict_proba):
+                with pytest.raises(ValueError, match=rf"fit on 2 columns, got x of shape \(3, {width}\)"):
+                    fn(model, np.zeros((3, width)))
