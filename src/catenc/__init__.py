@@ -24,9 +24,7 @@ from .encoders import (
     EncoderSpec,
     FittedEncoder,
     GroupStats,
-    LevelTable,
     fit,
-    fit_levels,
     transform,
 )
 from .guide import GuidanceQuery, Recommendation, recommend
@@ -52,9 +50,7 @@ __all__ = [
     "EncoderSpec",
     "FittedEncoder",
     "GroupStats",
-    "LevelTable",
     "fit",
-    "fit_levels",
     "transform",
     "GuidanceQuery",
     "Recommendation",

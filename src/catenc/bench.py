@@ -1,9 +1,10 @@
 """Dataset x encoder x model x seed benchmark grid with offline reports.
 
 The grid config is a small plain-text format (sections in brackets, bare tokens
-with optional key=value overrides). A failing cell is recorded and skipped, not
-fatal; timing can be disabled so two runs of the same grid produce byte-identical
-records.
+with optional key=value overrides; a value reads as a bool for true/false in any
+case, else as an int, float, lo:hi int pair or string). A failing cell is
+recorded and skipped, not fatal; timing can be disabled so two runs of the same
+grid produce byte-identical records.
 """
 from __future__ import annotations
 
@@ -71,6 +72,8 @@ class ExperimentGrid:
 
 
 def _parse_value(text: str):
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
     for cast in (int, float):
         try:
             return cast(text)

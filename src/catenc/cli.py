@@ -100,7 +100,7 @@ def _cmd_encode(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.column}_{args.encoder}.csv")
     enc_mod.export_encoder_csv(enc, out_path)
-    print(f"wrote {enc.levels.cardinality} level codes ({enc.output_dim} components) to {out_path}")
+    print(f"wrote {len(enc.levels)} level codes ({enc.output_dim} components) to {out_path}")
     return 0
 
 

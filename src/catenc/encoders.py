@@ -8,13 +8,15 @@ Families:
 * target:   mean, sshrink, mestimate, jamesstein, glmm  (codes from the target)
 
 Columns are `Categorical`s, levels plus int codes (`Categorical.of` factorizes
-strings). A fitted encoder is a level table plus a code matrix: row k of the
-(c, l) float matrix codes training level k, in first-appearance order; a policy
+strings). `fit(spec, column, target)` is the one constructor: it returns a
+`FittedEncoder`, the column's levels tuple plus a code matrix whose row k, of
+the (c, l) floats, codes training level k in first-appearance order; a policy
 vector, or for string encoders the raw string, encodes unseen levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,26 +29,6 @@ ENCODER_VARIANTS = GROUPING_VARIANTS + ORDERING_VARIANTS + STRING_VARIANTS + TAR
 
 _CONTRAST_SCHEMES = ("backdiff", "helmert", "sum")
 _VAR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LevelTable:
-    """Distinct levels of a column in first-appearance order."""
-
-    levels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("no levels: column is empty")
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError("levels must be distinct")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.levels)
-
-    def index(self, level: str) -> int:
-        return self.levels.index(level)
 
 
 class Categorical:
@@ -96,11 +78,6 @@ class Categorical:
         return map((self.levels + (None,)).__getitem__, self.codes.tolist())
 
 
-def fit_levels(column: Sequence[str]) -> LevelTable:
-    """Distinct levels in order of first appearance."""
-    return LevelTable(levels=Categorical.of(column).levels)
-
-
 def _complete(column: Sequence[str]) -> Categorical:
     """The column as a Categorical, refusing missing cells."""
     col = Categorical.of(column)
@@ -144,24 +121,29 @@ class EncoderSpec:
 
 @dataclass
 class FittedEncoder:
-    """Frozen level table plus code matrix, with an unseen-level policy.
+    """Levels tuple plus code matrix, with an unseen-level policy; `fit` builds one.
 
-    Row k of codes, a (cardinality, output_dim) float matrix, is the code of
-    levels.levels[k]. encode_fn, when set (string encoders), computes a code for
+    levels holds the distinct training levels in first-appearance order, and
+    row k of codes, a (cardinality, output_dim) float matrix, is the code of
+    levels[k]. encode_fn, when set (string encoders), computes a code for
     levels outside the table; otherwise unseen levels get unseen_policy.
     """
 
     variant: str
-    levels: LevelTable
+    levels: tuple[str, ...]
     codes: np.ndarray
     unseen_policy: np.ndarray
     encode_fn: Callable[[str], np.ndarray] | None = None
     detail: object = None
 
     def __post_init__(self) -> None:
-        if self.codes.ndim != 2 or self.codes.shape[0] != self.levels.cardinality:
+        if not self.levels:
+            raise ValueError("no levels: column is empty")
+        if len(set(self.levels)) != len(self.levels):
+            raise ValueError("levels must be distinct")
+        if self.codes.ndim != 2 or self.codes.shape[0] != len(self.levels):
             raise ValueError(
-                f"codes of shape {self.codes.shape} need one row per level ({self.levels.cardinality})"
+                f"codes of shape {self.codes.shape} need one row per level ({len(self.levels)})"
             )
         if self.unseen_policy.shape != (self.output_dim,):
             raise ValueError("unseen policy width disagrees with output_dim")
@@ -175,36 +157,14 @@ def transform(enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
     """Encode a column into an (n_rows, output_dim) float matrix: look up each
     level once (encode_fn or the unseen policy for a new one), then gather rows."""
     col = _complete(column)
-    known = dict(zip(enc.levels.levels, enc.codes))
+    known = dict(zip(enc.levels, enc.codes))
     fill = enc.encode_fn or (lambda _: enc.unseen_policy)
     table = [known[v] if v in known else fill(v) for v in col.levels]
     return np.array(table, dtype=float).reshape(len(table), enc.output_dim)[col.codes]
 
 
-def output_dim(variant: str, cardinality: int, spec: EncoderSpec | None = None) -> int:
-    """Encoded width as a function of training cardinality (the dimension law)."""
-    if spec is None:
-        spec = EncoderSpec(variant=variant)
-    if variant in ("onehot", "similarity"):
-        return cardinality
-    if variant in _CONTRAST_SCHEMES:
-        return cardinality - 1
-    if variant == "basen":
-        return _basen_width(cardinality, spec.base)
-    if variant == "minhash":
-        return spec.n_components
-    if variant in ORDERING_VARIANTS or variant in TARGET_VARIANTS:
-        return 1
-    raise ValueError(f"unknown encoder variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
-# grouping encoders
-
-
-def fit_onehot(levels: LevelTable) -> FittedEncoder:
-    c = levels.cardinality
-    return FittedEncoder(variant="onehot", levels=levels, codes=np.eye(c), unseen_policy=np.zeros(c))
+# grouping codes
 
 
 def _basen_width(cardinality: int, base: int) -> int:
@@ -212,18 +172,6 @@ def _basen_width(cardinality: int, base: int) -> int:
     while base**width < cardinality + 1:
         width += 1
     return width
-
-
-def fit_basen(levels: LevelTable, base: int = 2) -> FittedEncoder:
-    """Level k (1-indexed, appearance order) becomes the base-`base` digits of k,
-    most significant digit first. All-zero codes are reserved for unseen levels."""
-    c = levels.cardinality
-    width = _basen_width(c, base)
-    place = base ** np.arange(width - 1, -1, -1)
-    digits = (np.arange(1, c + 1)[:, None] // place) % base
-    return FittedEncoder(
-        variant="basen", levels=levels, codes=digits.astype(float), unseen_policy=np.zeros(width)
-    )
 
 
 def contrast_matrix(cardinality: int, scheme: str) -> np.ndarray:
@@ -253,33 +201,8 @@ def contrast_matrix(cardinality: int, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown contrast scheme {scheme!r}")
 
 
-def fit_contrast(levels: LevelTable, scheme: str) -> FittedEncoder:
-    if scheme not in _CONTRAST_SCHEMES:
-        raise ValueError(f"unknown contrast scheme {scheme!r}")
-    mat = contrast_matrix(levels.cardinality, scheme)
-    return FittedEncoder(variant=scheme, levels=levels, codes=mat, unseen_policy=np.zeros(mat.shape[1]))
-
-
 # ---------------------------------------------------------------------------
-# ordering encoders
-
-
-def fit_ordinal(levels: LevelTable) -> FittedEncoder:
-    """Level k (appearance order) -> [k], 1-indexed; unseen -> [0]."""
-    codes = np.arange(1, levels.cardinality + 1, dtype=float)[:, None]
-    return FittedEncoder(variant="ordinal", levels=levels, codes=codes, unseen_policy=np.zeros(1))
-
-
-def fit_count(column: Sequence[str]) -> FittedEncoder:
-    """Level -> [number of occurrences in the training column]; unseen -> [0]."""
-    col = _complete(column)
-    levels = LevelTable(levels=col.levels)
-    counts = np.bincount(col.codes, minlength=levels.cardinality).astype(float)
-    return FittedEncoder(variant="count", levels=levels, codes=counts[:, None], unseen_policy=np.zeros(1))
-
-
-# ---------------------------------------------------------------------------
-# string encoders
+# string codes
 
 
 def ngrams(s: str, n: int) -> list[str]:
@@ -301,32 +224,24 @@ def gram_set(s: str, ngram_range: tuple[int, int]) -> frozenset[str]:
     return frozenset(grams) if grams else frozenset({s})
 
 
-def fit_similarity(levels: LevelTable, ngram_range: tuple[int, int] = (2, 4)) -> FittedEncoder:
+def _similarity_fn(levels: tuple[str, ...], ngram_range: tuple[int, int]) -> Callable[[str], np.ndarray]:
     """Component j of the code for value v is the raw count of distinct n-grams v
     shares with training level j, summed over the n-gram range. Unnormalized on
     purpose; a level string always matches itself with its full gram count."""
     lo, hi = ngram_range
-    train_grams = [
-        {n: frozenset(ngrams(v, n)) for n in range(lo, hi + 1)} for v in levels.levels
-    ]
+    train_grams = [{n: frozenset(ngrams(v, n)) for n in range(lo, hi + 1)} for v in levels]
 
     def encode(value: str) -> np.ndarray:
-        out = np.zeros(levels.cardinality)
+        out = np.zeros(len(levels))
         for n in range(lo, hi + 1):
             value_grams = set(ngrams(value, n))
             if not value_grams:
                 continue
-            for j in range(levels.cardinality):
+            for j in range(len(levels)):
                 out[j] += len(value_grams & train_grams[j][n])
         return out
 
-    return FittedEncoder(
-        variant="similarity",
-        levels=levels,
-        codes=np.stack([encode(v) for v in levels.levels]),
-        unseen_policy=np.zeros(levels.cardinality),
-        encode_fn=encode,
-    )
+    return encode
 
 
 _MASK64 = (1 << 64) - 1
@@ -369,26 +284,8 @@ def minhash_signature(
     return table.min(axis=1).astype(np.float64) * 2.0**-64
 
 
-def fit_minhash(
-    levels: LevelTable,
-    n_components: int = 30,
-    ngram_range: tuple[int, int] = (2, 4),
-    hash_seed: int = 0,
-) -> FittedEncoder:
-    def encode(value: str) -> np.ndarray:
-        return minhash_signature(value, n_components, ngram_range, hash_seed)
-
-    return FittedEncoder(
-        variant="minhash",
-        levels=levels,
-        codes=np.stack([encode(v) for v in levels.levels]),
-        unseen_policy=np.zeros(n_components),
-        encode_fn=encode,
-    )
-
-
 # ---------------------------------------------------------------------------
-# target encoders
+# target statistics
 
 
 @dataclass(frozen=True)
@@ -399,7 +296,7 @@ class GroupStats:
     mean, so pooled variances can be formed without a second pass.
     """
 
-    levels: LevelTable
+    levels: tuple[str, ...]
     counts: np.ndarray
     means: np.ndarray
     sse: np.ndarray
@@ -414,15 +311,14 @@ def compute_group_stats(column: Sequence[str], target: Sequence[float]) -> Group
         raise ValueError("column and target lengths differ")
     if y.shape[0] == 0:
         raise ValueError("empty column")
-    levels = LevelTable(levels=col.levels)
-    c = levels.cardinality
+    c = len(col.levels)
     counts = np.bincount(col.codes, minlength=c)
     sums = np.bincount(col.codes, weights=y, minlength=c)
     means = sums / counts
     sq = np.bincount(col.codes, weights=y * y, minlength=c)
     sse = np.maximum(sq - counts * means**2, 0.0)
     return GroupStats(
-        levels=levels,
+        levels=col.levels,
         counts=counts,
         means=means,
         sse=sse,
@@ -441,7 +337,7 @@ def shrink_factors(stats: GroupStats, scheme: str, spec: EncoderSpec) -> np.ndar
     if scheme == "mestimate":
         return m_k / (m_k + spec.m)
     if scheme == "jamesstein":
-        c = stats.levels.cardinality
+        c = len(stats.levels)
         if c < 4:
             # the (c-3)/(c-1) factor degenerates; fall back to plain group means
             return np.ones_like(m_k)
@@ -457,27 +353,11 @@ def shrink_factors(stats: GroupStats, scheme: str, spec: EncoderSpec) -> np.ndar
     raise ValueError(f"unknown shrinkage scheme {scheme!r}")
 
 
-def fit_target_encoder(stats: GroupStats, scheme: str, spec: EncoderSpec) -> FittedEncoder:
-    """Shrunk group-mean encoder: level k -> [B_k * mean_k + (1 - B_k) * prior].
-
-    Unseen levels get the prior mean (full shrinkage).
-    """
-    b = shrink_factors(stats, scheme, spec)
-    codes = b * stats.means + (1.0 - b) * stats.prior_mean
-    return FittedEncoder(
-        variant=scheme,
-        levels=stats.levels,
-        codes=codes[:, None],
-        unseen_policy=np.array([stats.prior_mean]),
-        detail=stats,
-    )
-
-
 @dataclass(frozen=True)
 class GlmmFit:
     """Converged state of the Gaussian random-intercept model y = mu + w_level + eps."""
 
-    levels: LevelTable
+    levels: tuple[str, ...]
     mu: float
     tau2: float
     sigma2: float
@@ -537,59 +417,67 @@ def fit_glmm(
     )
 
 
-def fit_glmm_encoder(
-    column: Sequence[str],
-    target: Sequence[float],
-    max_iter: int = 500,
-    tol: float = 1e-10,
-) -> FittedEncoder:
-    """Level k -> [w_k], the fitted random effect. Unseen levels encode to [0],
-    which is exactly the model's prior for a level it never saw."""
-    fit_result = fit_glmm(column, target, max_iter=max_iter, tol=tol)
-    return FittedEncoder(
-        variant="glmm",
-        levels=fit_result.levels,
-        codes=fit_result.effects[:, None],
-        unseen_policy=np.zeros(1),
-        detail=fit_result,
-    )
-
-
 # ---------------------------------------------------------------------------
-# dispatch and export
+# the constructor and export
 
 
 def fit(spec: EncoderSpec, column: Sequence[str], target: Sequence[float] | None = None) -> FittedEncoder:
     """Fit any cataloged encoder on a training column with no missing cell (plus
-    target where needed)."""
+    target where needed): the column's levels and one (c, l) code row per level.
+    Unseen levels encode to zeros unless the family says otherwise."""
     variant = spec.variant
     if variant in TARGET_VARIANTS and target is None:
         raise ValueError(f"encoder {variant!r} needs a target")
-    column = _complete(column)
+    col = _complete(column)
+    c = len(col.levels)
+    unseen = encode_fn = detail = None
     if variant == "onehot":
-        return fit_onehot(fit_levels(column))
-    if variant == "basen":
-        return fit_basen(fit_levels(column), base=spec.base)
-    if variant in _CONTRAST_SCHEMES:
-        return fit_contrast(fit_levels(column), scheme=variant)
-    if variant == "ordinal":
-        return fit_ordinal(fit_levels(column))
-    if variant == "count":
-        return fit_count(column)
-    if variant == "similarity":
-        return fit_similarity(fit_levels(column), ngram_range=spec.ngram_range)
-    if variant == "minhash":
-        return fit_minhash(
-            fit_levels(column),
-            n_components=spec.n_components,
-            ngram_range=spec.ngram_range,
-            hash_seed=spec.hash_seed,
-        )
-    if variant == "glmm":
-        return fit_glmm_encoder(column, target, max_iter=spec.glmm_max_iter, tol=spec.glmm_tol)
-    if variant in TARGET_VARIANTS:
-        return fit_target_encoder(compute_group_stats(column, target), variant, spec)
-    raise ValueError(f"unknown encoder variant {variant!r}")
+        # level k -> e_k
+        codes = np.eye(c)
+    elif variant == "basen":
+        # level k (1-indexed) -> its base-`base` digits, most significant first
+        # (all-zero is left for unseen levels)
+        place = spec.base ** np.arange(_basen_width(c, spec.base) - 1, -1, -1)
+        codes = ((np.arange(1, c + 1)[:, None] // place) % spec.base).astype(float)
+    elif variant in _CONTRAST_SCHEMES:
+        # level k -> row k of the (c, c-1) contrast matrix
+        codes = contrast_matrix(c, variant)
+    elif variant == "ordinal":
+        # level k -> [k], 1-indexed
+        codes = np.arange(1, c + 1, dtype=float)[:, None]
+    elif variant == "count":
+        # level -> [its number of occurrences in the training column]
+        codes = np.bincount(col.codes, minlength=c).astype(float)[:, None]
+    elif variant in STRING_VARIANTS:
+        # any string, seen or not -> its n-gram overlaps with the levels, or its minhash signature
+        if variant == "similarity":
+            encode_fn = _similarity_fn(col.levels, spec.ngram_range)
+        else:
+            encode_fn = partial(
+                minhash_signature, n_components=spec.n_components,
+                ngram_range=spec.ngram_range, hash_seed=spec.hash_seed,
+            )
+        codes = np.stack([encode_fn(v) for v in col.levels])
+    elif variant == "glmm":
+        # level k -> [w_k], its fitted random effect; unseen -> [0], the model's prior
+        detail = fit_glmm(col, target, max_iter=spec.glmm_max_iter, tol=spec.glmm_tol)
+        codes = detail.effects[:, None]
+    else:
+        # level k -> [B_k * mean_k + (1 - B_k) * prior]; unseen -> [prior], full shrinkage
+        detail = compute_group_stats(col, target)
+        b = shrink_factors(detail, variant, spec)
+        codes = (b * detail.means + (1.0 - b) * detail.prior_mean)[:, None]
+        unseen = np.array([detail.prior_mean])
+    if unseen is None:
+        unseen = np.zeros(codes.shape[1])
+    return FittedEncoder(variant, col.levels, codes, unseen, encode_fn, detail)
+
+
+def output_dim(variant: str, cardinality: int, spec: EncoderSpec | None = None) -> int:
+    """Encoded width as a function of training cardinality (the dimension law):
+    the width of a fit on `cardinality` distinct levels."""
+    spec = EncoderSpec(variant) if spec is None else replace(spec, variant=variant)
+    return fit(spec, [f"v{k}" for k in range(cardinality)], np.zeros(cardinality)).output_dim
 
 
 def export_encoder_csv(enc: FittedEncoder, path: str) -> None:
@@ -599,5 +487,5 @@ def export_encoder_csv(enc: FittedEncoder, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["level"] + [f"c{j + 1}" for j in range(enc.output_dim)])
-        for level, vec in zip(enc.levels.levels, enc.codes):
+        for level, vec in zip(enc.levels, enc.codes):
             writer.writerow([level] + [repr(float(x)) for x in vec])

@@ -659,8 +659,6 @@ def fit_tree(
     max_depth: int | None = 10,
     min_samples_split: int = 10,
     min_samples_leaf: int = 1,
-    rng: np.random.Generator | None = None,
-    max_features: int | None = None,
 ) -> Tree:
     """Greedy binary CART with midpoint thresholds, grown level by level.
 
@@ -668,19 +666,12 @@ def fit_tree(
     no feature offers a valid split. Ties across features keep the lowest feature
     index; ties within a feature keep the lowest threshold. gini and entropy
     need 0/1 labels. x and y must be finite.
-
-    rng/max_features enable feature subsampling for forests: when
-    max_features < p, each level draws from rng, in one call, a random subset
-    of max_features candidate features for every node that may split at that
-    level, in level order (left to right).
     """
     x, y = _tree_inputs(x, y, impurity)
-    if max_features is not None and max_features < x.shape[1] and (rng is None or max_features < 1):
-        raise ValueError("feature subsampling needs an rng and max_features >= 1")
     n = x.shape[0]
     return _grow_trees(
         x, y, np.arange(n, dtype=np.int32)[None, :], impurity, max_depth, min_samples_split,
-        min_samples_leaf, [rng], max_features,
+        min_samples_leaf, [None], None,
     )
 
 
@@ -738,9 +729,9 @@ def fit_forest(
 
     Tree t uses its own generator seeded from (seed, t): it draws the bootstrap
     sample, then, level by level, the candidate features of the tree's nodes
-    (see fit_tree), so cells are reproducible regardless of execution order.
-    The trees are grown together, level by level, in as few batches as memory
-    allows; each batch is one flat Tree.
+    (see _feature_candidates), so cells are reproducible regardless of
+    execution order. The trees are grown together, level by level, in as few
+    batches as memory allows; each batch is one flat Tree.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
@@ -792,8 +783,6 @@ def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **p
         return fit_mlp(x, y, task=task, seed=seed, **params)
     if name == "tree":
         params.setdefault("impurity", "gini" if task == "classification" else "mse")
-        params.setdefault("max_depth", 10)
-        params.setdefault("min_samples_split", 10)
         return fit_tree(x, y, **params)
     if name == "forest":
         return fit_forest(x, y, task=task, seed=seed, **params)

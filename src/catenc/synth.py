@@ -118,7 +118,7 @@ def _truth_encoder(truth: Mapping[str, float]) -> enc_mod.FittedEncoder:
     prior = float(np.mean(list(truth.values())))
     return enc_mod.FittedEncoder(
         variant="truth",
-        levels=enc_mod.LevelTable(levels=tuple(truth)),
+        levels=tuple(truth),
         codes=np.array(list(truth.values()), dtype=float)[:, None],
         unseen_policy=np.array([prior]),
     )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import FittedEncoder, LevelTable, compute_group_stats, transform
+from .encoders import FittedEncoder, compute_group_stats, transform
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def verify_onehot_equivalence(
         h = int(rng.integers(h_range[0], h_range[1] + 1))
         enc = FittedEncoder(
             variant="onehot",  # stand-in tag; the map is what matters
-            levels=LevelTable(levels=tuple(f"v{k}" for k in range(c))),
+            levels=tuple(f"v{k}" for k in range(c)),
             codes=rng.uniform(-1, 1, size=(c, l)),
             unseen_policy=np.zeros(l),
         )

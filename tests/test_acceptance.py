@@ -206,7 +206,7 @@ def test_encoder_value_oracles():
     for level, value in zip(column, target):
         sums[level] = sums.get(level, 0.0) + float(value)
         counts[level] = counts.get(level, 0) + 1
-    for level, code in zip(enc.levels.levels, enc.codes):
+    for level, code in zip(enc.levels, enc.codes):
         want = sums[level] / counts[level]
         if code[0] != want:
             failures.append(f"mean[{level}]: {code[0]} != {want}")
@@ -284,7 +284,7 @@ def test_random_intercept_fixed_point():
         res = fit_glmm(column, target)
         col_arr = np.array(column)
         y = np.array(target)
-        for k, level in enumerate(res.levels.levels):
+        for k, level in enumerate(res.levels):
             mask = col_arr == level
             m_k = mask.sum()
             ybar = y[mask].mean()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catenc import bench
+from catenc import models as mod
 from catenc.bench import (
     CellFailure,
     ConfigError,
@@ -82,6 +83,24 @@ class TestConfigParsing:
         assert grid.seeds == (0, 1)
         assert grid.split_ratio == 0.75
         assert grid.out_dir == str(tmp_path / "results")
+
+    def test_boolean_overrides_reach_the_forest(self, tmp_path):
+        p = tmp_path / "grid.cfg"
+        p.write_text(
+            "[datasets]\nd = d.csv d.schema\n[encoders]\nonehot\n[models]\n"
+            "forest n_trees=4 bootstrap=False subsample_features=FALSE\n[run]\nseeds = 0\n"
+        )
+        model = parse_grid_config(str(p)).models[0]
+        assert model.kwargs() == {"n_trees": 4, "bootstrap": False, "subsample_features": False}
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 6)), rng.normal(size=40)
+        got = mod.fit_model("forest", "regression", x, y, seed=3, **model.kwargs())
+        want = mod.fit_forest(
+            x, y, "regression", n_trees=4, seed=3, bootstrap=False, subsample_features=False
+        )
+        for g, w in zip(got.trees, want.trees, strict=True):
+            for field in ("feature", "threshold", "left", "value", "n_samples", "roots"):
+                np.testing.assert_array_equal(getattr(g, field), getattr(w, field))
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"

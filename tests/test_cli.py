@@ -99,7 +99,7 @@ def test_encode_fills_missing_cells_with_the_table_mode(tmp_path):
     table = load_csv(str(path), infer_schema(str(path), "y"), "y")
     filled = impute(fit_preprocessor(table), table).column("city")
     want = enc_mod.fit(enc_mod.EncoderSpec("count"), filled)
-    assert got == dict(zip(want.levels.levels, want.codes[:, 0].tolist())) == {"a": 2.0, "b": 1.0}
+    assert got == dict(zip(want.levels, want.codes[:, 0].tolist())) == {"a": 2.0, "b": 1.0}
 
 
 def test_encode_ignores_an_all_blank_other_column(tmp_path, capsys):

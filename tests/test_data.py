@@ -14,7 +14,7 @@ from catenc.data import (
     read_schema,
     split_train_test,
 )
-from catenc.encoders import Categorical, EncoderSpec, FittedEncoder, LevelTable
+from catenc.encoders import Categorical, EncoderSpec, FittedEncoder
 from catenc.metrics import minaspl
 
 
@@ -272,7 +272,7 @@ class TestPreprocessor:
             spec = {
                 "season": FittedEncoder(
                     variant="truth",
-                    levels=LevelTable(levels=tuple(seasons)),
+                    levels=tuple(seasons),
                     codes=np.array([[0.0], [1.0], [2.0], [3.0]]),
                     unseen_policy=np.array([1.5]),
                 )

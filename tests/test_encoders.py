@@ -11,15 +11,6 @@ from catenc.encoders import (
     compute_group_stats,
     contrast_matrix,
     fit,
-    fit_basen,
-    fit_contrast,
-    fit_count,
-    fit_levels,
-    fit_minhash,
-    fit_onehot,
-    fit_ordinal,
-    fit_similarity,
-    fit_target_encoder,
     gram_set,
     minhash_signature,
     ngram_overlap,
@@ -45,13 +36,13 @@ def saturated_fit(codes: np.ndarray, means: np.ndarray):
 
 class TestLevelTable:
     def test_first_appearance_order(self):
-        t = fit_levels(["b", "a", "b", "c", "a"])
-        assert t.levels == ("b", "a", "c")
-        assert t.index("c") == 2
+        enc = fit(EncoderSpec("onehot"), ["b", "a", "b", "c", "a"])
+        assert enc.levels == ("b", "a", "c")
+        assert enc.levels.index("c") == 2
 
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):
-            fit_levels(["a", 3])
+            fit(EncoderSpec("onehot"), ["a", 3])
 
 
 class TestCategorical:
@@ -100,20 +91,20 @@ class TestCategorical:
 
 class TestOnehot:
     def test_identity_codes(self):
-        enc = fit_onehot(fit_levels(ABCD))
+        enc = fit(EncoderSpec("onehot"), ABCD)
         np.testing.assert_array_equal(
             np.stack([enc.codes[enc.levels.index(v)] for v in ABCD]), np.eye(4)
         )
 
     def test_unseen_is_zero_vector(self):
-        enc = fit_onehot(fit_levels(ABCD))
+        enc = fit(EncoderSpec("onehot"), ABCD)
         np.testing.assert_array_equal(transform(enc, ["e"]), np.zeros((1, 4)))
 
 
 class TestBaseN:
     def test_base2_codes_for_four_levels(self):
         # width 3 because 2**3 = 8 >= 4 + 1 (index 0 reserved for unseen)
-        enc = fit_basen(fit_levels(ABCD), base=2)
+        enc = fit(EncoderSpec("basen", base=2), ABCD)
         assert enc.output_dim == 3
         expected = {
             "a": [0, 0, 1],
@@ -130,11 +121,11 @@ class TestBaseN:
         [(1, 2, 1), (3, 2, 2), (7, 2, 3), (8, 2, 4), (26, 3, 3), (80, 3, 4), (255, 16, 2)],
     )
     def test_width_is_smallest_power_covering_levels_plus_reserved(self, cardinality, base, width):
-        levels = fit_levels([f"v{i}" for i in range(cardinality)])
-        assert fit_basen(levels, base=base).output_dim == width
+        column = [f"v{i}" for i in range(cardinality)]
+        assert fit(EncoderSpec("basen", base=base), column).output_dim == width
 
     def test_codes_are_distinct(self):
-        enc = fit_basen(fit_levels([f"v{i}" for i in range(37)]), base=3)
+        enc = fit(EncoderSpec("basen", base=3), [f"v{i}" for i in range(37)])
         seen = {tuple(code) for code in enc.codes}
         assert len(seen) == 37
         assert tuple(np.zeros(enc.output_dim)) not in seen
@@ -194,7 +185,7 @@ class TestContrast:
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
     def test_unseen_is_zero_vector(self):
-        enc = fit_contrast(fit_levels(ABCD), "helmert")
+        enc = fit(EncoderSpec("helmert"), ABCD)
         np.testing.assert_array_equal(transform(enc, ["zzz"]), np.zeros((1, 3)))
 
     def test_unknown_scheme_rejected(self):
@@ -204,12 +195,12 @@ class TestContrast:
 
 class TestOrdering:
     def test_ordinal_is_one_indexed_by_first_appearance(self):
-        enc = fit_ordinal(fit_levels(["v", "u", "w", "u"]))
+        enc = fit(EncoderSpec("ordinal"), ["v", "u", "w", "u"])
         got = transform(enc, ["v", "u", "w", "missingx"])
         np.testing.assert_array_equal(got[:, 0], [1.0, 2.0, 3.0, 0.0])
 
     def test_count_encodes_training_frequency(self):
-        enc = fit_count(["u", "v", "u", "u", "w", "v"])
+        enc = fit(EncoderSpec("count"), ["u", "v", "u", "u", "w", "v"])
         got = transform(enc, ["u", "v", "w", "zz"])
         np.testing.assert_array_equal(got[:, 0], [3.0, 2.0, 1.0, 0.0])
 
@@ -225,13 +216,13 @@ class TestSimilarity:
         assert gram_set("x", (2, 4)) == frozenset({"x"})
 
     def test_rows_count_shared_grams_against_each_level(self):
-        enc = fit_similarity(fit_levels(["Paris", "Rome"]), ngram_range=(2, 4))
+        enc = fit(EncoderSpec("similarity", ngram_range=(2, 4)), ["Paris", "Rome"])
         row = enc.encode_fn("Paris")
         # Paris against itself: 4 bigrams + 3 trigrams + 2 quadgrams
         np.testing.assert_array_equal(row, [9.0, 0.0])
 
     def test_unseen_string_encoded_on_the_fly(self):
-        enc = fit_similarity(fit_levels(["Paris", "Rome"]), ngram_range=(3, 3))
+        enc = fit(EncoderSpec("similarity", ngram_range=(3, 3)), ["Paris", "Rome"])
         np.testing.assert_array_equal(transform(enc, ["Parisian"]), [[3.0, 0.0]])
 
 
@@ -253,11 +244,15 @@ def test_transform_encodes_each_distinct_unseen_string_once(variant):
 
 
 def test_fitted_encoder_needs_one_code_row_per_level():
-    levels = fit_levels(ABCD)
+    levels = tuple(ABCD)
     with pytest.raises(ValueError):
         FittedEncoder("onehot", levels, np.eye(3), unseen_policy=np.zeros(3))
     with pytest.raises(ValueError):
         FittedEncoder("onehot", levels, np.eye(4), unseen_policy=np.zeros(3))
+    with pytest.raises(ValueError, match="no levels"):
+        FittedEncoder("onehot", (), np.zeros((0, 0)), unseen_policy=np.zeros(0))
+    with pytest.raises(ValueError, match="distinct"):
+        FittedEncoder("onehot", ("a", "a"), np.eye(2), unseen_policy=np.zeros(2))
 
 
 class TestMinhash:
@@ -283,7 +278,7 @@ class TestMinhash:
             assert match == pytest.approx(jaccard, abs=0.05)
 
     def test_fitted_encoder_handles_unseen(self):
-        enc = fit_minhash(fit_levels(["red", "green"]), n_components=8)
+        enc = fit(EncoderSpec("minhash", n_components=8), ["red", "green"])
         got = transform(enc, ["blue"])
         np.testing.assert_array_equal(got[0], minhash_signature("blue", n_components=8))
 
@@ -324,7 +319,7 @@ class TestTargetEncoders:
 
     def test_encoding_blends_toward_prior(self):
         spec = EncoderSpec("mestimate")
-        enc = fit_target_encoder(self.stats(), "mestimate", spec)
+        enc = fit(spec, self.COLUMN, self.TARGET)
         prior = 121.0 / 41.0
         want_u = (30 / 31) * 2.0 + (1 / 31) * prior
         assert enc.codes[enc.levels.index("u")][0] == pytest.approx(want_u, rel=1e-15)
@@ -399,9 +394,18 @@ def test_output_dim_law(variant, cardinality):
     """Fitted width always agrees with the closed-form dimension rule."""
     column = [f"v{i}" for i in range(cardinality)]
     target = [float(i % 3) for i in range(cardinality)]
-    spec = EncoderSpec(variant)
+    spec = EncoderSpec(variant, base=3, n_components=7)
+    closed_form = {
+        "onehot": cardinality,
+        "basen": len(np.base_repr(cardinality, base=3)),  # digits of the largest code, c
+        "backdiff": cardinality - 1,
+        "helmert": cardinality - 1,
+        "sum": cardinality - 1,
+        "similarity": cardinality,
+        "minhash": 7,
+    }.get(variant, 1)  # the ordering and target families code a level as one scalar
     enc = fit(spec, column, target)
-    assert enc.output_dim == output_dim(variant, cardinality, spec)
+    assert enc.output_dim == closed_form == output_dim(variant, cardinality, spec)
     assert transform(enc, column).shape == (cardinality, enc.output_dim)
 
 

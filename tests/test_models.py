@@ -258,6 +258,45 @@ class TestImpurity:
             assert side_impurity(y, kind) == 0.0
 
 
+def brute_child_impurity(y: np.ndarray, k: int, impurity: str) -> float:
+    """Size-weighted mean impurity of y[:k] and y[k:], from class shares or
+    squared deviations of each side on its own (an empty side weighs 0)."""
+    total = 0.0
+    for side in (y[:k], y[k:]):
+        if side.size == 0:
+            continue
+        if impurity == "mse":
+            total += float(np.sum((side - side.mean()) ** 2))
+            continue
+        shares = [float(np.mean(side == c)) for c in (0.0, 1.0)]
+        if impurity == "gini":
+            total += side.size * (1.0 - sum(q * q for q in shares))
+        else:
+            total += side.size * -sum(q * np.log(q) for q in shares if q > 0.0)
+    return total / y.size
+
+
+class TestSplitScores:
+    """models._split_scores, the score CART minimizes, against brute force."""
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "mse"])
+    @pytest.mark.parametrize("sizes", [(9,), (6, 11)])
+    def test_every_position_matches_brute_force(self, impurity, sizes):
+        rng = np.random.default_rng(len(sizes))
+        n = sum(sizes)
+        ys = rng.integers(0, 2, n).astype(float) if impurity != "mse" else np.round(rng.normal(size=n), 2)
+        order = rng.permutation(n).astype(np.int32)  # positions -> sample ids, segment by segment
+        sizes = np.array(sizes)
+        lev = models._level(np.cumsum(sizes) - sizes, sizes)
+        right_n = np.maximum(lev.size_of - lev.left_n, 1)
+        got = models._split_scores(ys, order, lev, right_n, impurity)
+        want = []
+        for start, end in zip(lev.starts, lev.ends):
+            seg = ys[order[start:end]]
+            want += [brute_child_impurity(seg, k, impurity) for k in range(1, seg.size + 1)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestTree:
     def test_root_split_at_midpoint_between_classes(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenc.encoders import EncoderSpec, fit, fit_levels, fit_onehot
+from catenc.encoders import EncoderSpec, fit
 from catenc.theory import (
     AffineMap,
     build_equivalent_onehot_weights,
@@ -33,7 +33,7 @@ class TestOnehotUniversality:
         enc = fit(EncoderSpec(variant), column, target)
         mapped = random_map(rng, h=3, l=enc.output_dim)
 
-        onehot = fit_onehot(fit_levels(column))
+        onehot = fit(EncoderSpec("onehot"), column)
         w_oh = build_equivalent_onehot_weights(mapped, enc)
         oh_map = AffineMap(w_encoded=w_oh)
 
@@ -43,20 +43,20 @@ class TestOnehotUniversality:
         assert contribution_difference(mapped, enc, oh_map, onehot, column) < 1e-24
 
     def test_width_mismatch_rejected(self):
-        enc = fit_onehot(fit_levels(["a", "b", "c"]))
+        enc = fit(EncoderSpec("onehot"), ["a", "b", "c"])
         with pytest.raises(ValueError):
             build_equivalent_onehot_weights(AffineMap(w_encoded=np.ones((2, 5))), enc)
 
     def test_difference_is_zero_against_self(self):
         rng = np.random.default_rng(3)
         column = ["a", "b", "a", "c"]
-        enc = fit_onehot(fit_levels(column))
+        enc = fit(EncoderSpec("onehot"), column)
         m = random_map(rng, 2, 3)
         assert contribution_difference(m, enc, m, enc, column) == 0.0
 
     def test_difference_matches_hand_rolled_mean(self):
         column = ["a", "b"]
-        enc = fit_onehot(fit_levels(column))
+        enc = fit(EncoderSpec("onehot"), column)
         m1 = AffineMap(w_encoded=np.array([[1.0, 0.0]]))
         m2 = AffineMap(w_encoded=np.array([[0.0, 2.0]]))
         # contributions: m1 -> [1, 0], m2 -> [0, 2]; mean of (1, 4) is 2.5
