@@ -1,10 +1,11 @@
 """Dataset x encoder x model x seed benchmark grid with offline reports.
 
 The grid config is a small plain-text format (sections in brackets, bare tokens
-with optional key=value overrides; a value reads as a bool for true/false in any
-case, else as an int, float, lo:hi int pair or string). A failing cell is
-recorded and skipped, not fatal; timing can be disabled so two runs of the same
-grid produce byte-identical records.
+with optional key=value overrides; a value reads as None for none and as a bool
+for true/false, in any case, else as an int, float, lo:hi int pair or string; a
+model override must name a keyword of that learner). A failing cell is recorded
+and skipped, not fatal; timing can be disabled so two runs of the same grid
+produce byte-identical records.
 """
 from __future__ import annotations
 
@@ -72,6 +73,8 @@ class ExperimentGrid:
 
 
 def _parse_value(text: str):
+    if text.lower() == "none":
+        return None
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     for cast in (int, float):
@@ -157,9 +160,15 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                 tokens = line.split()
                 if tokens[0] not in mod.MODEL_NAMES:
                     raise ConfigError(f"{path}:{lineno}: unknown model {tokens[0]!r}")
-                models.append(
-                    ModelSpec(name=tokens[0], params=tuple(sorted(_parse_overrides(tokens[1:]).items())))
-                )
+                overrides = _parse_overrides(tokens[1:])
+                options = mod.model_options(tokens[0])
+                for key in overrides:
+                    if key not in options:
+                        raise ConfigError(
+                            f"{path}:{lineno}: {tokens[0]} takes no option {key!r} "
+                            f"(it takes {', '.join(options)})"
+                        )
+                models.append(ModelSpec(name=tokens[0], params=tuple(sorted(overrides.items()))))
             elif section == "run":
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()

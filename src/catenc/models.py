@@ -10,6 +10,7 @@ threshold separates.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -761,7 +762,26 @@ def predict_forest_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared fit and prediction front doors
 
-MODEL_NAMES = ("ridge", "logistic", "mlp", "tree", "forest")
+#: each learner's fitters, whose keyword defaults fit_model lets a caller override
+_FITTERS = {
+    "ridge": (fit_ridge,),
+    "logistic": (fit_logistic,),
+    "mlp": (fit_mlp, train_mlp),
+    "tree": (fit_tree,),
+    "forest": (fit_forest,),
+}
+MODEL_NAMES = tuple(_FITTERS)
+
+
+def model_options(name: str) -> tuple[str, ...]:
+    """The keyword overrides fit_model accepts for a learner: every fitter
+    parameter with a default, except the seed, which fit_model passes itself."""
+    return tuple(
+        p.name
+        for fn in _FITTERS[name]
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty and p.name != "seed"
+    )
 
 
 def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **params):

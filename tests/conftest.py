@@ -1,5 +1,9 @@
 """Shared pytest plumbing: the acceptance tests register one summary line each,
-printed after the run so they survive output capture."""
+printed after the run so they survive output capture. When $GITHUB_STEP_SUMMARY
+names a file (as on a GitHub Actions runner), the lines are appended to it too,
+so each CI run page shows them."""
+
+import os
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -13,3 +17,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+        step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
+        if step_summary:
+            with open(step_summary, "a", encoding="utf-8") as fh:
+                fh.write("### acceptance criteria\n\n```\n")
+                fh.writelines(f"{line}\n" for line in _ACCEPTANCE_LINES)
+                fh.write("```\n")

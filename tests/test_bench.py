@@ -102,6 +102,27 @@ class TestConfigParsing:
             for field in ("feature", "threshold", "left", "value", "n_samples", "roots"):
                 np.testing.assert_array_equal(getattr(g, field), getattr(w, field))
 
+    def test_unlimited_depth_tree_grid_scores_its_cells(self, tmp_path):
+        write_dataset(tmp_path, "reg", "regression", seed=1)
+        p = tmp_path / "grid.cfg"
+        p.write_text(
+            "[datasets]\nreg = reg.csv reg.schema\n[encoders]\nmean\n[models]\n"
+            "tree max_depth=None\ntree max_depth=NONE min_samples_split=4\n[run]\nseeds = 0 1\n"
+        )
+        grid = parse_grid_config(str(p))
+        assert grid.models[0] == ModelSpec("tree", params=(("max_depth", None),))
+        records, failures, _ = run_grid(grid)
+        assert failures == []
+        assert len(records) == 2 * 2
+
+    @pytest.mark.parametrize("line", ["tree maxdepth=3", "forest n_trees=5 seed=2", "ridge alpha=1.0"])
+    def test_misspelled_model_option_rejected_at_parse_time(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\nmean\n[models]\n{line}\n")
+        key = line.split()[-1].partition("=")[0]
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:6: {line.split()[0]} takes no option '{key}'"):
+            parse_grid_config(str(p))
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[nonsense]\n")

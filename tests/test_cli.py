@@ -189,6 +189,14 @@ def test_sweep_model_mismatch_exits_1(tmp_path, capsys):
     assert "regression-only" in capsys.readouterr().err
 
 
+def test_sweep_repeated_aspl_exits_1(tmp_path, capsys):
+    rc = main(["sweep", "--problem", "regression", "--encoder", "mean", "--model", "ridge",
+               "--aspl", "5", "5", "--seeds", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: aspl_values must be distinct" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_all_suites_pass(tmp_path, capsys):
     rc = main(["verify", "--suite", "all", "--trials", "10", "--out", str(tmp_path)])
     out = capsys.readouterr().out

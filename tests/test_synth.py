@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from catenc import synth
 from catenc.encoders import EncoderSpec
 from catenc.synth import (
     CLASSIFICATION_TRUTH,
@@ -107,8 +110,15 @@ class TestSweep:
     def test_sweep_deterministic(self):
         cfg = self.small_config("classification")
         a, _ = run_aspl_sweep(cfg, "tree", EncoderSpec("mean"))
+        synth._truth_slot.cache_clear()  # so the second run computes its truth cells too
         b, _ = run_aspl_sweep(cfg, "tree", EncoderSpec("mean"))
         assert a == b
+
+    def test_repeated_aspl_values_rejected(self):
+        # a repeated value would score each of its cells twice and count the copies
+        # as independent seeds in the summary
+        with pytest.raises(ValueError, match="distinct"):
+            SynthConfig(aspl_values=(5, 10, 5))
 
     def test_truth_rows_have_zero_gap(self):
         cfg = self.small_config("regression")
@@ -170,3 +180,61 @@ class TestSweep:
         cfg = self.small_config("regression")
         cells, summaries = run_aspl_sweep(cfg, "ridge", EncoderSpec("basen"))
         assert summarize_sweep(cells) == summaries
+
+
+def counting_fits(monkeypatch) -> list[str]:
+    """Record the learner name of every models.fit_model call the sweep makes."""
+    calls: list[str] = []
+    real = synth.mod.fit_model
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(synth.mod, "fit_model", counting)
+    return calls
+
+
+class TestTruthMemo:
+    CFG = SynthConfig(problem="regression", aspl_values=(5, 10), seeds_per_aspl=2, test_size=60)
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        synth._truth_slot.cache_clear()
+
+    def test_second_encoder_sweep_skips_the_truth_fits(self, monkeypatch):
+        cfg = dataclasses.replace(self.CFG, problem="classification")
+        calls = counting_fits(monkeypatch)
+        run_aspl_sweep(cfg, "forest", EncoderSpec("sshrink"))
+        run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
+        # without the memo: 2 sweeps x 4 (a, s) cells x (encoder + truth) = 16 fits
+        assert calls == ["forest"] * 12
+
+    @pytest.mark.parametrize(
+        "field, value, model",
+        [
+            ("problem", "classification", "tree"),
+            ("base_seed", 1, "tree"),
+            ("test_size", 61, "tree"),
+            ("sigma", 2.0, "tree"),
+            (None, None, "forest"),
+        ],
+    )
+    def test_each_key_field_refits_the_truth_cell(self, monkeypatch, field, value, model):
+        run_aspl_sweep(self.CFG, "tree", EncoderSpec("mean"))
+        cfg = dataclasses.replace(self.CFG, **({field: value} if field else {}))
+        calls = counting_fits(monkeypatch)
+        cells, _ = run_aspl_sweep(cfg, model, EncoderSpec("mean"))
+        assert len(calls) == len(cells) == 8
+        calls.clear()
+        run_aspl_sweep(cfg, model, EncoderSpec("ordinal"))
+        assert len(calls) == 4  # and a repeat of that key hits
+
+    def test_shared_truth_cells_equal_a_cold_run_bit_for_bit(self):
+        cfg = dataclasses.replace(self.CFG, problem="classification")
+        run_aspl_sweep(cfg, "forest", EncoderSpec("sshrink"))
+        warm, warm_summary = run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
+        synth._truth_slot.cache_clear()
+        cold, cold_summary = run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
+        assert [(c, float(c.value).hex()) for c in warm] == [(c, float(c.value).hex()) for c in cold]
+        assert warm_summary == cold_summary
