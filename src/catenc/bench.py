@@ -3,7 +3,8 @@
 The grid config is a small plain-text format (sections in brackets, bare tokens
 with optional key=value overrides; a value reads as None for none and as a bool
 for true/false, in any case, else as an int, float, lo:hi int pair or string; a
-model override must name a keyword of that learner). A failing cell is recorded
+model override must name a keyword of that learner and have its annotated
+type, so a bad value fails when the config is read). A failing cell is recorded
 and skipped, not fatal; timing can be disabled so two runs of the same grid
 produce byte-identical records.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import os
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,6 +94,19 @@ def _parse_value(text: str):
     return text
 
 
+def _accepts(hint, value) -> bool:
+    """Whether a parsed config value can be passed as a parameter annotated
+    `hint`: an int is a float, a bool is neither, a lo:hi pair is a sequence."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_accepts(arg, value) for arg in args)
+    if args:  # a parametrized collection such as Sequence[float]
+        return isinstance(value, tuple) and all(_accepts(args[0], v) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _parse_overrides(tokens: Sequence[str]) -> dict:
     out = {}
     for tok in tokens:
@@ -129,7 +145,7 @@ def parse_grid_config(path: str) -> ExperimentGrid:
     ratio = 0.8
     out_dir = "."
     section = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -162,12 +178,16 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                     raise ConfigError(f"{path}:{lineno}: unknown model {tokens[0]!r}")
                 overrides = _parse_overrides(tokens[1:])
                 options = mod.model_options(tokens[0])
-                for key in overrides:
+                for key, value in overrides.items():
                     if key not in options:
                         raise ConfigError(
                             f"{path}:{lineno}: {tokens[0]} takes no option {key!r} "
                             f"(it takes {', '.join(options)})"
                         )
+                    if not _accepts(options[key], value):
+                        hint = options[key]
+                        hint = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+                        raise ConfigError(f"{path}:{lineno}: {tokens[0]} option {key} must be {hint}, got {value!r}")
                 models.append(ModelSpec(name=tokens[0], params=tuple(sorted(overrides.items()))))
             elif section == "run":
                 key, _, val = line.partition("=")
@@ -453,7 +473,7 @@ def write_dataset_info_csv(sufficiency: Mapping[str, float], path: str) -> None:
 
 def read_dataset_info_csv(path: str) -> dict[str, float]:
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.DictReader(fh):
             out[row["dataset"]] = float(row["minaspl"])
     return out

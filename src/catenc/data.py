@@ -1,7 +1,9 @@
 """Column-major tables, CSV ingestion, splitting, and the preprocessing pipeline.
 
 Columns are arrays: float64 with NaN for a missing cell, or an `encoders.Categorical`
-(levels plus int codes, -1 for a missing cell). Splitting gathers rows.
+(levels plus int codes, -1 for a missing cell). `load_csv` builds them from a
+CSV a chunk of rows at a time, column by column, so memory beyond the columns
+stays bounded by the chunk. Splitting gathers rows.
 
 The pipeline order is fixed: impute on train statistics, encode categoricals,
 standardize every encoded column with train statistics. `fit_pipeline` does all
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -119,11 +122,12 @@ def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
     """Parse a sidecar schema file.
 
     Lines are ``column = numeric|categorical`` plus one ``target = <name>`` line;
-    blank lines and ``#`` comments are skipped.
+    blank lines and ``#`` comments are skipped, and so is a leading UTF-8
+    byte-order mark.
     """
     kinds: dict[str, ColumnKind] = {}
     target = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -147,6 +151,13 @@ def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
     return kinds, target
 
 
+#: rows converted per chunk by load_csv; a chunk's cells stay a few hundred KiB
+_CHUNK_ROWS = 1024
+
+#: missing tokens read as "nan" by the float conversion of a numeric chunk
+_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
+
+
 def _parse_numeric(cell: str) -> tuple[float, bool]:
     """Return (value, was_bad). Missing tokens and unparsable cells map to NaN;
     only the latter count as bad."""
@@ -162,49 +173,102 @@ def _parse_numeric(cell: str) -> tuple[float, bool]:
     return value, False
 
 
+def _parse_numeric_cells(cells: list[str]) -> tuple[np.ndarray, int]:
+    """Stripped cells to float64 with NaN for a missing cell, plus the number of
+    bad cells, exactly as `_parse_numeric` reads them one at a time."""
+    try:
+        values = np.array(list(map(_AS_NAN.get, cells, cells)), dtype=float)
+    except ValueError:
+        parsed = list(map(_parse_numeric, cells))
+        return np.array([value for value, _ in parsed], dtype=float), sum(bad for _, bad in parsed)
+    nonfinite = ~np.isfinite(values)
+    values[nonfinite] = np.nan
+    # every missing token reads NaN; the other non-finite cells are bad
+    return values, int(np.count_nonzero(nonfinite)) - sum(map(MISSING_TOKENS.__contains__, cells))
+
+
+def _level_codes(lookup: dict[str, int], cells: list[str]) -> np.ndarray:
+    """Codes of stripped categorical cells. `lookup` maps each missing token to
+    -1 and then each level seen so far to its code, in order of first
+    appearance; a new level is added to it."""
+    codes = list(map(lookup.get, cells))
+    if None in codes:  # a new level: number the cells in order
+        codes = [lookup.setdefault(c, len(lookup) - len(MISSING_TOKENS)) for c in cells]
+    return np.array(codes, dtype=np.intp)
+
+
+def _csv_rows(path: str, fh) -> Iterator[list[str]]:
+    """The rows of an open CSV file; a csv.Error becomes a SchemaError naming
+    the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTable:
     """Load a header-ed CSV into a DataTable under a declared schema.
 
     Declared columns absent from the file raise SchemaError; file columns that are
     not declared are dropped. Unparsable or empty cells become missing cells.
     A declared numeric column whose unparsable cells outnumber half the rows is a
-    schema error (the declaration is considered wrong, not the data).
+    schema error (the declaration is considered wrong, not the data). Blank rows
+    are skipped and short rows read missing cells. A leading UTF-8 byte-order
+    mark is dropped, and a malformed file (such as a field over
+    `csv.field_size_limit()`) raises SchemaError naming the file and line.
+
+    Rows are read `_CHUNK_ROWS` at a time and each chunk is converted column by
+    column: a numeric column in one float conversion (a chunk holding a cell
+    that does not parse is redone cell by cell through `_parse_numeric`), a
+    categorical column straight to level codes.
     """
     if target not in schema:
         raise SchemaError(f"target {target!r} missing from schema")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: no header row") from None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_rows(path, fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: no header row")
         header = [h.strip() for h in header]
         missing_cols = [name for name in schema if name not in header]
         if missing_cols:
             raise SchemaError(f"{path}: declared columns absent: {missing_cols}")
         col_pos = {name: header.index(name) for name in schema}
-        columns: dict[str, list] = {name: [] for name in schema}
-        bad_counts = {name: 0 for name in schema}
+        chunks = {
+            name: [np.empty(0, dtype=np.intp if kind is ColumnKind.CATEGORICAL else float)]
+            for name, kind in schema.items()
+        }
+        lookups = {  # per categorical column, see _level_codes
+            name: dict.fromkeys(MISSING_TOKENS, -1)
+            for name, kind in schema.items()
+            if kind is ColumnKind.CATEGORICAL
+        }
+        bad_counts = dict.fromkeys(schema, 0)
         n_rows = 0
-        for row in reader:
-            if not row:
-                continue
-            n_rows += 1
-            for name, kind in schema.items():
-                cell = row[col_pos[name]] if col_pos[name] < len(row) else ""
-                if kind is ColumnKind.NUMERIC:
-                    value, bad = _parse_numeric(cell)
-                    bad_counts[name] += bad
-                    columns[name].append(value)
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows = list(filter(None, chunk))  # skip blank lines, which read as empty rows
+            n_rows += len(rows)
+            file_cols = list(itertools.zip_longest(*rows, fillvalue=""))
+            blank = ("",) * len(rows)
+            for name, pos in col_pos.items():
+                cells = list(map(str.strip, file_cols[pos] if pos < len(file_cols) else blank))
+                if name in lookups:
+                    chunks[name].append(_level_codes(lookups[name], cells))
                 else:
-                    text = cell.strip()
-                    columns[name].append(None if text in MISSING_TOKENS else text)
+                    values, bad = _parse_numeric_cells(cells)
+                    chunks[name].append(values)
+                    bad_counts[name] += bad
     for name, kind in schema.items():
         if kind is ColumnKind.NUMERIC and n_rows and bad_counts[name] * 2 > n_rows:
             raise SchemaError(
                 f"{path}: column {name!r} declared numeric but "
                 f"{bad_counts[name]}/{n_rows} cells do not parse"
             )
+    columns: dict[str, np.ndarray | Categorical] = {}
+    for name in schema:
+        data = np.concatenate(chunks.pop(name))  # pop: free each column's chunks as it is joined
+        columns[name] = Categorical(tuple(lookups[name])[len(MISSING_TOKENS):], data) if name in lookups else data
     table_schema = tuple((name, schema[name]) for name in schema)
     return DataTable(schema=table_schema, columns=columns, target=target)
 
@@ -212,8 +276,8 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
 def infer_schema(path: str, target: str) -> dict[str, ColumnKind]:
     """Guess column kinds from a CSV: numeric when every non-missing cell parses
     as a finite float, categorical otherwise. Convenience for schema-less input."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = [h.strip() for h in next(_csv_rows(path, fh), [])]
     if target not in header:
         raise SchemaError(f"target {target!r} not among CSV columns {header}")
     table = load_csv(path, dict.fromkeys(header, ColumnKind.CATEGORICAL), target)

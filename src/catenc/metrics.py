@@ -122,7 +122,7 @@ def write_records_csv(records: Iterable[MetricRecord], path: str) -> None:
 
 def read_records_csv(path: str) -> list[MetricRecord]:
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             out.append(

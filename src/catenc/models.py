@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -773,15 +773,16 @@ _FITTERS = {
 MODEL_NAMES = tuple(_FITTERS)
 
 
-def model_options(name: str) -> tuple[str, ...]:
-    """The keyword overrides fit_model accepts for a learner: every fitter
-    parameter with a default, except the seed, which fit_model passes itself."""
-    return tuple(
-        p.name
+def model_options(name: str) -> dict[str, object]:
+    """The keyword overrides fit_model accepts for a learner, each with its type
+    annotation: every fitter parameter with a default, except the seed, which
+    fit_model passes itself."""
+    return {
+        p.name: get_type_hints(fn)[p.name]
         for fn in _FITTERS[name]
         for p in inspect.signature(fn).parameters.values()
         if p.default is not p.empty and p.name != "seed"
-    )
+    }
 
 
 def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **params):

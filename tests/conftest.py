@@ -1,9 +1,18 @@
 """Shared pytest plumbing: the acceptance tests register one summary line each,
 printed after the run so they survive output capture. When $GITHUB_STEP_SUMMARY
 names a file (as on a GitHub Actions runner), the lines are appended to it too,
-so each CI run page shows them."""
+so each CI run page shows them.
+
+Hypothesis loads the settings profile named by $HYPOTHESIS_PROFILE. The `ci`
+profile derandomizes the search, so a run is reproducible, and prints the blob
+that replays a failing example."""
 
 import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,39 @@ class TestConfigParsing:
         key = line.split()[-1].partition("=")[0]
         with pytest.raises(ConfigError, match=rf"bad\.cfg:6: {line.split()[0]} takes no option '{key}'"):
             parse_grid_config(str(p))
+
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [
+            ("forest n_trees=abc", "n_trees", "'abc'"),
+            ("forest bootstrap=2", "bootstrap", "2"),
+            ("tree max_depth=1.5", "max_depth", "1.5"),
+            ("tree impurity=none", "impurity", "None"),
+            ("logistic c=true", "c", "True"),
+            ("ridge alphas=abc", "alphas", "'abc'"),
+        ],
+    )
+    def test_ill_typed_model_option_rejected_at_parse_time(self, tmp_path, line, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\nmean\n[models]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:6: {line.split()[0]} option {key} must be .*, got {re.escape(value)}"):
+            parse_grid_config(str(p))
+
+    def test_well_typed_model_options_parse(self, tmp_path):
+        p = tmp_path / "grid.cfg"
+        p.write_text(
+            "\ufeff[datasets]\nd = d.csv d.schema\n[encoders]\nmean\n[models]\n"
+            "tree max_depth=None impurity=gini\nforest bootstrap=false n_trees=3\n"
+            "logistic c=1\nridge alphas=1:10\nmlp batch_size=None lr=0.01\n[run]\nseeds = 0\n"
+        )
+        got = [m.kwargs() for m in parse_grid_config(str(p)).models]
+        assert got == [
+            {"max_depth": None, "impurity": "gini"},
+            {"bootstrap": False, "n_trees": 3},
+            {"c": 1},
+            {"alphas": (1, 10)},
+            {"batch_size": None, "lr": 0.01},
+        ]
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -380,3 +414,5 @@ class TestReports:
         write_dataset_info_csv(info, str(path))
         got = read_dataset_info_csv(str(path))
         assert got == info
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as a spreadsheet saves it
+        assert read_dataset_info_csv(str(path)) == info

@@ -152,6 +152,15 @@ def test_encode_empty_file_is_diagnostic_not_traceback(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_encode_oversized_field_is_diagnostic_not_traceback(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("c,y\na,1\n" + "b" * (csv.field_size_limit() + 1) + ",2\n")
+    rc = main(["encode", "--encoder", "onehot", "--input", str(path), "--column", "c",
+               "--target", "y"])
+    assert rc == 1
+    assert f"error: {path}:3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_sweep_writes_cells_and_summary(tmp_path, capsys):
     rc = main(
         [

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ class TestLoadCsv:
         p.write_text("a,junk,y\nx,zzz,1\n")
         table = load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
         assert "junk" not in table.columns
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        csv_path, schema_path = tmp_path / "bom.csv", tmp_path / "bom.schema"
+        csv_path.write_text("\ufeffcity,y\nparis,1\nrome,2\n", encoding="utf-8")
+        schema_path.write_text("\ufeffcity = categorical\ny = numeric\ntarget = y\n", encoding="utf-8")
+        kinds, target = read_schema(str(schema_path))
+        assert list(kinds) == ["city", "y"]
+        assert list(infer_schema(str(csv_path), "y")) == ["city", "y"]
+        table = load_csv(str(csv_path), kinds, target)
+        assert list(table.column("city")) == ["paris", "rome"]
+
+    def test_malformed_csv_is_schema_error_naming_file_and_line(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,y\nx,1\nx,2\n" + "z" * (csv.field_size_limit() + 1) + ",3\n")
+        with pytest.raises(SchemaError, match=rf"huge\.csv:4: field larger than field limit"):
+            load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
+        p.write_text("z" * (csv.field_size_limit() + 1) + ",y\n")
+        with pytest.raises(SchemaError, match=rf"huge\.csv:1: field larger than field limit"):
+            infer_schema(str(p), "y")
 
     def test_infer_schema(self, season_csv):
         csv_path, _ = season_csv

@@ -146,6 +146,8 @@ class TestRecords:
         path = tmp_path / "records.csv"
         write_records_csv(records, str(path))
         assert read_records_csv(str(path)) == records
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as a spreadsheet saves it
+        assert read_records_csv(str(path)) == records
 
     def test_csv_bytes_deterministic(self, tmp_path):
         records = [self.rec(seed=s) for s in range(3)]
