@@ -3,14 +3,14 @@
 The grid config is a small plain-text format (sections in brackets, bare tokens
 with optional key=value overrides; a value reads as None for none and as a bool
 for true/false, in any case, else as an int, float, lo:hi int pair or string; a
-model override must name a keyword of that learner and have its annotated
-type, so a bad value fails when the config is read). A failing cell is recorded
-and skipped, not fatal; timing can be disabled so two runs of the same grid
-produce byte-identical records.
+model override must name a keyword of that learner, an encoder override a field
+of EncoderSpec, and either must have its annotated type, so a bad value fails
+when the config is read, as does a repeated dataset, encoder, model or seed).
+A failing cell is recorded and skipped, not fatal; timing can be disabled so two
+runs of the same grid produce byte-identical records.
 """
 from __future__ import annotations
 
-import csv
 import os
 import time
 import types
@@ -30,6 +30,7 @@ from .metrics import (
     MetricRecord,
     f1_score,
     minaspl,
+    read_records_csv,
     relative_perf_diff,
     rmse,
     write_records_csv,
@@ -70,9 +71,15 @@ class ExperimentGrid:
             raise ConfigError("grid needs at least one dataset, encoder, model, and seed")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
-        names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate dataset names")
+        for what, keys in (
+            ("dataset name", [d.name for d in self.datasets]),
+            ("encoder variant", [e.variant for e in self.encoders]),
+            ("model name", [m.name for m in self.models]),
+            ("seed", list(self.seeds)),
+        ):  # a repeat would share its cells' labels, and the reports would merge them
+            repeats = sorted({k for k in keys if keys.count(k) > 1})
+            if repeats:
+                raise ConfigError(f"duplicate {what}: {', '.join(map(str, repeats))}")
 
 
 def _parse_value(text: str):
@@ -107,14 +114,27 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _parse_overrides(tokens: Sequence[str]) -> dict:
+def _parse_overrides(where: str, owner: str, options: Mapping[str, object], tokens: Sequence[str]) -> dict:
+    """key=value tokens as a dict, each key one of `options` (name -> type
+    annotation) and each value of that type; else ConfigError at `where`."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise ConfigError(f"expected key=value, got {tok!r}")
+            raise ConfigError(f"{where}: expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
-        out[key.strip()] = _parse_value(val.strip())
+        key, value = key.strip(), _parse_value(val.strip())
+        if key not in options:
+            raise ConfigError(f"{where}: {owner} takes no option {key!r} (it takes {', '.join(options)})")
+        hint = options[key]
+        if not _accepts(hint, value):
+            hint = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ConfigError(f"{where}: {owner} option {key} must be {hint}, got {value!r}")
+        out[key] = value
     return out
+
+
+#: the [encoders] override keys and their types: every EncoderSpec field but the variant
+_ENCODER_OPTIONS = {k: v for k, v in typing.get_type_hints(enc_mod.EncoderSpec).items() if k != "variant"}
 
 
 def parse_grid_config(path: str) -> ExperimentGrid:
@@ -168,37 +188,31 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                 datasets.append(DatasetSpec(name=name.strip(), csv_path=csv_path, schema_path=schema_path))
             elif section == "encoders":
                 tokens = line.split()
+                overrides = _parse_overrides(f"{path}:{lineno}", tokens[0], _ENCODER_OPTIONS, tokens[1:])
                 try:
-                    encoders.append(enc_mod.EncoderSpec(variant=tokens[0], **_parse_overrides(tokens[1:])))
-                except (TypeError, ValueError) as exc:
+                    encoders.append(enc_mod.EncoderSpec(variant=tokens[0], **overrides))
+                except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
             elif section == "models":
                 tokens = line.split()
                 if tokens[0] not in mod.MODEL_NAMES:
                     raise ConfigError(f"{path}:{lineno}: unknown model {tokens[0]!r}")
-                overrides = _parse_overrides(tokens[1:])
                 options = mod.model_options(tokens[0])
-                for key, value in overrides.items():
-                    if key not in options:
-                        raise ConfigError(
-                            f"{path}:{lineno}: {tokens[0]} takes no option {key!r} "
-                            f"(it takes {', '.join(options)})"
-                        )
-                    if not _accepts(options[key], value):
-                        hint = options[key]
-                        hint = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-                        raise ConfigError(f"{path}:{lineno}: {tokens[0]} option {key} must be {hint}, got {value!r}")
+                overrides = _parse_overrides(f"{path}:{lineno}", tokens[0], options, tokens[1:])
                 models.append(ModelSpec(name=tokens[0], params=tuple(sorted(overrides.items()))))
             elif section == "run":
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key == "seeds":
-                    seeds = [int(tok) for tok in val.split()]
-                elif key == "ratio":
-                    ratio = float(val)
-                elif key == "out":
+                try:
+                    if key == "seeds":
+                        seeds = [int(tok) for tok in val.split()]
+                    elif key == "ratio":
+                        ratio = float(val)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: bad {key} value {val!r}") from None
+                if key == "out":
                     out_dir = val if os.path.isabs(val) else os.path.join(base_dir, val)
-                else:
+                elif key not in ("seeds", "ratio"):
                     raise ConfigError(f"{path}:{lineno}: unknown run key {key!r}")
             else:
                 raise ConfigError(f"{path}:{lineno}: content before any [section]")
@@ -432,51 +446,35 @@ def time_report(records: Sequence[MetricRecord]) -> list[TimeEntry]:
 
 
 def write_rank_csv(entries: Sequence[RankEntry], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "bucket", "encoder", "mean_diff", "sd_diff", "n_slices"])
-        for e in entries:
-            writer.writerow([e.model, e.bucket, e.encoder, repr(e.mean_diff), repr(e.sd_diff), e.n_slices])
+    write_records_csv(path, RankEntry, entries)
 
 
 def write_time_csv(entries: Sequence[TimeEntry], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["encoder", "mean_encode_time", "mean_train_time", "mean_total_time", "dimension_key"])
-        for e in entries:
-            writer.writerow(
-                [
-                    e.encoder,
-                    repr(e.mean_encode_time),
-                    repr(e.mean_train_time),
-                    repr(e.mean_total_time),
-                    repr(e.dimension_key),
-                ]
-            )
+    write_records_csv(path, TimeEntry, entries)
 
 
 def write_failures_csv(failures: Sequence[CellFailure], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "encoder", "model", "seed", "error"])
-        for f in failures:
-            writer.writerow([f.dataset, f.encoder, f.model, f.seed, f.error])
+    write_records_csv(path, CellFailure, failures)
+
+
+@dataclass(frozen=True)
+class DatasetInfo:
+    """One row of dataset_info.csv: the minASPL that picks a dataset's sufficiency bucket."""
+
+    dataset: str
+    minaspl: float
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.minaspl) or self.minaspl <= 0:
+            raise ValueError(f"minaspl must be finite and positive, got {self.minaspl}")
 
 
 def write_dataset_info_csv(sufficiency: Mapping[str, float], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "minaspl"])
-        for name in sorted(sufficiency):
-            writer.writerow([name, repr(sufficiency[name])])
+    write_records_csv(path, DatasetInfo, (DatasetInfo(n, sufficiency[n]) for n in sorted(sufficiency)))
 
 
 def read_dataset_info_csv(path: str) -> dict[str, float]:
-    out = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.DictReader(fh):
-            out[row["dataset"]] = float(row["minaspl"])
-    return out
+    return {row.dataset: row.minaspl for row in read_records_csv(path, DatasetInfo)}
 
 
 def summarize(
@@ -506,20 +504,28 @@ def summarize(
     return "\n".join(lines) + "\n"
 
 
+def write_reports(
+    records: Sequence[MetricRecord], failures: Sequence[CellFailure], sufficiency: Mapping[str, float] | None, out_dir: str
+) -> str:
+    """Write rank_report.csv, time_report.csv and summary.txt into out_dir; returns the summary."""
+    rank = rank_encoders(records, sufficiency)
+    times = time_report(records)
+    write_rank_csv(rank, os.path.join(out_dir, "rank_report.csv"))
+    write_time_csv(times, os.path.join(out_dir, "time_report.csv"))
+    text = summarize(records, failures, rank, times)
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
 def run_and_report(
     grid: ExperimentGrid, workers: int = 1, record_timing: bool = True
 ) -> tuple[list[MetricRecord], list[CellFailure]]:
-    """Run the grid and drop records.csv, rank_report.csv, time_report.csv,
-    failures.csv, dataset_info.csv, and summary.txt into grid.out_dir."""
+    """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files."""
     os.makedirs(grid.out_dir, exist_ok=True)
     records, failures, sufficiency = run_grid(grid, workers=workers, record_timing=record_timing)
-    rank = rank_encoders(records, sufficiency)
-    times = time_report(records)
-    write_records_csv(records, os.path.join(grid.out_dir, "records.csv"))
-    write_rank_csv(rank, os.path.join(grid.out_dir, "rank_report.csv"))
-    write_time_csv(times, os.path.join(grid.out_dir, "time_report.csv"))
+    write_records_csv(os.path.join(grid.out_dir, "records.csv"), MetricRecord, records)
     write_failures_csv(failures, os.path.join(grid.out_dir, "failures.csv"))
     write_dataset_info_csv(sufficiency, os.path.join(grid.out_dir, "dataset_info.csv"))
-    with open(os.path.join(grid.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(summarize(records, failures, rank, times))
+    write_reports(records, failures, sufficiency, grid.out_dir)
     return records, failures

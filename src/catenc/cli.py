@@ -13,7 +13,7 @@ from . import models as models_mod
 from . import synth as synth_mod
 from . import theory as theory_mod
 from .data import ColumnKind, fit_preprocessor, impute, infer_schema, load_csv, read_schema
-from .metrics import read_records_csv
+from .metrics import MetricRecord, read_records_csv, write_records_csv
 
 VERIFY_SUITES = ("onehot-equivalence", "split-count", "contiguity", "all")
 
@@ -124,8 +124,8 @@ def _cmd_sweep(args) -> int:
     summary_path = os.path.join(
         args.out, f"sweep_{args.problem}_{args.encoder}_{args.model}_summary.csv"
     )
-    synth_mod.write_sweep_csv(cells, cells_path)
-    synth_mod.write_sweep_summary_csv(summaries, summary_path)
+    write_records_csv(cells_path, synth_mod.SweepCell, cells)
+    write_records_csv(summary_path, synth_mod.SweepSummary, summaries)
     print(f"wrote {len(cells)} cells to {cells_path}")
     print(f"wrote {len(summaries)} aggregate rows to {summary_path}")
     return 0
@@ -145,15 +145,9 @@ def _cmd_verify(args) -> int:
         print(f"{status:<4} {r.name:<32} {r.params:<28} deviation={r.deviation:.3e}")
     print(f"{len(rows) - n_bad}/{len(rows)} checks passed")
     if args.out:
-        import csv as _csv
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "verify_report.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["name", "params", "deviation", "ok"])
-            for r in rows:
-                writer.writerow([r.name, r.params, repr(r.deviation), int(r.ok)])
+        write_records_csv(path, theory_mod.CheckRow, rows)
         print(f"wrote {path}")
     return 1 if n_bad else 0
 
@@ -194,19 +188,10 @@ def _cmd_guide(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_records_csv(args.records)
-    sufficiency = None
-    if args.dataset_info:
-        sufficiency = bench_mod.read_dataset_info_csv(args.dataset_info)
-    rank = bench_mod.rank_encoders(records, sufficiency)
-    times = bench_mod.time_report(records)
+    records = read_records_csv(args.records, MetricRecord)
+    sufficiency = bench_mod.read_dataset_info_csv(args.dataset_info) if args.dataset_info else None
     os.makedirs(args.out, exist_ok=True)
-    bench_mod.write_rank_csv(rank, os.path.join(args.out, "rank_report.csv"))
-    bench_mod.write_time_csv(times, os.path.join(args.out, "time_report.csv"))
-    text = bench_mod.summarize(records, [], rank, times)
-    with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    print(bench_mod.write_reports(records, [], sufficiency, args.out), end="")
     return 0
 
 

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -98,45 +98,39 @@ class MetricRecord:
             raise ValueError(f"metric value must be finite, got {self.value}")
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(MetricRecord))
-
-
-def write_records_csv(records: Iterable[MetricRecord], path: str) -> None:
+def write_records_csv(path: str, cls: type, rows: Iterable) -> None:
+    """Write dataclass rows under a header of `cls`'s field names, one
+    `astuple` per row; csv writes a float as its repr, so reading it back is exact."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.encoder,
-                    r.model,
-                    r.seed,
-                    r.metric,
-                    repr(r.value),
-                    repr(r.encode_time),
-                    repr(r.train_time),
-                ]
-            )
+        writer.writerow([f.name for f in fields(cls)])
+        writer.writerows(map(astuple, rows))
 
 
-def read_records_csv(path: str) -> list[MetricRecord]:
-    out = []
+def read_records_csv(path: str, cls: type) -> list:
+    """Rows of `cls` from a file with a header row, each cell converted by its
+    field's annotated type (str, int or float); extra columns and blank lines
+    are skipped.
+
+    A missing column raises ValueError naming the file; a cell that is absent,
+    does not convert, or that `cls` rejects raises ValueError naming file:line.
+    """
+    hints = get_type_hints(cls)
+    if not set(hints.values()) <= {str, int, float}:
+        raise TypeError(f"{cls.__name__} has a field that is not str, int or float")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                MetricRecord(
-                    dataset=row["dataset"],
-                    encoder=row["encoder"],
-                    model=row["model"],
-                    seed=int(row["seed"]),
-                    metric=row["metric"],
-                    value=float(row["value"]),
-                    encode_time=float(row["encode_time"]),
-                    train_time=float(row["train_time"]),
-                )
-            )
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in hints if name not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        columns = [(header.index(name), convert) for name, convert in hints.items()]
+        out = []
+        for row in filter(None, reader):  # a blank line reads as []
+            try:
+                out.append(cls(*(convert(row[i]) for i, convert in columns)))
+            except (IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

@@ -7,7 +7,6 @@ test set is drawn once per sweep from its own stream and shared by every cell.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -245,33 +244,3 @@ def summarize_sweep(cells: Sequence[SweepCell]) -> list[SweepSummary]:
     out.sort(key=lambda s: (s.encoder, s.aspl))
     return out
 
-
-def write_sweep_csv(cells: Sequence[SweepCell], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "encoder", "model", "aspl", "seed", "metric", "value"])
-        for c in cells:
-            writer.writerow([c.problem, c.encoder, c.model, c.aspl, c.seed, c.metric, repr(c.value)])
-
-
-def write_sweep_summary_csv(summaries: Sequence[SweepSummary], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["problem", "encoder", "model", "aspl", "metric", "mean", "sd", "ci95_low", "ci95_high", "gap_to_best"]
-        )
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.problem,
-                    s.encoder,
-                    s.model,
-                    s.aspl,
-                    s.metric,
-                    repr(s.mean),
-                    repr(s.sd),
-                    repr(s.ci95_low),
-                    repr(s.ci95_high),
-                    repr(s.gap_to_best),
-                ]
-            )

@@ -108,7 +108,7 @@ class TestConfigParsing:
         p = tmp_path / "grid.cfg"
         p.write_text(
             "[datasets]\nreg = reg.csv reg.schema\n[encoders]\nmean\n[models]\n"
-            "tree max_depth=None\ntree max_depth=NONE min_samples_split=4\n[run]\nseeds = 0 1\n"
+            "tree max_depth=None\nforest max_depth=NONE n_trees=3\n[run]\nseeds = 0 1\n"
         )
         grid = parse_grid_config(str(p))
         assert grid.models[0] == ModelSpec("tree", params=(("max_depth", None),))
@@ -156,6 +156,66 @@ class TestConfigParsing:
             {"alphas": (1, 10)},
             {"batch_size": None, "lr": 0.01},
         ]
+
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [
+            ("sshrink s1=abc", "s1", "'abc'"),
+            ("minhash hash_seed=abc", "hash_seed", "'abc'"),
+            ("minhash n_components=2.5", "n_components", "2.5"),
+            ("basen base=2.5", "base", "2.5"),
+            ("similarity ngram_range=2", "ngram_range", "2"),
+            ("mestimate m=true", "m", "True"),
+        ],
+    )
+    def test_ill_typed_encoder_option_rejected_at_parse_time(self, tmp_path, line, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\n{line}\n[models]\ntree\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:4: {line.split()[0]} option {key} must be .*, got {re.escape(value)}"):
+            parse_grid_config(str(p))
+
+    def test_misspelled_encoder_option_rejected_at_parse_time(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[datasets]\nd = d.csv d.schema\n[encoders]\nbasen bse=3\n[models]\ntree\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:4: basen takes no option 'bse'"):
+            parse_grid_config(str(p))
+
+    def test_well_typed_encoder_options_parse(self, tmp_path):
+        p = tmp_path / "grid.cfg"
+        p.write_text(
+            "[datasets]\nd = d.csv d.schema\n[encoders]\nminhash n_components=8 hash_seed=3\n"
+            "similarity ngram_range=2:3\nsshrink s1=20 s2=2.5\n[models]\ntree\n[run]\nseeds = 0\n"
+        )
+        assert parse_grid_config(str(p)).encoders == (
+            EncoderSpec("minhash", n_components=8, hash_seed=3),
+            EncoderSpec("similarity", ngram_range=(2, 3)),
+            EncoderSpec("sshrink", s1=20, s2=2.5),
+        )
+
+    @pytest.mark.parametrize(
+        "encoders, models, seeds, what",
+        [
+            ("onehot", "tree max_depth=1\ntree max_depth=8", "0", "model name: tree"),
+            ("minhash n_components=8\nminhash n_components=16", "tree", "0", "encoder variant: minhash"),
+            ("onehot", "tree", "0 1 0", "seed: 0"),
+        ],
+    )
+    def test_repeated_label_rejected(self, tmp_path, encoders, models, seeds, what):
+        # repeats would write cells under one label that the reports average together
+        p = tmp_path / "bad.cfg"
+        p.write_text(
+            f"[datasets]\nd = d.csv d.schema\n[encoders]\n{encoders}\n[models]\n{models}\n[run]\nseeds = {seeds}\n"
+        )
+        with pytest.raises(ConfigError, match=f"duplicate {what}$"):
+            parse_grid_config(str(p))
+
+    @pytest.mark.parametrize("line", ["seeds = 0 x", "seeds = 1.5", "ratio = abc"])
+    def test_bad_run_value_names_file_and_line(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\nonehot\n[models]\ntree\n[run]\n{line}\n")
+        key, _, value = (part.strip() for part in line.partition("="))
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:8: bad {key} value '{value}'"):
+            parse_grid_config(str(p))
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -407,6 +467,16 @@ class TestReports:
         run_and_report(grid, record_timing=False)
         second = (tmp_path / "out" / "records.csv").read_bytes()
         assert first == second
+
+    def test_dataset_info_reader_names_file_and_line(self, tmp_path):
+        path = tmp_path / "info.csv"
+        path.write_text("dataset\na\n")
+        with pytest.raises(ValueError, match=r"info\.csv: missing column\(s\) minaspl"):
+            read_dataset_info_csv(str(path))
+        for cell in ("abc", "nan", "0"):
+            path.write_text(f"dataset,minaspl\na,12.5\nb,{cell}\n")
+            with pytest.raises(ValueError, match=r"info\.csv:3: "):
+                read_dataset_info_csv(str(path))
 
     def test_dataset_info_roundtrip(self, tmp_path):
         path = tmp_path / "info.csv"

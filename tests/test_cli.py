@@ -301,3 +301,37 @@ def test_report_reaggregates(tmp_path, bench_config, capsys):
     assert "encoder ranking" in out
     # toy dataset has 40 rows / 3 levels: insufficient bucket
     assert "insufficient" in out
+
+
+def test_report_without_a_value_column_exits_1(tmp_path, bench_config, capsys):
+    main(["bench", "--config", str(bench_config), "--no-timing"])
+    records = tmp_path / "results" / "records.csv"
+    with open(records, newline="") as fh:
+        rows = [row[:5] + row[6:] for row in csv.reader(fh)]
+    with open(records, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "re")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "records.csv: missing column(s) value" in err
+    assert "Traceback" not in err
+
+
+def test_report_without_a_minaspl_column_exits_1(tmp_path, bench_config, capsys):
+    main(["bench", "--config", str(bench_config), "--no-timing"])
+    info = tmp_path / "results" / "dataset_info.csv"
+    info.write_text("dataset\ntoy\n")
+    capsys.readouterr()
+    rc = main(["report", "--records", str(tmp_path / "results" / "records.csv"),
+               "--dataset-info", str(info), "--out", str(tmp_path / "re")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dataset_info.csv: missing column(s) minaspl" in err
+
+
+def test_bench_bad_seed_names_its_line(tmp_path, bench_config, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(bench_config.read_text().replace("seeds = 0 1", "seeds = 0 x"))
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:9: bad seeds value '0 x'\n"
+

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -144,16 +145,65 @@ class TestRecords:
             for s, v in enumerate([0.1, 1 / 3, 2.0**-45, 123456.789])
         ]
         path = tmp_path / "records.csv"
-        write_records_csv(records, str(path))
-        assert read_records_csv(str(path)) == records
+        write_records_csv(str(path), MetricRecord, records)
+        assert read_records_csv(str(path), MetricRecord) == records
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as a spreadsheet saves it
-        assert read_records_csv(str(path)) == records
+        assert read_records_csv(str(path), MetricRecord) == records
+
+    def test_read_skips_blank_lines_and_extra_columns(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "note,dataset,encoder,model,seed,metric,value,encode_time,train_time\n"
+            "x,d1,onehot,ridge,0,rmse,1.0,0.1,0.2\n\n"
+        )
+        assert read_records_csv(str(path), MetricRecord) == [self.rec()]
+
+    def test_read_names_the_file_for_a_missing_column(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("dataset,encoder,model,seed,metric,encode_time,train_time\nd1,onehot,ridge,0,rmse,0,0\n")
+        with pytest.raises(ValueError, match=r"records\.csv: missing column\(s\) value$"):
+            read_records_csv(str(path), MetricRecord)
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"records\.csv: missing column\(s\) dataset, encoder"):
+            read_records_csv(str(path), MetricRecord)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("d1,onehot,ridge,x,rmse,1.0,0.1,0.2", "invalid literal for int"),
+            ("d1,onehot,ridge,0.5,rmse,1.0,0.1,0.2", "invalid literal for int"),
+            ("d1,onehot,ridge,0,rmse,abc,0.1,0.2", "could not convert"),
+            ("d1,onehot,ridge,0,rmse,nan,0.1,0.2", "must be finite"),
+            ("d1,onehot,ridge,0,rmse,-inf,0.1,0.2", "must be finite"),
+            ("d1,onehot,ridge,0,rmse,1.0", "list index out of range"),
+        ],
+    )
+    def test_read_names_file_and_line_for_a_bad_cell(self, tmp_path, row, message):
+        path = tmp_path / "records.csv"
+        good = "d1,onehot,ridge,0,rmse,1.0,0.1,0.2"
+        path.write_bytes(
+            ("\ufeff" + ",".join(MetricRecord.__dataclass_fields__) + f"\n{good}\n\n{row}\n").encode()
+        )
+        with pytest.raises(ValueError, match=rf"records\.csv:4: .*{message}"):
+            read_records_csv(str(path), MetricRecord)
+
+    def test_read_refuses_a_field_it_cannot_convert(self, tmp_path):
+        @dataclass
+        class Flagged:
+            name: str
+            ok: bool
+
+        path = tmp_path / "flags.csv"
+        write_records_csv(str(path), Flagged, [Flagged("a", False)])
+        assert path.read_text() == "name,ok\na,False\n"
+        with pytest.raises(TypeError, match="Flagged"):
+            read_records_csv(str(path), Flagged)
 
     def test_csv_bytes_deterministic(self, tmp_path):
         records = [self.rec(seed=s) for s in range(3)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(records, str(a))
-        write_records_csv(records, str(b))
+        write_records_csv(str(a), MetricRecord, records)
+        write_records_csv(str(b), MetricRecord, records)
         assert a.read_bytes() == b.read_bytes()
 
 

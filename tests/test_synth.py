@@ -9,14 +9,15 @@ from catenc.synth import (
     CLASSIFICATION_TRUTH,
     REGRESSION_TRUTH,
     SEASONS,
+    SweepCell,
+    SweepSummary,
     SynthConfig,
     generate_classification,
     generate_regression,
     run_aspl_sweep,
     summarize_sweep,
-    write_sweep_csv,
-    write_sweep_summary_csv,
 )
+from catenc.metrics import write_records_csv
 
 
 class TestRegressionGenerator:
@@ -163,8 +164,8 @@ class TestSweep:
         cells, summaries = run_aspl_sweep(cfg, "ridge", EncoderSpec("onehot"))
         cpath = tmp_path / "cells.csv"
         spath = tmp_path / "summary.csv"
-        write_sweep_csv(cells, str(cpath))
-        write_sweep_summary_csv(summaries, str(spath))
+        write_records_csv(str(cpath), SweepCell, cells)
+        write_records_csv(str(spath), SweepSummary, summaries)
         assert cpath.read_text().splitlines()[0] == "problem,encoder,model,aspl,seed,metric,value"
         header = spath.read_text().splitlines()[0]
         for field in ("aspl", "mean", "sd", "ci95_low", "ci95_high", "gap_to_best"):
