@@ -57,6 +57,17 @@ class ModelSpec:
         return dict(self.params)
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    negative = [s for s in seeds if s < 0]
+    if negative:  # the split's generator refuses a negative seed
+        raise ConfigError(f"seeds must be non-negative, got {', '.join(map(str, negative))}")
+
+
+def _check_ratio(ratio: float) -> None:
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     datasets: tuple[DatasetSpec, ...]
@@ -69,8 +80,8 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not self.datasets or not self.encoders or not self.models or not self.seeds:
             raise ConfigError("grid needs at least one dataset, encoder, model, and seed")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        _check_seeds(self.seeds)
+        _check_ratio(self.split_ratio)
         for what, keys in (
             ("dataset name", [d.name for d in self.datasets]),
             ("encoder variant", [e.variant for e in self.encoders]),
@@ -206,8 +217,12 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                 try:
                     if key == "seeds":
                         seeds = [int(tok) for tok in val.split()]
+                        _check_seeds(seeds)
                     elif key == "ratio":
                         ratio = float(val)
+                        _check_ratio(ratio)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad {key} value {val!r}") from None
                 if key == "out":

@@ -425,9 +425,13 @@ def _encode_features(
 
 
 def _standardize(pipeline: FittedPipeline, matrix: np.ndarray) -> np.ndarray:
-    """Train-statistics standardization; a zero-spread column reads 0."""
+    """Train-statistics standardization of a freshly encoded matrix, in place
+    (no second n x width copy); a zero-spread column reads 0."""
     std = pipeline.std
-    return np.divide(matrix - pipeline.mean, std, out=np.zeros_like(matrix), where=std != 0.0)
+    matrix -= pipeline.mean
+    np.divide(matrix, std, out=matrix, where=std != 0.0)
+    matrix[:, std == 0.0] = 0.0
+    return matrix
 
 
 def apply_pipeline(pipeline: FittedPipeline, table: DataTable) -> np.ndarray:

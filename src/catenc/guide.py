@@ -42,82 +42,66 @@ class Recommendation:
 
 
 _TARGET_FAMILY = ("mean", "sshrink", "mestimate", "jamesstein")
+_TREE_TARGET_RATIONALE = (
+    "single-column target codes give tree splitters their best orderings once "
+    "every level is well estimated"
+)
+
+#: (family, sufficient, time_sensitive) -> (encoders best first, rationale)
+_RULES = {
+    ("ati", True, False): (
+        ("onehot",),
+        "with enough samples per level, affine-input models recover any fixed "
+        "encoding's fit from one-hot, so nothing cheaper is worth the information loss",
+    ),
+    ("ati", True, True): (
+        ("mestimate", "onehot"),
+        "single-column m-estimate codes train far faster than one-hot at "
+        "near-identical quality when data is plentiful",
+    ),
+    ("ati", False, True): (
+        ("mestimate",),
+        "cheap shrunk target codes hold up best when both data and time are short",
+    ),
+    ("ati", False, False): (
+        ("glmm",),
+        "random-intercept shrinkage regularizes rare levels the most reliably when "
+        "samples per level are scarce",
+    ),
+    ("tree", True, False): (_TARGET_FAMILY + ("glmm",), _TREE_TARGET_RATIONALE),
+    ("tree", True, True): (
+        _TARGET_FAMILY,
+        _TREE_TARGET_RATIONALE + "; glmm is dropped because its iterative fit dominates encode time",
+    ),
+    ("tree", False, True): (
+        ("ordinal",),
+        "ordinal codes cost nothing and trees can still carve useful splits from them",
+    ),
+    ("tree", False, False): (
+        ("minhash",),
+        "hashed string signatures stay informative for trees when levels have too "
+        "few samples for target statistics",
+    ),
+}
 
 
 def recommend(query: GuidanceQuery) -> Recommendation:
     """Ordered encoder names for the query; empty for unknown model families.
 
     The sufficiency cutoff is inclusive: min_aspl exactly at 100 counts as
-    sufficient.
+    sufficient. The rule id reads <family>-<sufficient|scarce>[-fast].
     """
     sufficient = query.min_aspl >= SUFFICIENT_MINASPL
-    if query.model_family == "ati":
-        if sufficient and not query.time_sensitive:
-            return Recommendation(
-                encoders=("onehot",),
-                rationale=(
-                    "with enough samples per level, affine-input models recover any "
-                    "fixed encoding's fit from one-hot, so nothing cheaper is worth "
-                    "the information loss"
-                ),
-                rule_id="ati-sufficient",
-            )
-        if sufficient and query.time_sensitive:
-            return Recommendation(
-                encoders=("mestimate", "onehot"),
-                rationale=(
-                    "single-column m-estimate codes train far faster than one-hot "
-                    "at near-identical quality when data is plentiful"
-                ),
-                rule_id="ati-sufficient-fast",
-            )
-        if query.time_sensitive:
-            return Recommendation(
-                encoders=("mestimate",),
-                rationale="cheap shrunk target codes hold up best when both data and time are short",
-                rule_id="ati-scarce-fast",
-            )
+    key = (query.model_family, sufficient, query.time_sensitive)
+    if key not in _RULES:
         return Recommendation(
-            encoders=("glmm",),
-            rationale=(
-                "random-intercept shrinkage regularizes rare levels the most "
-                "reliably when samples per level are scarce"
-            ),
-            rule_id="ati-scarce",
+            encoders=(),
+            rationale="no benchmark coverage for this model family; no recommendation",
+            rule_id="no-guidance",
         )
-    if query.model_family == "tree":
-        if sufficient:
-            encoders = _TARGET_FAMILY if query.time_sensitive else _TARGET_FAMILY + ("glmm",)
-            rationale = (
-                "single-column target codes give tree splitters their best "
-                "orderings once every level is well estimated"
-            )
-            if query.time_sensitive:
-                rationale += "; glmm is dropped because its iterative fit dominates encode time"
-            return Recommendation(
-                encoders=tuple(encoders),
-                rationale=rationale,
-                rule_id="tree-sufficient-fast" if query.time_sensitive else "tree-sufficient",
-            )
-        if query.time_sensitive:
-            return Recommendation(
-                encoders=("ordinal",),
-                rationale="ordinal codes cost nothing and trees can still carve useful splits from them",
-                rule_id="tree-scarce-fast",
-            )
-        return Recommendation(
-            encoders=("minhash",),
-            rationale=(
-                "hashed string signatures stay informative for trees when levels "
-                "have too few samples for target statistics"
-            ),
-            rule_id="tree-scarce",
-        )
-    return Recommendation(
-        encoders=(),
-        rationale="no benchmark coverage for this model family; no recommendation",
-        rule_id="no-guidance",
-    )
+    encoders, rationale = _RULES[key]
+    rule_id = f"{query.model_family}-{'sufficient' if sufficient else 'scarce'}"
+    return Recommendation(encoders, rationale, rule_id + ("-fast" if query.time_sensitive else ""))
 
 
 def query_from_table(table: DataTable, model_family: str, time_sensitive: bool = False) -> GuidanceQuery:

@@ -3,13 +3,15 @@
 Two families of checks live here:
 
 * one-hot universality for models whose first operation is an affine map of the
-  encoded input: any fixed encoding composed with such a map is reproduced
-  exactly by one-hot plus a constructed weight matrix;
+  encoded input: any fixed encoding composed with such a map (an (h, l) weight
+  matrix over the l code columns) is reproduced exactly by one-hot plus a
+  constructed (h, c) weight matrix;
 * optimal level bipartitions for trees: with a single categorical feature, the
-  best split over all 2^(c-1) - 1 bipartitions is already found among the c - 1
-  contiguous prefixes once levels are sorted by their target means (ties may
-  need a different ordering of the tied block, which the randomized suite
-  explores).
+  best split over all 2^(c-1) - 1 bipartitions is already a threshold on the
+  levels' target means (Fisher 1958; Breiman et al. 1984, Thm 4.5). Tied means
+  stay together under a threshold and the optimum is still among them. The
+  check runs the package's own mean encoder and a depth-1 CART tree against an
+  exhaustive scan of every bipartition.
 """
 from __future__ import annotations
 
@@ -19,53 +21,37 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import FittedEncoder, compute_group_stats, transform
+from .encoders import EncoderSpec, FittedEncoder, compute_group_stats, fit, transform
+from .models import fit_tree
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """The categorical block of a model's first layer: z = w_encoded @ phi(v)."""
+def build_equivalent_onehot_weights(w: np.ndarray, enc: FittedEncoder) -> np.ndarray:
+    """Weights that make one-hot encoding reproduce the map `w` over `enc` exactly.
 
-    w_encoded: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.w_encoded.shape[0]
-
-
-def build_equivalent_onehot_weights(map_: AffineMap, enc: FittedEncoder) -> np.ndarray:
-    """Weights that make one-hot encoding reproduce `map_` over `enc` exactly.
-
-    Column k is w_encoded @ phi(v_k), so (W_OH @ onehot(v_k)) equals the original
+    Column k is w @ phi(v_k), so (W_OH @ onehot(v_k)) equals the original
     contribution for every trained level.
     """
-    if map_.w_encoded.shape[1] != enc.output_dim:
-        raise ValueError(
-            f"map expects width {map_.w_encoded.shape[1]}, encoder emits {enc.output_dim}"
-        )
-    return map_.w_encoded @ enc.codes.T  # (h, c)
+    if w.shape[1] != enc.output_dim:
+        raise ValueError(f"map expects width {w.shape[1]}, encoder emits {enc.output_dim}")
+    return w @ enc.codes.T  # (h, c)
 
 
-def encoded_contributions(map_: AffineMap, enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
-    """Per-row categorical contributions z = w_encoded @ phi(v), shape (n, h)."""
-    return transform(enc, column) @ map_.w_encoded.T
+def encoded_contributions(w: np.ndarray, enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
+    """Per-row categorical contributions z = w @ phi(v), shape (n, h)."""
+    return transform(enc, column) @ w.T
 
 
 def contribution_difference(
-    map_a: AffineMap,
-    enc_a: FittedEncoder,
-    map_b: AffineMap,
-    enc_b: FittedEncoder,
-    column: Sequence[str],
+    w_a: np.ndarray, enc_a: FittedEncoder, w_b: np.ndarray, enc_b: FittedEncoder, column: Sequence[str]
 ) -> float:
     """Mean squared distance between two models' categorical contributions,
     (1/n) * sum ||z_a - z_b||^2 over the given column."""
-    if map_a.width != map_b.width:
-        raise ValueError(f"contribution widths differ: {map_a.width} vs {map_b.width}")
+    if w_a.shape[0] != w_b.shape[0]:
+        raise ValueError(f"contribution widths differ: {w_a.shape[0]} vs {w_b.shape[0]}")
     if not column:
         raise ValueError("empty column")
-    za = encoded_contributions(map_a, enc_a, column)
-    zb = encoded_contributions(map_b, enc_b, column)
+    za = encoded_contributions(w_a, enc_a, column)
+    zb = encoded_contributions(w_b, enc_b, column)
     return float(np.mean(np.sum((za - zb) ** 2, axis=1)))
 
 
@@ -133,13 +119,6 @@ def split_impurity(
     ) / n
 
 
-def _canonical(left: Sequence[int], cardinality: int) -> tuple[int, ...]:
-    left = tuple(sorted(left))
-    if 0 in left:
-        return left
-    return tuple(i for i in range(cardinality) if i not in left)
-
-
 def best_split_exhaustive(column: Sequence[str], y: Sequence[float], impurity: str) -> PartitionSplit:
     """Minimum weighted child impurity over every level bipartition.
 
@@ -162,63 +141,19 @@ def best_split_exhaustive(column: Sequence[str], y: Sequence[float], impurity: s
     return best
 
 
-def best_split_mean_contiguous(
-    column: Sequence[str], y: Sequence[float], impurity: str
-) -> PartitionSplit:
-    """Best among the c - 1 contiguous prefixes of levels sorted by group mean
-    (stable sort; tied means keep appearance order)."""
-    y = np.asarray(y, dtype=float)
-    counts, sums, sumsq = _level_aggregates(column, y)
-    c = counts.shape[0]
-    if c < 2:
-        raise ValueError("need at least 2 levels to split")
-    means = sums / counts
-    order = np.argsort(means, kind="stable")
-    best_value = np.inf
-    best_left: tuple[int, ...] | None = None
-    for k in range(1, c):
-        left = _canonical(order[:k].tolist(), c)
-        value = split_impurity(left, counts, sums, sumsq, impurity)
-        if value < best_value - 1e-15 or (
-            abs(value - best_value) <= 1e-15 and (best_left is None or left < best_left)
-        ):
-            best_value, best_left = value, left
-    assert best_left is not None
-    return PartitionSplit(left=best_left, impurity=float(best_value))
+def mean_code_split(column: Sequence[str], y: Sequence[float], impurity: str) -> PartitionSplit:
+    """The level bipartition that a depth-1 CART tree makes on mean-encoded levels.
 
-
-def contiguous_minimum_over_tie_orders(
-    column: Sequence[str], y: Sequence[float], impurity: str, max_orderings: int = 100_000
-) -> float:
-    """Smallest contiguous-prefix impurity over all orderings of mean-tied levels.
-
-    With distinct means this equals best_split_mean_contiguous; with ties the
-    sorted order is not unique, and the optimality claim is that SOME ordering of
-    each tied block admits an optimal prefix. Orderings are explored lazily.
+    The left side holds the levels whose code is at or below the tree's
+    threshold, swapped with the right so that it contains level 0; with no
+    split every level is on the left and the impurity is the parent's.
     """
     y = np.asarray(y, dtype=float)
-    counts, sums, sumsq = _level_aggregates(column, y)
-    c = counts.shape[0]
-    means = sums / counts
-    order = np.argsort(means, kind="stable").tolist()
-    blocks: list[list[int]] = []
-    for idx in order:
-        if blocks and means[blocks[-1][-1]] == means[idx]:
-            blocks[-1].append(idx)
-        else:
-            blocks.append([idx])
-    best = np.inf
-    tried = 0
-    for perm_parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        tried += 1
-        if tried > max_orderings:
-            raise RuntimeError(f"gave up after {max_orderings} tie orderings")
-        ordering = [i for part in perm_parts for i in part]
-        for k in range(1, c):
-            value = split_impurity(ordering[:k], counts, sums, sumsq, impurity)
-            if value < best:
-                best = value
-    return float(best)
+    enc = fit(EncoderSpec("mean"), column, y)
+    tree = fit_tree(transform(enc, column), y, impurity, max_depth=1, min_samples_split=2)
+    below = enc.codes[:, 0] <= tree.threshold[0]  # all False when the root is a leaf (NaN threshold)
+    left = tuple(np.flatnonzero(below == below[0]).tolist())
+    return PartitionSplit(left=left, impurity=split_impurity(left, *_level_aggregates(column, y), impurity))
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +168,27 @@ class CheckRow:
     ok: bool
 
 
-def verify_onehot_equivalence(
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
-    c_range: tuple[int, int] = (2, 10),
-    l_range: tuple[int, int] = (1, 5),
-    h_range: tuple[int, int] = (1, 8),
-) -> list[CheckRow]:
-    """Random encoders + affine maps; the constructed one-hot weights must
-    reproduce every level's contribution to within tol."""
+def verify_onehot_equivalence(trials: int = 100, seed: int = 0, tol: float = 1e-10) -> list[CheckRow]:
+    """Random encoders (2-10 levels, 1-5 code columns) and affine maps (1-8
+    outputs); the constructed one-hot weights must reproduce every level's
+    contribution to within tol."""
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(trials):
-        c = int(rng.integers(c_range[0], c_range[1] + 1))
-        l = int(rng.integers(l_range[0], l_range[1] + 1))
-        h = int(rng.integers(h_range[0], h_range[1] + 1))
+        c = int(rng.integers(2, 11))
+        l = int(rng.integers(1, 6))
+        h = int(rng.integers(1, 9))
         enc = FittedEncoder(
             variant="onehot",  # stand-in tag; the map is what matters
             levels=tuple(f"v{k}" for k in range(c)),
             codes=rng.uniform(-1, 1, size=(c, l)),
             unseen_policy=np.zeros(l),
         )
-        map_ = AffineMap(w_encoded=rng.uniform(-1, 1, size=(h, l)))
-        w_oh = build_equivalent_onehot_weights(map_, enc)
+        w = rng.uniform(-1, 1, size=(h, l))
+        w_oh = build_equivalent_onehot_weights(w, enc)
         dev = 0.0
         for k in range(c):
-            direct = map_.w_encoded @ enc.codes[k]
+            direct = w @ enc.codes[k]
             via_onehot = w_oh[:, k]
             dev = max(dev, float(np.max(np.abs(direct - via_onehot))))
         rows.append(
@@ -290,57 +219,33 @@ def verify_split_counts(c_min: int = 2, c_max: int = 12) -> list[CheckRow]:
     return rows
 
 
-def verify_contiguity(
-    instances: int = 200,
-    seed: int = 0,
-    tol: float = 1e-12,
-    c_range: tuple[int, int] = (2, 8),
-    n_range: tuple[int, int] = (10, 200),
-) -> list[CheckRow]:
-    """Random single-feature datasets; the exhaustive optimum must be reached by
-    a contiguous prefix under some tie ordering. Half the instances use MSE on
-    real targets, half use entropy on binary targets; gini runs informationally
-    (reported, never failed on)."""
+def verify_contiguity(instances: int = 200, seed: int = 0, tol: float = 1e-12) -> list[CheckRow]:
+    """Random single-feature datasets (2-8 levels, 10-200 rows); the split of
+    mean codes by CART must reach the exhaustive optimum. Half the instances use
+    MSE on real targets, half entropy on binary targets; a binary instance is
+    checked under gini as well."""
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(instances):
         binary = t % 2 == 1
-        c = int(rng.integers(c_range[0], c_range[1] + 1))
-        n = int(rng.integers(max(n_range[0], c), n_range[1] + 1))
+        c = int(rng.integers(2, 9))
+        n = int(rng.integers(max(10, c), 201))
         codes = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
         column = [f"v{k}" for k in codes]
         if binary:
             y = rng.integers(0, 2, size=n).astype(float)
-            kind = "entropy"
             if len(set(y.tolist())) < 2:
                 y[0] = 1.0 - y[0]
         else:
             y = rng.normal(size=n)
-            kind = "mse"
-        exhaustive = best_split_exhaustive(column, y, kind).impurity
-        contiguous = contiguous_minimum_over_tie_orders(column, y, kind)
-        gap = contiguous - exhaustive
-        rows.append(
-            CheckRow(
-                name=f"contiguity-{kind}",
-                params=f"trial={t} c={c} n={n}",
-                deviation=float(gap),
-                ok=abs(gap) <= tol,
-            )
-        )
-        gini_gap = (
-            contiguous_minimum_over_tie_orders(column, y, "gini")
-            - best_split_exhaustive(column, y, "gini").impurity
-            if binary
-            else 0.0
-        )
-        if binary:
+        for kind in ("entropy", "gini") if binary else ("mse",):
+            gap = mean_code_split(column, y, kind).impurity - best_split_exhaustive(column, y, kind).impurity
             rows.append(
                 CheckRow(
-                    name="contiguity-gini-informational",
+                    name=f"contiguity-{kind}",
                     params=f"trial={t} c={c} n={n}",
-                    deviation=float(gini_gap),
-                    ok=True,
+                    deviation=float(gap),
+                    ok=abs(gap) <= tol,
                 )
             )
     return rows

@@ -81,8 +81,8 @@ def test_contiguous_prefix_reaches_exhaustive_optimum():
     rows = verify_contiguity(instances=200, seed=0, tol=1e-12)
     elapsed = time.perf_counter() - t0
     scored = [r for r in rows if r.name in ("contiguity-mse", "contiguity-entropy")]
-    worst = max(abs(r.deviation) for r in scored)
-    ok = all(r.ok for r in scored) and len(scored) == 200 and worst <= 1e-12 and elapsed < 10.0
+    worst = max(abs(r.deviation) for r in rows)  # the gini rows of binary datasets count too
+    ok = all(r.ok for r in rows) and len(scored) == 200 and worst <= 1e-12 and elapsed < 10.0
     crit(
         "contiguity",
         ok,

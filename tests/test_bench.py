@@ -116,6 +116,21 @@ class TestConfigParsing:
         assert failures == []
         assert len(records) == 2 * 2
 
+    def test_mlp_line_scores_its_cells_on_both_tasks(self, tmp_path):
+        write_dataset(tmp_path, "reg", "regression", seed=1)
+        write_dataset(tmp_path, "clf", "classification", seed=2)
+        p = tmp_path / "grid.cfg"
+        p.write_text(
+            "[datasets]\nreg = reg.csv reg.schema\nclf = clf.csv clf.schema\n[encoders]\nonehot\n"
+            "[models]\nmlp hidden=4 epochs=2\n[run]\nseeds = 0\n"
+        )
+        grid = parse_grid_config(str(p))
+        assert grid.models[0] == ModelSpec("mlp", params=(("epochs", 2), ("hidden", 4)))
+        records, failures, _ = run_grid(grid)
+        assert failures == []
+        assert sorted((r.dataset, r.metric) for r in records) == [("clf", "f1"), ("reg", "rmse")]
+        assert all(math.isfinite(r.value) for r in records)
+
     @pytest.mark.parametrize("line", ["tree maxdepth=3", "forest n_trees=5 seed=2", "ridge alpha=1.0"])
     def test_misspelled_model_option_rejected_at_parse_time(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
@@ -216,6 +231,30 @@ class TestConfigParsing:
         key, _, value = (part.strip() for part in line.partition("="))
         with pytest.raises(ConfigError, match=rf"bad\.cfg:8: bad {key} value '{value}'"):
             parse_grid_config(str(p))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seeds = 0 -1 -3", r"seeds must be non-negative, got -1, -3"),
+            ("ratio = 2", r"split_ratio must be in \(0, 1\), got 2\.0"),
+            ("ratio = 0", r"split_ratio must be in \(0, 1\), got 0\.0"),
+        ],
+    )
+    def test_out_of_range_run_value_names_file_and_line(self, tmp_path, line, message):
+        # a negative seed used to fail every cell at split time instead
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\nonehot\n[models]\ntree\n[run]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:8: {message}$"):
+            parse_grid_config(str(p))
+
+    def test_negative_seed_rejected_by_the_grid(self):
+        with pytest.raises(ConfigError, match="seeds must be non-negative, got -2$"):
+            ExperimentGrid(
+                datasets=(DatasetSpec("d", "a.csv", "a.schema"),),
+                encoders=(EncoderSpec("onehot"),),
+                models=(ModelSpec("tree"),),
+                seeds=(0, -2),
+            )
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"

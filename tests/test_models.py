@@ -211,6 +211,17 @@ class TestMLP:
         b = fit_mlp(x, y, "regression", seed=5, epochs=20)
         np.testing.assert_array_equal(predict(a, x), predict(b, x))
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_fit_model_dispatch_matches_fit_mlp(self, task):
+        x, y, _ = linear_data(n=60, p=3, noise=0.3, seed=6)
+        if task == "classification":
+            y = (y > np.median(y)).astype(float)
+        got = models.fit_model("mlp", task, x, y, seed=5, hidden=4, epochs=3)
+        want = fit_mlp(x, y, task, seed=5, hidden=4, epochs=3)
+        assert got.task == want.task == task
+        for g, w in zip(got.params(), want.params(), strict=True):
+            np.testing.assert_array_equal(g, w)
+
     def test_different_seed_different_fit(self):
         x, y, _ = linear_data(n=60, p=3, noise=0.3, seed=6)
         a = fit_mlp(x, y, "regression", seed=5, epochs=20)

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from catenc.encoders import EncoderSpec, fit
 from catenc.theory import (
-    AffineMap,
     build_equivalent_onehot_weights,
     best_split_exhaustive,
-    best_split_mean_contiguous,
-    contiguous_minimum_over_tie_orders,
     contribution_difference,
     encoded_contributions,
     enumerate_level_splits,
+    mean_code_split,
     split_impurity,
     verify_contiguity,
     verify_onehot_equivalence,
@@ -21,7 +19,7 @@ from catenc.theory import (
 
 
 def random_map(rng, h, l):
-    return AffineMap(w_encoded=rng.uniform(-1, 1, size=(h, l)))
+    return rng.uniform(-1, 1, size=(h, l))
 
 
 class TestOnehotUniversality:
@@ -34,8 +32,7 @@ class TestOnehotUniversality:
         mapped = random_map(rng, h=3, l=enc.output_dim)
 
         onehot = fit(EncoderSpec("onehot"), column)
-        w_oh = build_equivalent_onehot_weights(mapped, enc)
-        oh_map = AffineMap(w_encoded=w_oh)
+        oh_map = build_equivalent_onehot_weights(mapped, enc)
 
         za = encoded_contributions(mapped, enc, column)
         zb = encoded_contributions(oh_map, onehot, column)
@@ -45,7 +42,7 @@ class TestOnehotUniversality:
     def test_width_mismatch_rejected(self):
         enc = fit(EncoderSpec("onehot"), ["a", "b", "c"])
         with pytest.raises(ValueError):
-            build_equivalent_onehot_weights(AffineMap(w_encoded=np.ones((2, 5))), enc)
+            build_equivalent_onehot_weights(np.ones((2, 5)), enc)
 
     def test_difference_is_zero_against_self(self):
         rng = np.random.default_rng(3)
@@ -57,8 +54,8 @@ class TestOnehotUniversality:
     def test_difference_matches_hand_rolled_mean(self):
         column = ["a", "b"]
         enc = fit(EncoderSpec("onehot"), column)
-        m1 = AffineMap(w_encoded=np.array([[1.0, 0.0]]))
-        m2 = AffineMap(w_encoded=np.array([[0.0, 2.0]]))
+        m1 = np.array([[1.0, 0.0]])
+        m2 = np.array([[0.0, 2.0]])
         # contributions: m1 -> [1, 0], m2 -> [0, 2]; mean of (1, 4) is 2.5
         assert contribution_difference(m1, enc, m2, enc, column) == pytest.approx(2.5)
 
@@ -103,31 +100,39 @@ class TestBestSplit:
             ]
             y = rng.normal(size=len(column))
             exh = best_split_exhaustive(column, y, "mse")
-            contig = best_split_mean_contiguous(column, y, "mse")
+            contig = mean_code_split(column, y, "mse")
             assert contig.impurity == pytest.approx(exh.impurity, abs=1e-12), trial
 
     def test_contiguous_candidate_set_is_prefixes_only(self):
         column = ["a"] * 5 + ["b"] * 5 + ["c"] * 5
         y = [0.0] * 5 + [5.0] * 5 + [1.0] * 5
-        best = best_split_mean_contiguous(column, y, "mse")
+        best = mean_code_split(column, y, "mse")
         # sorted means: a (0) < c (1) < b (5); the best prefix splits off {b}
         assert best.left == (0, 2)
 
     def test_tied_means_explored_via_block_orderings(self):
-        # two levels share a mean; only one of their orders admits the optimum.
-        # counts differ, so weighted impurity distinguishes the orders.
+        # means: a=1, b=1, c=1 -- all tied, so every bipartition's sides keep
+        # the parent mean and no split beats the parent impurity; the tree on
+        # the one tied code makes no split, which reaches that optimum
         column = ["a"] * 4 + ["b"] * 2 + ["c"] * 4
         y = [0.0, 0.0, 2.0, 2.0] + [1.0, 1.0] + [1.0, 1.0, 1.0, 1.0]
-        # means: a=1, b=1, c=1 -- all tied; exhaustive scans every bipartition
         exh = best_split_exhaustive(column, y, "mse")
-        covered = contiguous_minimum_over_tie_orders(column, y, "mse")
+        covered = mean_code_split(column, y, "mse").impurity
         assert covered == pytest.approx(exh.impurity, abs=1e-12)
 
-    def test_ordering_cap_raises(self):
-        column = [f"v{i}" for i in range(9)]
-        y = [1.0] * 9
-        with pytest.raises(RuntimeError):
-            contiguous_minimum_over_tie_orders(column, y, "mse", max_orderings=10)
+    def test_mean_code_split_puts_level_zero_on_the_left(self):
+        # level a (index 0) has the higher mean, so the tree's <= side is {b}
+        column = ["a", "a", "b", "b", "b"]
+        y = [1.0, 1.0, 0.0, 0.0, 1.0]
+        split = mean_code_split(column, y, "gini")
+        assert split.left == (0,)
+        assert split.impurity == pytest.approx(best_split_exhaustive(column, y, "gini").impurity, abs=1e-12)
+
+    def test_mean_code_split_without_a_split_keeps_every_level_left(self):
+        column = ["a", "b", "c", "a"]
+        split = mean_code_split(column, [1.0, 1.0, 1.0, 1.0], "entropy")
+        assert split.left == (0, 1, 2)
+        assert split.impurity == 0.0
 
     def test_split_impurity_binary_oracle(self):
         # left: 2 ones of 4 (gini .5); right: 1 one of 2 (gini .5)
@@ -157,11 +162,12 @@ class TestVerifySuites:
     def test_contiguity_all_pass(self):
         rows = verify_contiguity(instances=40, seed=1)
         main = [r for r in rows if r.name in ("contiguity-mse", "contiguity-entropy")]
-        info = [r for r in rows if r.name == "contiguity-gini-informational"]
+        gini = [r for r in rows if r.name == "contiguity-gini"]
         assert len(main) == 40
         assert all(r.ok for r in rows)
         assert max(r.deviation for r in main) <= 1e-12
-        assert len(info) > 0
+        assert len(gini) == 20
+        assert max(abs(r.deviation) for r in gini) <= 1e-12
 
     def test_deterministic_per_seed(self):
         a = verify_onehot_equivalence(trials=5, seed=9)
@@ -182,7 +188,8 @@ def test_enumeration_count_closed_form(c):
 )
 @settings(max_examples=40, deadline=None)
 def test_some_mean_ordering_always_reaches_the_exhaustive_optimum(seed, c, impurity):
-    """The optimality guarantee behind mean encoding for tree splits."""
+    """The optimality guarantee behind mean encoding for tree splits: CART on
+    the mean codes reaches the best of all bipartitions, ties included."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(c, 50))
     column = [f"v{i}" for i in range(c)] + [
@@ -193,5 +200,5 @@ def test_some_mean_ordering_always_reaches_the_exhaustive_optimum(seed, c, impur
     else:
         y = rng.integers(0, 2, size=len(column)).astype(float)
     exh = best_split_exhaustive(column, y, impurity)
-    covered = contiguous_minimum_over_tie_orders(column, y, impurity)
+    covered = mean_code_split(column, y, impurity).impurity
     assert covered <= exh.impurity + 1e-12
