@@ -5,7 +5,8 @@ with optional key=value overrides; a value reads as None for none and as a bool
 for true/false, in any case, else as an int, float, lo:hi int pair or string; a
 model override must name a keyword of that learner, an encoder override a field
 of EncoderSpec, and either must have its annotated type, so a bad value fails
-when the config is read, as does a repeated dataset, encoder, model or seed).
+when the config is read, naming its line, as does a repeated dataset, encoder,
+model or seed).
 A failing cell is recorded and skipped, not fatal; timing can be disabled so two
 runs of the same grid produce byte-identical records.
 """
@@ -68,6 +69,13 @@ def _check_ratio(ratio: float) -> None:
         raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
 
 
+def _check_unique(what: str, keys: Sequence) -> None:
+    # a repeat would share its cells' labels, and the reports would merge them
+    repeats = sorted({k for k in keys if keys.count(k) > 1})
+    if repeats:
+        raise ConfigError(f"duplicate {what}: {', '.join(map(str, repeats))}")
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     datasets: tuple[DatasetSpec, ...]
@@ -82,15 +90,10 @@ class ExperimentGrid:
             raise ConfigError("grid needs at least one dataset, encoder, model, and seed")
         _check_seeds(self.seeds)
         _check_ratio(self.split_ratio)
-        for what, keys in (
-            ("dataset name", [d.name for d in self.datasets]),
-            ("encoder variant", [e.variant for e in self.encoders]),
-            ("model name", [m.name for m in self.models]),
-            ("seed", list(self.seeds)),
-        ):  # a repeat would share its cells' labels, and the reports would merge them
-            repeats = sorted({k for k in keys if keys.count(k) > 1})
-            if repeats:
-                raise ConfigError(f"duplicate {what}: {', '.join(map(str, repeats))}")
+        _check_unique("dataset name", [d.name for d in self.datasets])
+        _check_unique("encoder variant", [e.variant for e in self.encoders])
+        _check_unique("model name", [m.name for m in self.models])
+        _check_unique("seed", self.seeds)
 
 
 def _parse_value(text: str):
@@ -125,21 +128,21 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _parse_overrides(where: str, owner: str, options: Mapping[str, object], tokens: Sequence[str]) -> dict:
+def _parse_overrides(owner: str, options: Mapping[str, object], tokens: Sequence[str]) -> dict:
     """key=value tokens as a dict, each key one of `options` (name -> type
-    annotation) and each value of that type; else ConfigError at `where`."""
+    annotation) and each value of that type; else ConfigError."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise ConfigError(f"{where}: expected key=value, got {tok!r}")
+            raise ConfigError(f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
         key, value = key.strip(), _parse_value(val.strip())
         if key not in options:
-            raise ConfigError(f"{where}: {owner} takes no option {key!r} (it takes {', '.join(options)})")
+            raise ConfigError(f"{owner} takes no option {key!r} (it takes {', '.join(options)})")
         hint = options[key]
         if not _accepts(hint, value):
             hint = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ConfigError(f"{where}: {owner} option {key} must be {hint}, got {value!r}")
+            raise ConfigError(f"{owner} option {key} must be {hint}, got {value!r}")
         out[key] = value
     return out
 
@@ -181,56 +184,57 @@ def parse_grid_config(path: str) -> ExperimentGrid:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in ("datasets", "encoders", "models", "run"):
-                    raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
-                continue
-            if section == "datasets":
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'name = csv schema'")
-                name, _, rest = line.partition("=")
-                parts = rest.split()
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: expected two paths after '='")
-                csv_path, schema_path = (
-                    p if os.path.isabs(p) else os.path.join(base_dir, p) for p in parts
-                )
-                datasets.append(DatasetSpec(name=name.strip(), csv_path=csv_path, schema_path=schema_path))
-            elif section == "encoders":
-                tokens = line.split()
-                overrides = _parse_overrides(f"{path}:{lineno}", tokens[0], _ENCODER_OPTIONS, tokens[1:])
-                try:
+            try:  # every error, a repeated dataset, encoder, model or seed too, names its line
+                if line.startswith("[") and line.endswith("]"):
+                    section = line[1:-1].strip().lower()
+                    if section not in ("datasets", "encoders", "models", "run"):
+                        raise ConfigError(f"unknown section [{section}]")
+                elif section == "datasets":
+                    if "=" not in line:
+                        raise ConfigError("expected 'name = csv schema'")
+                    name, _, rest = line.partition("=")
+                    parts = rest.split()
+                    if len(parts) != 2:
+                        raise ConfigError("expected two paths after '='")
+                    csv_path, schema_path = (
+                        p if os.path.isabs(p) else os.path.join(base_dir, p) for p in parts
+                    )
+                    datasets.append(DatasetSpec(name=name.strip(), csv_path=csv_path, schema_path=schema_path))
+                    _check_unique("dataset name", [d.name for d in datasets])
+                elif section == "encoders":
+                    tokens = line.split()
+                    overrides = _parse_overrides(tokens[0], _ENCODER_OPTIONS, tokens[1:])
                     encoders.append(enc_mod.EncoderSpec(variant=tokens[0], **overrides))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            elif section == "models":
-                tokens = line.split()
-                if tokens[0] not in mod.MODEL_NAMES:
-                    raise ConfigError(f"{path}:{lineno}: unknown model {tokens[0]!r}")
-                options = mod.model_options(tokens[0])
-                overrides = _parse_overrides(f"{path}:{lineno}", tokens[0], options, tokens[1:])
-                models.append(ModelSpec(name=tokens[0], params=tuple(sorted(overrides.items()))))
-            elif section == "run":
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                try:
+                    _check_unique("encoder variant", [e.variant for e in encoders])
+                elif section == "models":
+                    tokens = line.split()
+                    if tokens[0] not in mod.MODEL_NAMES:
+                        raise ConfigError(f"unknown model {tokens[0]!r}")
+                    overrides = _parse_overrides(tokens[0], mod.model_options(tokens[0]), tokens[1:])
+                    models.append(ModelSpec(name=tokens[0], params=tuple(sorted(overrides.items()))))
+                    _check_unique("model name", [m.name for m in models])
+                elif section == "run":
+                    key, _, val = (part.strip() for part in line.partition("="))
+                    try:
+                        if key == "seeds":
+                            seeds = [int(tok) for tok in val.split()]
+                        elif key == "ratio":
+                            ratio = float(val)
+                    except ValueError:
+                        raise ConfigError(f"bad {key} value {val!r}") from None
                     if key == "seeds":
-                        seeds = [int(tok) for tok in val.split()]
                         _check_seeds(seeds)
+                        _check_unique("seed", seeds)
                     elif key == "ratio":
-                        ratio = float(val)
                         _check_ratio(ratio)
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: bad {key} value {val!r}") from None
-                if key == "out":
-                    out_dir = val if os.path.isabs(val) else os.path.join(base_dir, val)
-                elif key not in ("seeds", "ratio"):
-                    raise ConfigError(f"{path}:{lineno}: unknown run key {key!r}")
-            else:
-                raise ConfigError(f"{path}:{lineno}: content before any [section]")
+                    elif key == "out":
+                        out_dir = val if os.path.isabs(val) else os.path.join(base_dir, val)
+                    else:
+                        raise ConfigError(f"unknown run key {key!r}")
+                else:
+                    raise ConfigError("content before any [section]")
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return ExperimentGrid(
         datasets=tuple(datasets),
         encoders=tuple(encoders),
@@ -297,7 +301,7 @@ def _run_unit(
             t0 = time.perf_counter()
             model = mod.fit_model(model_spec.name, task, x_train, y_train, seed, **model_spec.kwargs())
             train_time = time.perf_counter() - t0
-            pred = mod.predict(model, x_test, task=task)
+            pred = mod.predict(model, x_test)
             if task == "classification":
                 metric, value = "f1", f1_score(y_test, pred)
             else:

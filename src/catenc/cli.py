@@ -78,18 +78,16 @@ def _read_kinds(args) -> tuple[dict[str, ColumnKind], str]:
     if args.schema:
         return read_schema(args.schema)
     if not args.target:
-        raise SystemExit("need --target when --schema is omitted")
+        raise ValueError("need --target when --schema is omitted")
     return infer_schema(args.input, args.target), args.target
 
 
 def _cmd_encode(args) -> int:
     kinds, target = _read_kinds(args)
     if args.column not in kinds:
-        print(f"error: no column {args.column!r} in {args.input}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no column {args.column!r} in {args.input}")
     if kinds[args.column] is not ColumnKind.CATEGORICAL:
-        print(f"error: column {args.column!r} is numeric, nothing to encode", file=sys.stderr)
-        return 1
+        raise ValueError(f"column {args.column!r} is numeric, nothing to encode")
     # read only the column and the target, so a blank other column cannot fail the fill;
     # missing cells take the column's mode, the fill every bench cell uses
     table = load_csv(args.input, {args.column: kinds[args.column], target: kinds[target]}, target)
@@ -114,11 +112,7 @@ def _cmd_sweep(args) -> int:
         base_seed=args.seed,
     )
     spec = enc_mod.EncoderSpec(variant=args.encoder)
-    try:
-        cells, summaries = synth_mod.run_aspl_sweep(config, args.model, spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cells, summaries = synth_mod.run_aspl_sweep(config, args.model, spec)
     os.makedirs(args.out, exist_ok=True)
     cells_path = os.path.join(args.out, f"sweep_{args.problem}_{args.encoder}_{args.model}.csv")
     summary_path = os.path.join(
@@ -153,11 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        grid = bench_mod.parse_grid_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    grid = bench_mod.parse_grid_config(args.config)
     if args.out:
         grid = dataclasses.replace(grid, out_dir=args.out)
     records, failures = bench_mod.run_and_report(

@@ -173,14 +173,23 @@ def _parse_numeric(cell: str) -> tuple[float, bool]:
     return value, False
 
 
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
 def _parse_numeric_cells(cells: list[str]) -> tuple[np.ndarray, int]:
     """Stripped cells to float64 with NaN for a missing cell, plus the number of
-    bad cells, exactly as `_parse_numeric` reads them one at a time."""
+    bad cells, exactly as `_parse_numeric` reads them one at a time. A chunk
+    with a cell numpy cannot convert is converted by `float` cell by cell, each
+    failure a NaN that is counted bad with the non-finite cells."""
+    text = list(map(_AS_NAN.get, cells, cells))
     try:
-        values = np.array(list(map(_AS_NAN.get, cells, cells)), dtype=float)
+        values = np.array(text, dtype=float)
     except ValueError:
-        parsed = list(map(_parse_numeric, cells))
-        return np.array([value for value, _ in parsed], dtype=float), sum(bad for _, bad in parsed)
+        values = np.fromiter(map(_float_or_nan, text), dtype=float, count=len(text))
     nonfinite = ~np.isfinite(values)
     values[nonfinite] = np.nan
     # every missing token reads NaN; the other non-finite cells are bad
@@ -219,9 +228,8 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
     `csv.field_size_limit()`) raises SchemaError naming the file and line.
 
     Rows are read `_CHUNK_ROWS` at a time and each chunk is converted column by
-    column: a numeric column in one float conversion (a chunk holding a cell
-    that does not parse is redone cell by cell through `_parse_numeric`), a
-    categorical column straight to level codes.
+    column: a numeric column in one float conversion (cell by cell when a cell
+    does not parse), a categorical column straight to level codes.
     """
     if target not in schema:
         raise SchemaError(f"target {target!r} missing from schema")

@@ -214,32 +214,30 @@ def ngram_overlap(a: str, b: str, n: int) -> int:
     return len(set(ngrams(a, n)) & set(ngrams(b, n)))
 
 
+def _grams(s: str, ngram_range: tuple[int, int]) -> frozenset[str]:
+    """Union of the string's n-gram sets over the range (empty for a string
+    shorter than the smallest n)."""
+    lo, hi = ngram_range
+    return frozenset(g for n in range(lo, hi + 1) for g in ngrams(s, n))
+
+
 def gram_set(s: str, ngram_range: tuple[int, int]) -> frozenset[str]:
     """Union of n-gram sets over the range; a string too short for even the
     smallest n is kept whole as a single gram."""
-    lo, hi = ngram_range
-    grams = set()
-    for n in range(lo, hi + 1):
-        grams.update(ngrams(s, n))
-    return frozenset(grams) if grams else frozenset({s})
+    return _grams(s, ngram_range) or frozenset({s})
 
 
 def _similarity_fn(levels: tuple[str, ...], ngram_range: tuple[int, int]) -> Callable[[str], np.ndarray]:
     """Component j of the code for value v is the raw count of distinct n-grams v
-    shares with training level j, summed over the n-gram range. Unnormalized on
-    purpose; a level string always matches itself with its full gram count."""
-    lo, hi = ngram_range
-    train_grams = [{n: frozenset(ngrams(v, n)) for n in range(lo, hi + 1)} for v in levels]
+    shares with training level j, summed over the n-gram range. Grams of
+    different lengths never match, so that sum is one intersection of gram
+    unions. Unnormalized on purpose; a level string always matches itself with
+    its full gram count."""
+    train_grams = [_grams(v, ngram_range) for v in levels]
 
     def encode(value: str) -> np.ndarray:
-        out = np.zeros(len(levels))
-        for n in range(lo, hi + 1):
-            value_grams = set(ngrams(value, n))
-            if not value_grams:
-                continue
-            for j in range(len(levels)):
-                out[j] += len(value_grams & train_grams[j][n])
-        return out
+        grams = _grams(value, ngram_range)
+        return np.array([len(grams & level) for level in train_grams], dtype=float)
 
     return encode
 

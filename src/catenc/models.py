@@ -1,6 +1,7 @@
 """In-repo learners: ridge, logistic regression, a small MLP, CART, and a forest.
 
-All five are deterministic functions of (data, hyperparameters, seed). The
+All five are deterministic functions of (data, hyperparameters, seed), and
+each fitted model carries its task, which is all predict needs. The
 gradient-based ones expose their loss/gradient so tests can finite-difference
 them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import ClassVar, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -24,6 +25,10 @@ class RidgeModel:
     weights: np.ndarray
     intercept: float
     alpha: float
+    task: ClassVar[str] = "regression"
+
+    def _output(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weights + self.intercept
 
 
 def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -83,6 +88,10 @@ class LogisticModel:
     c: float
     n_iter: int
     converged: bool
+    task: ClassVar[str] = "classification"
+
+    def _output(self, x: np.ndarray) -> np.ndarray:
+        return _sigmoid(x @ self.weights + self.intercept)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -187,24 +196,12 @@ class MLPModel:
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-
-MLP_DEFAULTS = dict(
-    hidden=100,
-    lr=1e-3,
-    beta1=0.9,
-    beta2=0.999,
-    eps=1e-8,
-    l2=1e-4,
-    epochs=200,
-)
+    def _output(self, x: np.ndarray) -> np.ndarray:
+        out = (np.maximum(x @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2).ravel()
+        return _sigmoid(out) if self.task == "classification" else out
 
 
-def _mlp_output(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass: the linear output (regression) or logit (binary), per row."""
-    return (np.maximum(x @ model.w1 + model.b1, 0.0) @ model.w2 + model.b2).ravel()
-
-
-def init_mlp(n_features: int, task: str, seed: int, hidden: int = 100) -> MLPModel:
+def init_mlp(n_features: int, task: str, seed: int, hidden: int) -> MLPModel:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
@@ -221,7 +218,7 @@ def init_mlp(n_features: int, task: str, seed: int, hidden: int = 100) -> MLPMod
 
 
 def mlp_loss_and_grads(
-    model: MLPModel, x: np.ndarray, y: np.ndarray, l2: float = MLP_DEFAULTS["l2"]
+    model: MLPModel, x: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, list[np.ndarray]]:
     """Batch loss and parameter gradients.
 
@@ -261,12 +258,12 @@ def train_mlp(
     x: np.ndarray,
     y: np.ndarray,
     seed: int,
-    epochs: int = MLP_DEFAULTS["epochs"],
-    lr: float = MLP_DEFAULTS["lr"],
-    beta1: float = MLP_DEFAULTS["beta1"],
-    beta2: float = MLP_DEFAULTS["beta2"],
-    eps: float = MLP_DEFAULTS["eps"],
-    l2: float = MLP_DEFAULTS["l2"],
+    epochs: int = 200,
+    lr: float = 1e-3,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+    l2: float = 1e-4,
     batch_size: int | None = None,
 ) -> MLPModel:
     """Adam with seeded epoch shuffling, fixed epoch count, no early stopping."""
@@ -302,7 +299,7 @@ def fit_mlp(
     y: np.ndarray,
     task: str,
     seed: int = 0,
-    hidden: int = MLP_DEFAULTS["hidden"],
+    hidden: int = 100,
     **train_kwargs,
 ) -> MLPModel:
     x = np.asarray(x, dtype=float)
@@ -711,8 +708,17 @@ def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForestModel:
+    """Trees that vote (classification) or average (regression); fit_model's
+    "tree" is a forest of one."""
+
     trees: list[Tree]  # one per batch of trees grown together
     task: str
+
+    def _output(self, x: np.ndarray) -> np.ndarray:
+        votes = np.concatenate([predict_tree(t, x) for t in self.trees])
+        if self.task == "classification":
+            votes = (votes >= 0.5).astype(float)
+        return votes.mean(axis=0)
 
 
 def fit_forest(
@@ -751,14 +757,6 @@ def fit_forest(
     return ForestModel(trees=trees, task=task)
 
 
-def predict_forest_proba(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Classification: fraction of trees voting class 1. Regression: tree mean."""
-    votes = np.concatenate([predict_tree(t, x) for t in model.trees])
-    if model.task == "classification":
-        votes = (votes >= 0.5).astype(float)
-    return votes.mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # shared fit and prediction front doors
 
@@ -789,9 +787,12 @@ def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **p
     """Fit a learner by name for a task; params override its keyword defaults.
 
     Ridge is regression-only and logistic classification-only. A tree defaults
-    to gini (classification) or mse impurity, max_depth 10 and
-    min_samples_split 10. The seed drives the MLP and the forest.
+    to gini (classification) or mse impurity and is returned as a forest of
+    one, so it knows its task like every other model. The seed drives the MLP
+    and the forest.
     """
+    if task not in ("regression", "classification"):
+        raise ValueError(f"unknown task {task!r}")
     if name == "ridge":
         if task != "regression":
             raise ValueError("ridge is regression-only")
@@ -804,52 +805,21 @@ def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **p
         return fit_mlp(x, y, task=task, seed=seed, **params)
     if name == "tree":
         params.setdefault("impurity", "gini" if task == "classification" else "mse")
-        return fit_tree(x, y, **params)
+        return ForestModel([fit_tree(x, y, **params)], task)
     if name == "forest":
         return fit_forest(x, y, task=task, seed=seed, **params)
     raise ValueError(f"unknown model {name!r}")
 
 
-def predict(model, x: np.ndarray, task: str | None = None) -> np.ndarray:
-    """Point predictions: real values for regression, 0/1 labels at a 0.5 cut
-    for the classifiers.
-
-    Every model but a Tree knows its own task; a tree grown on 0/1 targets
-    stores class-1 fractions in its leaves, so classification callers must say
-    so to get labels back. A Tree predicts with its first tree (fit_tree grows one).
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(model, RidgeModel):
-        return x @ model.weights + model.intercept
-    if isinstance(model, LogisticModel):
-        return (predict_proba(model, x) >= 0.5).astype(float)
-    if isinstance(model, MLPModel):
-        out = _mlp_output(model, x)
-        if model.task == "classification":
-            return (_sigmoid(out) >= 0.5).astype(float)
-        return out
-    if isinstance(model, Tree):
-        raw = predict_tree(model, x)[0]
-        return (raw >= 0.5).astype(float) if task == "classification" else raw
-    if isinstance(model, ForestModel):
-        vals = predict_forest_proba(model, x)
-        return (vals >= 0.5).astype(float) if model.task == "classification" else vals
-    raise TypeError(f"unknown model type {type(model).__name__}")
+def predict(model, x: np.ndarray) -> np.ndarray:
+    """Point predictions: real values for regression, 0/1 labels (the class-1
+    probability or vote cut at 0.5) for classification."""
+    out = model._output(np.asarray(x, dtype=float))
+    return (out >= 0.5).astype(float) if model.task == "classification" else out
 
 
 def predict_proba(model, x: np.ndarray) -> np.ndarray:
-    """Class-1 probabilities for the classifiers."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(model, LogisticModel):
-        return _sigmoid(x @ model.weights + model.intercept)
-    if isinstance(model, MLPModel):
-        if model.task != "classification":
-            raise ValueError("regression MLP has no probabilities")
-        return _sigmoid(_mlp_output(model, x))
-    if isinstance(model, Tree):
-        return predict_tree(model, x)[0]
-    if isinstance(model, ForestModel):
-        if model.task != "classification":
-            raise ValueError("regression forest has no probabilities")
-        return predict_forest_proba(model, x)
-    raise TypeError(f"no probabilities for {type(model).__name__}")
+    """Class-1 probabilities of a classifier; for trees, the fraction voting 1."""
+    if model.task != "classification":
+        raise ValueError(f"a regression {type(model).__name__} has no probabilities")
+    return model._output(np.asarray(x, dtype=float))

@@ -16,7 +16,7 @@ import numpy as np
 from . import encoders as enc_mod
 from . import models as mod
 from .data import ColumnKind, DataTable, apply_pipeline, fit_pipeline
-from .metrics import accuracy, mse
+from .metrics import LOWER_BETTER, accuracy, mse
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -127,9 +127,9 @@ def _truth_encoder(truth: Mapping[str, float]) -> enc_mod.FittedEncoder:
     )
 
 
-def _score(task: str, model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
-    pred = mod.predict(model, x, task=task)
-    if task == "classification":
+def _score(model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
+    pred = mod.predict(model, x)
+    if model.task == "classification":
         return "accuracy", accuracy(y, pred)
     return "mse", mse(y, pred)
 
@@ -179,7 +179,7 @@ def run_aspl_sweep(
         pipeline, x_train = fit_pipeline(train, spec)
         x_test = apply_pipeline(pipeline, test)
         model = mod.fit_model(model_kind, task, x_train, y_train, seed)
-        return _score(task, model, x_test, y_test)
+        return _score(model, x_test, y_test)
 
     cells: list[SweepCell] = []
     for a in config.aspl_values:
@@ -226,7 +226,7 @@ def summarize_sweep(cells: Sequence[SweepCell]) -> list[SweepSummary]:
         sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         half = float(1.96 * sd / np.sqrt(arr.size)) if arr.size > 1 else 0.0
         ref = truth_means.get(a, mean)
-        gap = (mean - ref) if metric in ("mse", "rmse") else (ref - mean)
+        gap = (mean - ref) if metric in LOWER_BETTER else (ref - mean)
         out.append(
             SweepSummary(
                 problem=cells[0].problem,

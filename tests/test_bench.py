@@ -224,6 +224,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"duplicate {what}$"):
             parse_grid_config(str(p))
 
+    @pytest.mark.parametrize(
+        "datasets, encoders, models, seeds, where",
+        [
+            ("d = d.csv d.schema\nd = e.csv e.schema", "onehot", "tree", "0", "3: duplicate dataset name: d"),
+            ("d = d.csv d.schema", "mean\nonehot\nmean", "tree", "0", "6: duplicate encoder variant: mean"),
+            ("d = d.csv d.schema", "onehot", "tree\nridge\ntree", "0", "8: duplicate model name: tree"),
+            ("d = d.csv d.schema", "onehot", "tree", "2 0 2", "8: duplicate seed: 2"),
+        ],
+    )
+    def test_repeat_names_the_line_where_it_repeats(self, tmp_path, datasets, encoders, models, seeds, where):
+        p = tmp_path / "bad.cfg"
+        p.write_text(
+            f"[datasets]\n{datasets}\n[encoders]\n{encoders}\n[models]\n{models}\n[run]\nseeds = {seeds}\n"
+        )
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:{where}$"):
+            parse_grid_config(str(p))
+
     @pytest.mark.parametrize("line", ["seeds = 0 x", "seeds = 1.5", "ratio = abc"])
     def test_bad_run_value_names_file_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"

@@ -127,7 +127,15 @@ def test_encode_rejects_numeric_column(tmp_path, city_csv, capsys):
         ]
     )
     assert rc == 1
-    assert "numeric" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: column 'y' is numeric, nothing to encode\n"
+
+
+@pytest.mark.parametrize("command", ["encode", "guide"])
+def test_missing_target_without_schema_is_an_error_line(city_csv, capsys, command):
+    # this used to raise SystemExit, whose message had no "error:" prefix
+    args = ["--encoder", "onehot", "--column", "city"] if command == "encode" else ["--model-family", "tree"]
+    assert main([command, "--input", str(city_csv), *args]) == 1
+    assert capsys.readouterr().err == "error: need --target when --schema is omitted\n"
 
 
 def test_encode_missing_file_is_diagnostic_not_traceback(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from catenc import models
 from catenc.models import (
-    MLP_DEFAULTS,
     RIDGE_ALPHAS,
     Tree,
     fit_forest,
@@ -15,7 +16,6 @@ from catenc.models import (
     logistic_loss_and_grad,
     mlp_loss_and_grads,
     predict,
-    predict_forest_proba,
     predict_proba,
     predict_tree,
     train_mlp,
@@ -230,7 +230,7 @@ class TestMLP:
 
     def test_training_reduces_loss(self):
         x, y, _ = linear_data(n=150, p=2, noise=0.1, seed=7)
-        model = init_mlp(2, "regression", seed=3)
+        model = init_mlp(2, "regression", seed=3, hidden=100)
         before, _ = mlp_loss_and_grads(model, x, y, l2=0.0)
         train_mlp(model, x, y, seed=4, epochs=200)
         after, _ = mlp_loss_and_grads(model, x, y, l2=0.0)
@@ -246,9 +246,11 @@ class TestMLP:
         assert np.mean(predict(model, x) == y) > 0.8
 
     def test_default_knobs(self):
-        assert MLP_DEFAULTS["hidden"] == 100
-        assert MLP_DEFAULTS["epochs"] == 200
-        assert MLP_DEFAULTS["lr"] == pytest.approx(1e-3)
+        # each default is stated once, in the signature the grid's type check reads
+        assert {"hidden", "epochs", "lr"} <= set(models.model_options("mlp"))
+        assert inspect.signature(fit_mlp).parameters["hidden"].default == 100
+        assert inspect.signature(train_mlp).parameters["epochs"].default == 200
+        assert inspect.signature(train_mlp).parameters["lr"].default == pytest.approx(1e-3)
 
 
 def side_impurity(y, kind):
@@ -577,9 +579,7 @@ class TestForest:
         x, y = self.easy_classification()
         a = fit_forest(x, y, "classification", n_trees=10, seed=4)
         b = fit_forest(x, y, "classification", n_trees=10, seed=4)
-        np.testing.assert_array_equal(
-            predict_forest_proba(a, x), predict_forest_proba(b, x)
-        )
+        np.testing.assert_array_equal(predict_proba(a, x), predict_proba(b, x))
 
     def test_no_randomness_collapses_to_single_tree(self):
         x, y = self.easy_classification(n=60)
@@ -589,14 +589,14 @@ class TestForest:
         )
         tree = fit_tree(x, y, impurity="gini", max_depth=None, min_samples_split=2)
         np.testing.assert_array_equal(
-            predict_forest_proba(forest, x),
+            predict_proba(forest, x),
             (predict_tree(tree, x)[0] >= 0.5).astype(float),
         )
 
     def test_classification_proba_is_vote_fraction(self):
         x, y = self.easy_classification()
         forest = fit_forest(x, y, "classification", n_trees=9, seed=1)
-        proba = predict_forest_proba(forest, x)
+        proba = predict_proba(forest, x)
         np.testing.assert_allclose((proba * 9) % 1.0, 0.0, atol=1e-12)
         assert np.all((proba >= 0) & (proba <= 1))
         labels = predict(forest, x)
@@ -655,8 +655,9 @@ def walk_reference(tree: Tree, x: np.ndarray) -> np.ndarray:
 
 
 def forest_reference(forest, x: np.ndarray) -> np.ndarray:
-    """predict_forest_proba from the walked (trees, rows) votes, a C-ordered
-    array: for more than one row its mean adds the trees one at a time."""
+    """The forest's output (vote fraction or tree mean) from the walked (trees,
+    rows) votes, a C-ordered array: for more than one row its mean adds the
+    trees one at a time."""
     votes = np.vstack([walk_reference(batch, x) for batch in forest.trees])
     if forest.task == "classification":
         votes = (votes >= 0.5).astype(float)
@@ -679,7 +680,7 @@ class TestFlatPrediction:
 
     def check(self, forest, x):
         want = forest_reference(forest, x)
-        got = predict_forest_proba(forest, x)
+        got = predict_proba(forest, x) if forest.task == "classification" else predict(forest, x)
         assert got.shape == want.shape == (x.shape[0],)
         assert np.array_equal(got, want)
         for batch in forest.trees:
@@ -738,9 +739,70 @@ class TestFlatPrediction:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 2))
         y = (x[:, 0] > 0).astype(float)
-        tree = fit_tree(x, y, impurity="gini", min_samples_split=2)
+        tree = models.fit_model("tree", "classification", x, y, 0, min_samples_split=2)
         forest = fit_forest(x, y, "classification", n_trees=5, seed=0)
         for model in (tree, forest):
             for fn in (predict, predict_proba):
                 with pytest.raises(ValueError, match=rf"fit on 2 columns, got x of shape \(3, {width}\)"):
                     fn(model, np.zeros((3, width)))
+        with pytest.raises(ValueError, match=rf"fit on 2 columns, got x of shape \(3, {width}\)"):
+            predict_tree(tree.trees[0], np.zeros((3, width)))
+
+
+class TestPredictionContract:
+    """Every model fit_model returns knows its task; predict needs nothing else."""
+
+    @staticmethod
+    def noisy(task, n=80, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 2))
+        y = x[:, 0] + rng.normal(size=n)
+        return x, (y > 0).astype(float) if task == "classification" else y
+
+    def fit(self, name, task):
+        x, y = self.noisy(task)
+        quick = {"mlp": {"epochs": 2, "hidden": 4}, "forest": {"n_trees": 3}}.get(name, {})
+        return models.fit_model(name, task, x, y, 0, **quick), x
+
+    @pytest.mark.parametrize(
+        "name, task",
+        [(m, t) for m in models.MODEL_NAMES for t in ("regression", "classification")
+         if (m, t) not in (("ridge", "classification"), ("logistic", "regression"))],
+    )
+    def test_every_fitted_model_carries_its_task(self, name, task):
+        model, x = self.fit(name, task)
+        assert model.task == task
+        pred = predict(model, x)
+        assert pred.shape == (x.shape[0],)
+        if task == "classification":
+            assert set(np.unique(pred)) <= {0.0, 1.0}
+            np.testing.assert_array_equal(pred, (predict_proba(model, x) >= 0.5).astype(float))
+
+    def test_classification_tree_predicts_labels(self):
+        # a depth-1 tree on noisy labels has impure leaves: their class-1
+        # fractions lie strictly between 0 and 1, and predict must cut them
+        x, y = self.noisy("classification")
+        model = models.fit_model("tree", "classification", x, y, 0, max_depth=1)
+        (tree,) = model.trees
+        leaf = predict_tree(tree, x)[0]
+        assert ((leaf > 0.0) & (leaf < 1.0)).any()
+        np.testing.assert_array_equal(predict(model, x), (leaf >= 0.5).astype(float))
+        np.testing.assert_array_equal(predict_proba(model, x), (leaf >= 0.5).astype(float))
+
+    def test_regression_tree_predicts_its_leaf_values(self):
+        x, y = self.noisy("regression")
+        model = models.fit_model("tree", "regression", x, y, 0, max_depth=3)
+        np.testing.assert_array_equal(predict(model, x), predict_tree(model.trees[0], x)[0])
+
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    def test_unknown_task_is_refused(self, name):
+        # a tree used to be fit as a regression tree for any task but classification
+        x, y = self.noisy("classification")
+        with pytest.raises(ValueError, match="unknown task 'ranking'"):
+            models.fit_model(name, "ranking", x, y, 0)
+
+    @pytest.mark.parametrize("name", ["ridge", "mlp", "tree", "forest"])
+    def test_predict_proba_refuses_a_regression_model(self, name):
+        model, x = self.fit(name, "regression")
+        with pytest.raises(ValueError, match="regression .* has no probabilities"):
+            predict_proba(model, x)
