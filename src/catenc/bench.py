@@ -178,13 +178,14 @@ def parse_grid_config(path: str) -> ExperimentGrid:
     seeds: list[int] = []
     ratio = 0.8
     out_dir = "."
+    run_keys: list[str] = []
     section = None
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:  # every error, a repeated dataset, encoder, model or seed too, names its line
+            try:  # every error, a repeated dataset, encoder, model, seed or run key too, names its line
                 if line.startswith("[") and line.endswith("]"):
                     section = line[1:-1].strip().lower()
                     if section not in ("datasets", "encoders", "models", "run"):
@@ -215,6 +216,8 @@ def parse_grid_config(path: str) -> ExperimentGrid:
                     _check_unique("model name", [m.name for m in models])
                 elif section == "run":
                     key, _, val = (part.strip() for part in line.partition("="))
+                    run_keys.append(key)
+                    _check_unique("run key", run_keys)  # a second value would replace the first
                     try:
                         if key == "seeds":
                             seeds = [int(tok) for tok in val.split()]

@@ -5,9 +5,11 @@ each fitted model carries its task, which is all predict needs. The
 gradient-based ones expose their loss/gradient so tests can finite-difference
 them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
-vectorized prefix scans per presorted feature. The trees are flat node arrays
-that prediction walks in lock step, one row per group of rows that no
-threshold separates.
+vectorized prefix scans per presorted feature. Its sample-id arrays are
+stored as int32 and cast to intp, one at a time, to gather and scatter: numpy
+indexes about twice as fast with intp. A node is pure when its targets are
+all equal. The trees are flat node arrays that prediction walks in lock step,
+one row per group of rows that no threshold separates.
 """
 from __future__ import annotations
 
@@ -353,32 +355,29 @@ def _tree_inputs(x: np.ndarray, y: np.ndarray, impurity: str) -> tuple[np.ndarra
 
 
 def _node_stats(
-    yrow: np.ndarray, starts: np.ndarray, sizes: np.ndarray, binary: bool, check: np.ndarray
+    yrow: np.ndarray, starts: np.ndarray, sizes: np.ndarray, binary: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value (target mean) of each node and whether it is impure.
+    """Value (target mean) of each node and whether it is impure: whether its
+    targets are not all equal.
 
     yrow holds each node's targets in ascending row order. For 0/1 labels the
     sums are exact counts, so ones / n is the mean and 0 < ones < n the purity
-    test. For mse the mean and variance come from np.mean / np.var over the
-    node's rows; the variance is taken only where check is set.
+    test. For mse the mean is np.mean over the node's rows, and the purity test
+    compares each node's largest and smallest target (np.var of equal targets
+    can round to nonzero, and of unequal tiny ones to zero).
     """
     if binary:
-        csum = np.concatenate(([0.0], np.cumsum(yrow)))
+        csum = np.concatenate(([0.0], np.add.accumulate(yrow)))
         ones = csum[starts + sizes] - csum[starts]
         return ones / sizes, (ones > 0.0) & (ones < sizes)
-    values = np.empty(starts.shape[0])
-    impure = np.zeros(starts.shape[0], dtype=bool)
-    for i, (s, n, c) in enumerate(zip(starts.tolist(), sizes.tolist(), check.tolist())):
-        node_y = yrow[s : s + n]
-        values[i] = np.mean(node_y)
-        impure[i] = c and np.var(node_y) != 0.0
-    return values, impure
+    values = np.array([np.mean(yrow[s : s + n]) for s, n in zip(starts.tolist(), sizes.tolist())])
+    return values, np.maximum.reduceat(yrow, starts) != np.minimum.reduceat(yrow, starts)
 
 
 class _Level(NamedTuple):
-    """The layout of one level: segment bounds and, per position (int32, like
-    the layout), its segment, its segment's size, and the rows up to and
-    including it in its segment."""
+    """The layout of one level: segment bounds and, per position, its segment
+    (intp, to index with), its segment's size and the rows up to and including
+    it in its segment (int32, like the stored sample ids)."""
 
     starts: np.ndarray
     ends: np.ndarray
@@ -388,7 +387,7 @@ class _Level(NamedTuple):
 
 
 def _level(starts: np.ndarray, sizes: np.ndarray) -> _Level:
-    seg_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int32), sizes)
+    seg_of = np.repeat(np.arange(sizes.shape[0], dtype=np.intp), sizes)
     left_n = np.arange(1, seg_of.shape[0] + 1, dtype=np.int32)
     left_n -= starts.astype(np.int32)[seg_of]
     return _Level(starts, starts + sizes, seg_of, sizes.astype(np.int32)[seg_of], left_n)
@@ -409,15 +408,19 @@ def _split_scores(
     of order, with lev.left_n and right_n rows on its sides.
 
     Prefix sums run sequentially from each segment's first position, as
-    np.cumsum does on the segment alone.
+    np.cumsum does on the segment alone: np.add.accumulate is the loop
+    np.cumsum runs, without its wrapper, which costs more than the sum on a
+    small segment.
     """
     seg_of, left_n, size_of = lev.seg_of, lev.left_n, lev.size_of
+    order = order.astype(np.intp)  # numpy gathers fastest with intp indices
     if impurity == "mse":
         # sse_left = csq - csum**2 / left_n and sse_right = (total_sq - csq)
         # - (total - csum)**2 / right_n, computed in place: the layout can be large
         sums = np.empty((2, order.shape[0]))
         csum, csq = sums
-        np.take(ys, order, out=csum)
+        np.take(ys, order, out=csum, mode="clip")  # ids are in range; "raise" would buffer out
+        del order
         last = lev.ends - 1
         # total_sq adds the last row's square as pow(y, 2), which can differ
         # from y * y in the last bit: enough to flip a near tie, so it is part
@@ -425,12 +428,12 @@ def _split_scores(
         last_sq = np.float_power(csum[last], 2.0)
         np.multiply(csum, csum, out=csq)
         for s, e in zip(lev.starts.tolist(), lev.ends.tolist()):
-            np.cumsum(sums[:, s:e], axis=1, out=sums[:, s:e])
+            np.add.accumulate(sums[:, s:e], axis=1, out=sums[:, s:e])
         total_sq = csq[last - 1] + last_sq
         out = np.square(csum)
         out /= left_n
         np.subtract(csq, out, out=out)
-        rest = csum[last][seg_of]
+        rest = np.take(csum[last], seg_of, mode="clip")
         rest -= csum
         np.square(rest, out=rest)
         rest /= right_n
@@ -442,7 +445,7 @@ def _split_scores(
         return out
     # 0/1 labels: a running count minus the count before the segment is exact
     ys = ys[order]
-    csum = np.cumsum(ys)
+    csum = np.add.accumulate(ys)
     before = csum[lev.starts] - ys[lev.starts]
     ones_left = csum - before[seg_of]
     ones_right = (csum[lev.ends - 1] - before)[seg_of] - ones_left
@@ -468,18 +471,21 @@ def _partition(
     right child, each placed at its child_start; a child at -1 is dropped.
 
     Per position, child_of indexes child_start at its segment's left child (the
-    right child follows it).
+    right child follows it). child_of and child_start are intp, so the
+    destinations are too; the result has order's dtype.
     """
-    left = goes_left[order]
-    before = np.cumsum(left, dtype=np.int32)
-    before -= left
-    before -= before[lev.starts][lev.seg_of]  # rows before each position in its segment that go left
-    rank = np.where(left, before, lev.left_n - 1 - before)
+    left = goes_left[order.astype(np.intp, copy=False)]
+    rank = np.cumsum(left, dtype=np.int32)
+    rank -= left
+    rank -= rank[lev.starts][lev.seg_of]  # rows before each position in its segment that go left
+    np.subtract(lev.left_n - 1, rank, out=rank, where=~left)  # ... or that go right, for the rest
     dest = child_start[child_of + ~left]
     keep = dest >= 0
     dest += rank
-    out = np.empty(size, dtype=np.int32)
-    out[dest[keep]] = order[keep]
+    del left, rank
+    dest = dest[keep]  # rebound, so the full array is freed before the scatter
+    out = np.empty(size, dtype=order.dtype)
+    out[dest] = order[keep]
     return out
 
 
@@ -524,14 +530,14 @@ def _best_splits(
     best_feat = np.full(lev.starts.shape[0], -1)
     best_thr = np.zeros(lev.starts.shape[0])
     for f, order in enumerate(orders):
+        scores = _split_scores(ys, order, lev, right_n, impurity)  # before valid: its buffers set the peak
         xcol = x[:, f]
-        xs = xcol[rows[order]]
+        xs = xcol[rows[order.astype(np.intp)]]
         valid = room.copy()
         valid[:-1] &= xs[1:] != xs[:-1]
-        del xs  # free before the scores are built
+        del xs
         if candidate is not None:
             valid &= candidate[lev.seg_of, f]
-        scores = _split_scores(ys, order, lev, right_n, impurity)
         scores[~valid] = np.inf
         seg_min = np.minimum.reduceat(scores, lev.starts)
         better = seg_min < best_score
@@ -568,14 +574,19 @@ def _grow_trees(
     tree), plus one such array in sample order. A level scores every split
     position of every segment in a few numpy passes per feature, then stably
     partitions each array into the children that may split in turn; leaves
-    drop out. Each level appends its children's values and sizes and its
-    split parents, features and thresholds to levels, so the k-th split's left
-    child is node n_trees + 2k.
+    drop out, and when none may split nothing is partitioned. The arrays are
+    stored as int32 and each is cast to intp, one at a time, where it indexes
+    (numpy gathers and scatters about twice as fast with intp indices); rows,
+    which maps sample ids to rows of x, and the per-position segment ids are
+    intp. A child is a leaf when it is pure (all its targets equal), smaller
+    than min_samples_split or at max_depth. Each level appends its children's
+    values and sizes and its split parents, features and thresholds to
+    levels, so the k-th split's left child is node n_trees + 2k.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
     binary = impurity != "mse"
-    rows = samples.ravel().astype(np.int32, copy=False)
+    rows = samples.ravel().astype(np.intp, copy=False)
     ys = y[rows]
     base = (np.arange(n_trees, dtype=np.int32) * n)[:, None]
     orders = [
@@ -587,7 +598,7 @@ def _grow_trees(
 
     sizes = np.full(n_trees, n)
     check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
-    values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary, check)
+    values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary)
     levels = [(values, sizes, np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
     keep = impure & check
     if not keep.all():
@@ -610,31 +621,33 @@ def _grow_trees(
         seg_of = lev.seg_of
         for f in sorted(set(best_feat[split].tolist())):  # np.unique would import numpy.ma: 1 MiB
             mine = best_feat[seg_of] == f
-            order = orders[f][mine]
+            order = orders[f][mine].astype(np.intp)
             goes_left[order] = x[:, f][rows[order]] <= best_thr[seg_of[mine]]
 
         # children of the split segments, left then right, in level order;
         # the pair after the last one stands for the segments that did not split
         n_split = int(split.sum())
-        child_of = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(np.int32)[seg_of]
-        n_left = np.bincount(seg_of[goes_left[row_order]], minlength=nodes.size)[split]
+        child_of = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(np.intp)[seg_of]
+        n_left = np.bincount(seg_of[goes_left[row_order.astype(np.intp)]], minlength=nodes.size)[split]
         child_sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
         child_starts = np.cumsum(child_sizes) - child_sizes
         row_order = _partition(
             row_order, goes_left, lev, child_of,
-            np.r_[child_starts, -1, -1].astype(np.int32), int(child_sizes.sum()),
+            np.r_[child_starts, -1, -1].astype(np.intp), int(child_sizes.sum()),
         )
         check = child_sizes >= min_samples_split
         if max_depth is not None and depth + 1 >= max_depth:
             check[:] = False
-        values, impure = _node_stats(ys[row_order], child_starts, child_sizes, binary, check)
+        values, impure = _node_stats(ys[row_order.astype(np.intp)], child_starts, child_sizes, binary)
         children = sum(len(level[0]) for level in levels) + np.arange(2 * n_split)  # after the nodes so far
         levels.append((values, child_sizes, nodes[split], best_feat[split], best_thr[split]))
 
         keep = impure & check
+        if not keep.any():
+            break
         sizes = child_sizes[keep]
         starts = np.cumsum(sizes) - sizes
-        kept_starts = np.full(2 * n_split + 2, -1, dtype=np.int32)
+        kept_starts = np.full(2 * n_split + 2, -1, dtype=np.intp)
         kept_starts[: 2 * n_split][keep] = starts
         m = int(sizes.sum())
         for f in range(p):  # one array at a time, so the old one is freed as the next is built
@@ -668,7 +681,7 @@ def fit_tree(
     x, y = _tree_inputs(x, y, impurity)
     n = x.shape[0]
     return _grow_trees(
-        x, y, np.arange(n, dtype=np.int32)[None, :], impurity, max_depth, min_samples_split,
+        x, y, np.arange(n)[None, :], impurity, max_depth, min_samples_split,
         min_samples_leaf, [None], None,
     )
 

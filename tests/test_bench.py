@@ -241,6 +241,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"bad\.cfg:{where}$"):
             parse_grid_config(str(p))
 
+    @pytest.mark.parametrize(
+        "run, where",
+        [
+            ("seeds = 0 1\nratio = 0.5\nseeds = 5", "10: duplicate run key: seeds"),
+            ("ratio = 0.5\nratio = 0.9", "9: duplicate run key: ratio"),
+            ("out = a\nseeds = 0\nout = b", "10: duplicate run key: out"),
+        ],
+    )
+    def test_repeated_run_key_names_the_line_where_it_repeats(self, tmp_path, run, where):
+        # the second value used to replace the first without a word
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[datasets]\nd = d.csv d.schema\n[encoders]\nonehot\n[models]\ntree\n[run]\n{run}\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:{where}$"):
+            parse_grid_config(str(p))
+
     @pytest.mark.parametrize("line", ["seeds = 0 x", "seeds = 1.5", "ratio = abc"])
     def test_bad_run_value_names_file_and_line(self, tmp_path, line):
         p = tmp_path / "bad.cfg"

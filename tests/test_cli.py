@@ -343,3 +343,12 @@ def test_bench_bad_seed_names_its_line(tmp_path, bench_config, capsys):
     assert main(["bench", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:9: bad seeds value '0 x'\n"
 
+
+
+def test_bench_repeated_run_key_names_its_line(tmp_path, bench_config, capsys):
+    # a second seeds line used to replace the first, so the grid ran fewer seeds than it listed
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(bench_config.read_text() + "seeds = 5\n")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:11: duplicate run key: seeds\n"
+    assert not (tmp_path / "results").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 
 import numpy as np
@@ -310,6 +311,29 @@ class TestSplitScores:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+class TestNodeStats:
+    """models._node_stats: a node is impure exactly when its targets are not all equal."""
+
+    def test_mse_purity_is_not_all_equal_on_tied_segments(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 9, 400)
+        # few distinct values, so many segments tie throughout; 0.1 and 1/3
+        # repeated have a nonzero np.var, 1e-200 beside 0 a zero one
+        yrow = rng.choice([0.1, 1 / 3, -2.5, 1e-200, 0.0], size=sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        values, impure = models._node_stats(yrow, starts, sizes, binary=False)
+        segments = [yrow[s : s + n] for s, n in zip(starts, sizes)]
+        assert impure.tolist() == [bool((seg != seg[0]).any()) for seg in segments]
+        assert values.tolist() == [np.mean(seg) for seg in segments]
+        assert 0 < impure.sum() < impure.size
+
+    def test_binary_purity_is_not_all_equal(self):
+        yrow = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        values, impure = models._node_stats(yrow, np.array([0, 2, 4, 6]), np.array([2, 2, 2, 1]), binary=True)
+        assert impure.tolist() == [False, True, False, False]
+        assert values.tolist() == [1.0, 0.5, 0.0, 1.0]
+
+
 class TestTree:
     def test_root_split_at_midpoint_between_classes(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -353,6 +377,12 @@ class TestTree:
         y = np.arange(20.0)
         tree = fit_tree(x, y, min_samples_split=2)
         assert tree.feature[0] == -1
+
+    def test_equal_targets_make_a_leaf(self):
+        # np.var of six 0.1s is 1.9e-34, which used to split this node twice
+        tree = fit_tree(np.arange(6.0)[:, None], np.full(6, 0.1), impurity="mse", max_depth=None, min_samples_split=2)
+        assert tree.value.size == 1 and tree.feature[0] == -1
+        assert tree.value[0] == pytest.approx(0.1)
 
     def test_predictions_constant_within_leaf_regions(self):
         x, y, _ = linear_data(n=100, p=1, noise=0.2, seed=8)
@@ -640,6 +670,64 @@ class TestForest:
         a, b, c = (fit_forest(x, y, "classification", n_trees=8, seed=s) for s in (3, 3, 4))
         assert forest_preorders(a) == forest_preorders(b)
         assert forest_preorders(a) != forest_preorders(c)
+
+
+def large_table(seed: int, n: int = 3000) -> tuple[np.ndarray, np.ndarray]:
+    """n rows: two discrete columns (7 and 40 levels), a continuous one and a
+    rounded one with ties; a real target from them plus uniform noise. Only
+    uniform draws and exactly rounded arithmetic, so it is the same table
+    wherever it is built."""
+    u = np.random.default_rng(seed).random((n, 5))
+    x = np.column_stack([
+        np.floor(u[:, 0] * 7.0),
+        np.floor(u[:, 1] * 40.0) / 4.0,
+        u[:, 2],
+        np.floor(u[:, 3] * 30.0) / 10.0 - 1.0,
+    ])
+    y = 0.5 * x[:, 0] + (x[:, 1] > 5.0) - 3.0 * x[:, 2] * x[:, 2] + u[:, 4]
+    return x, y
+
+
+def tree_digests(tree: Tree) -> dict[str, str]:
+    """sha256 of each flat array's bytes (little-endian int64 or float64)."""
+    return {
+        name: hashlib.sha256(
+            np.ascontiguousarray(getattr(tree, name), dtype="<f8" if name in ("threshold", "value") else "<i8").tobytes()
+        ).hexdigest()
+        for name in ("feature", "threshold", "left", "value", "n_samples", "roots")
+    }
+
+
+class TestLargeNodes:
+    """Trees on thousands of rows, byte for byte as recorded from the
+    level-wise grower before its indices were cast to intp (the golden trees
+    above have 26 rows, too few to reach the large-node paths)."""
+
+    def test_mse_tree(self):
+        x, y = large_table(11)
+        tree = fit_tree(x, y, impurity="mse", max_depth=10, min_samples_split=10)
+        assert tree.value.size == 875
+        assert tree_digests(tree) == {
+            "feature": "7a821148031caea6bfd43293ab2a89ae6457b696a01714b32eedbf9696ca572b",
+            "threshold": "ea80d9936afd9d6521c0db09b8ca7fd0cc2ff586b67685a134b3018e825dba02",
+            "left": "c356241a329249c5d5d0efae8ed06305f9efd3058a62ed81ba097c250049069a",
+            "value": "1dd21a5dcecf73865be456ca58ac67a442e8dc798c56a2ce7fac3f959fd3be87",
+            "n_samples": "297b25b15f2c06bb32c158f6ea110258c29125c3d8a91929c373e2b619acc060",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        }
+
+    def test_gini_forest(self):
+        x, y = large_table(12)
+        forest = fit_forest(x, (y > np.median(y)).astype(float), "classification", n_trees=20, seed=3)
+        assert [t.value.size for t in forest.trees] == [7796]  # 20 trees grown as one batch
+        assert tree_digests(forest.trees[0]) == {
+            "feature": "a308acdaa3cf2992f2a2caeb334468b9b06cb1195d1413963012e6c7723e7340",
+            "threshold": "dbfc2dce7ce45e7a81d44c83e3f412f506d20c2ed6e02d607de78e64b52665de",
+            "left": "481f4badfac5702adc2d9db5ff5088f7065b562ac2e8d67ed19b05a9cb8f3ad6",
+            "value": "8169e7df5f0842c4e7d4355dcbd6bb1d7e7e2721106ff56d36e14357172d4daa",
+            "n_samples": "43cd596184b87d2907944cd7db7040d601a7cff1f2fdfda4ead40ddb52f98816",
+            "roots": "f5c4cb24f4c9b43e624e0a83cb11934f932dbd5db24eee67fed696354ac88a61",
+        }
 
 
 def walk_reference(tree: Tree, x: np.ndarray) -> np.ndarray:
