@@ -102,8 +102,8 @@ class DataTable:
     def target_is_binary(self) -> bool:
         """True when every target value is 0 or 1; a single-class 0/1 target
         counts as binary."""
-        vals = set(self.target_values().tolist())
-        return vals <= {0.0, 1.0}
+        y = self.target_values()
+        return bool(((y == 0.0) | (y == 1.0)).all())  # np.isin would import numpy.ma
 
     def task(self) -> str:
         return "classification" if self.target_is_binary() else "regression"

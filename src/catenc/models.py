@@ -5,11 +5,13 @@ each fitted model carries its task, which is all predict needs. The
 gradient-based ones expose their loss/gradient so tests can finite-difference
 them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
-vectorized prefix scans per presorted feature. Its sample-id arrays are
-stored as int32 and cast to intp, one at a time, to gather and scatter: numpy
-indexes about twice as fast with intp. A node is pure when its targets are
-all equal. The trees are flat node arrays that prediction walks in lock step,
-one row per group of rows that no threshold separates.
+vectorized prefix scans per presorted feature, then moves each presorted
+array into the level's children with one stable sort on each sample's child
+rank (a radix sort on 8- or 16-bit ranks). Its sample-id arrays are stored as
+int32 and cast to intp, one at a time, to gather: numpy indexes about twice
+as fast with intp. A node is pure when its targets are all equal. The trees
+are flat node arrays that prediction walks in lock step, one row per group of
+rows that no threshold separates.
 """
 from __future__ import annotations
 
@@ -34,10 +36,14 @@ class RidgeModel:
 
 
 def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Column means, target mean, and the centered x'x and x'y of a ridge fit."""
+    """Column means, target mean, and the centered x'x and x'y of a ridge fit.
+
+    x is centered in place, so the caller passes a copy.
+    """
     x_mean, y_mean = x.mean(axis=0), y.mean()
-    xc, yc = x - x_mean, y - y_mean
-    return x_mean, y_mean, xc.T @ xc, xc.T @ yc
+    x -= x_mean
+    yc = y - y_mean
+    return x_mean, y_mean, x.T @ x, x.T @ yc
 
 
 def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, float]:
@@ -67,7 +73,7 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     else:
         k = min(5, n)
         folds = np.arange(n) % k
-        moments = [_ridge_moments(x[folds != f], y[folds != f]) for f in range(k)]  # (p, p) each, no copy of x
+        moments = [_ridge_moments(x[folds != f], y[folds != f]) for f in range(k)]  # (p, p) each
         best, best_err = None, np.inf
         for alpha in alphas:
             err = 0.0
@@ -79,7 +85,7 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
             if err < best_err:
                 best, best_err = alpha, err
         assert best is not None
-    w, b = _ridge_solve(*_ridge_moments(x, y), best)
+    w, b = _ridge_solve(*_ridge_moments(np.copy(x), y), best)  # np.copy keeps x's memory order
     return RidgeModel(weights=w, intercept=b, alpha=best)
 
 
@@ -459,34 +465,12 @@ def _split_scores(
     return (left_n * _entropy(p_left) + right_n * _entropy(p_right)) / size_of
 
 
-def _partition(
-    order: np.ndarray,
-    goes_left: np.ndarray,
-    lev: _Level,
-    child_of: np.ndarray,
-    child_start: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Stable partition of each segment of order into its left child, then its
-    right child, each placed at its child_start; a child at -1 is dropped.
-
-    Per position, child_of indexes child_start at its segment's left child (the
-    right child follows it). child_of and child_start are intp, so the
-    destinations are too; the result has order's dtype.
-    """
-    left = goes_left[order.astype(np.intp, copy=False)]
-    rank = np.cumsum(left, dtype=np.int32)
-    rank -= left
-    rank -= rank[lev.starts][lev.seg_of]  # rows before each position in its segment that go left
-    np.subtract(lev.left_n - 1, rank, out=rank, where=~left)  # ... or that go right, for the rest
-    dest = child_start[child_of + ~left]
-    keep = dest >= 0
-    dest += rank
-    del left, rank
-    dest = dest[keep]  # rebound, so the full array is freed before the scatter
-    out = np.empty(size, dtype=order.dtype)
-    out[dest] = order[keep]
-    return out
+def _partition(order: np.ndarray, key: np.ndarray, size: int) -> np.ndarray:
+    """The first size sample ids of order, stably sorted by key (indexed by
+    sample id): each segment's ids go to their child's place, in their order,
+    and the ids whose key sorts last drop out. numpy sorts 8- and 16-bit keys
+    stably with an O(n) radix sort."""
+    return order[np.argsort(key[order.astype(np.intp)], kind="stable")[:size]]
 
 
 def _feature_candidates(
@@ -572,16 +556,20 @@ def _grow_trees(
     which every node that may still split holds a contiguous segment, sorted
     by the feature's value with ties in sample order (one stable presort per
     tree), plus one such array in sample order. A level scores every split
-    position of every segment in a few numpy passes per feature, then stably
-    partitions each array into the children that may split in turn; leaves
-    drop out, and when none may split nothing is partitioned. The arrays are
-    stored as int32 and each is cast to intp, one at a time, where it indexes
-    (numpy gathers and scatters about twice as fast with intp indices); rows,
-    which maps sample ids to rows of x, and the per-position segment ids are
-    intp. A child is a leaf when it is pure (all its targets equal), smaller
-    than min_samples_split or at max_depth. Each level appends its children's
-    values and sizes and its split parents, features and thresholds to
-    levels, so the k-th split's left child is node n_trees + 2k.
+    position of every segment in a few numpy passes per feature. Then each
+    array is partitioned by one stable argsort on key, each sample's child
+    rank in level order (left child, then right), into the children that may
+    split in turn: the rank's smallest dtype is 8- or 16-bit, which numpy
+    radix-sorts, up to 32,767 splits a level. Leaves and unsplit segments take
+    a rank past every kept child's and drop out; when no child may split,
+    nothing is partitioned. The arrays are stored as int32 and each is cast
+    to intp, one at a time, where it indexes (numpy gathers and scatters about
+    twice as fast with intp indices); rows, which maps sample ids to rows of
+    x, and the per-position segment ids are intp. A child is a leaf when it
+    is pure (all its targets equal), smaller than min_samples_split or at
+    max_depth. Each level appends its children's values and sizes and its
+    split parents, features and thresholds to levels, so the k-th split's
+    left child is node n_trees + 2k.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -624,17 +612,16 @@ def _grow_trees(
             order = orders[f][mine].astype(np.intp)
             goes_left[order] = x[:, f][rows[order]] <= best_thr[seg_of[mine]]
 
-        # children of the split segments, left then right, in level order;
-        # the pair after the last one stands for the segments that did not split
+        # each position's child rank, left then right in level order; the pair
+        # after the last one stands for the segments that did not split
         n_split = int(split.sum())
-        child_of = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(np.intp)[seg_of]
-        n_left = np.bincount(seg_of[goes_left[row_order.astype(np.intp)]], minlength=nodes.size)[split]
-        child_sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
+        rank_type = np.min_scalar_type(2 * n_split + 1)
+        at = row_order.astype(np.intp)
+        child = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(rank_type)[seg_of]
+        child += ~goes_left[at]
+        child_sizes = np.bincount(child, minlength=2 * n_split + 2)[: 2 * n_split]
         child_starts = np.cumsum(child_sizes) - child_sizes
-        row_order = _partition(
-            row_order, goes_left, lev, child_of,
-            np.r_[child_starts, -1, -1].astype(np.intp), int(child_sizes.sum()),
-        )
+        row_order = row_order[np.argsort(child, kind="stable")[: child_sizes.sum()]]
         check = child_sizes >= min_samples_split
         if max_depth is not None and depth + 1 >= max_depth:
             check[:] = False
@@ -647,16 +634,18 @@ def _grow_trees(
             break
         sizes = child_sizes[keep]
         starts = np.cumsum(sizes) - sizes
-        kept_starts = np.full(2 * n_split + 2, -1, dtype=np.intp)
-        kept_starts[: 2 * n_split][keep] = starts
+        # each sample's kept child, or a rank past every kept child's
+        kept_rank = np.where(np.r_[keep, False, False], np.arange(2 * n_split + 2), 2 * n_split)
+        key = np.empty(n_trees * n, dtype=rank_type)
+        key[at] = kept_rank.astype(rank_type)[child]
         m = int(sizes.sum())
         for f in range(p):  # one array at a time, so the old one is freed as the next is built
-            orders[f] = _partition(orders[f], goes_left, lev, child_of, kept_starts, m)
+            orders[f] = _partition(orders[f], key, m)
         row_order = row_order[np.repeat(keep, child_sizes)]
         nodes = children[keep]
         trees = np.repeat(trees[split], 2)[keep]
         depth += 1
-        del lev, seg_of, child_of, mine, order  # free before the next scan
+        del lev, seg_of, at, child, key, mine, order  # free before the next scan
     value, n_samples, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
     feature, threshold, left = np.full(value.shape, -1), np.full(value.shape, np.nan), np.full(value.shape, -1)
     feature[parents], threshold[parents], left[parents] = feats, thrs, n_trees + 2 * np.arange(parents.shape[0])

@@ -313,3 +313,25 @@ class TestPreprocessor:
             target="y",
         )
         assert binary.task() == "classification"
+
+    @pytest.mark.parametrize(
+        "kind, y, binary",
+        [
+            (ColumnKind.NUMERIC, [0.0, 1.0, 0.5], False),
+            (ColumnKind.NUMERIC, [-0.0, 1.0], True),  # -0.0 == 0.0
+            (ColumnKind.NUMERIC, [], True),  # no value that is not 0 or 1
+            (ColumnKind.NUMERIC, [1.0, 1.0, 1.0], True),  # a single 0/1 class counts
+            (ColumnKind.NUMERIC, [0.0, 0.0], True),
+            (ColumnKind.NUMERIC, [0.0, np.inf], False),
+            (ColumnKind.CATEGORICAL, ["1", "0", "-0"], True),
+            (ColumnKind.CATEGORICAL, ["0", "nan"], False),  # a NaN level is neither 0 nor 1
+        ],
+    )
+    def test_target_is_binary_edge_cases(self, kind, y, binary):
+        table = DataTable(schema=(("y", kind),), columns={"y": y}, target="y")
+        assert table.target_is_binary() is binary
+
+    def test_missing_target_is_refused_by_task_detection(self):
+        table = DataTable(schema=(("y", ColumnKind.NUMERIC),), columns={"y": [0.0, np.nan]}, target="y")
+        with pytest.raises(SchemaError, match="missing values"):
+            table.target_is_binary()

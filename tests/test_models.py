@@ -1,8 +1,11 @@
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catenc import models
 from catenc.models import (
@@ -97,6 +100,33 @@ class TestRidge:
             assert model.alpha == best
             assert np.array_equal(model.weights, w)
             assert model.intercept == b
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("alphas", [RIDGE_ALPHAS, (1.0,)])
+    def test_callers_x_is_never_written(self, order, alphas):
+        x, y, _ = linear_data(n=90, p=4, noise=1.0, seed=8)
+        x = np.array(x, order=order)
+        want = fit_ridge(x.copy(order=order), y, alphas=alphas)
+        seen = x.copy(order=order)
+        x.flags.writeable = False  # an in-place write would raise
+        got = fit_ridge(x, y, alphas=alphas)
+        assert np.array_equal(x, seen)
+        assert np.array_equal(got.weights, want.weights) and got.intercept == want.intercept
+
+    def test_peak_memory_is_about_one_copy_of_x(self):
+        rng = np.random.default_rng(3)
+        n, p = 20_000, 60
+        x = np.zeros((n, p))
+        x[np.arange(n), rng.integers(0, p, n)] = 1.0  # one-hot-like, as a wide encoding
+        y = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            fit_ridge(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full-data centered copy; each fold's row subset is centered in place
+        assert peak < 1.2 * x.nbytes
 
 
 class TestLogistic:
@@ -309,6 +339,59 @@ class TestSplitScores:
             seg = ys[order[start:end]]
             want += [brute_child_impurity(seg, k, impurity) for k in range(1, seg.size + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestPartition:
+    """models._partition, the stable split of a level's sample-id arrays into
+    its kept children, against a per-segment list oracle."""
+
+    @staticmethod
+    def check(seed, n_split, n_unsplit, max_size, p_keep):
+        rng = np.random.default_rng(seed)
+        split = rng.permutation(np.r_[np.ones(n_split, bool), np.zeros(n_unsplit, bool)])
+        sizes = rng.integers(1, max_size + 1, split.size)
+        ids = rng.permutation(int(sizes.sum()) + 5)[: sizes.sum()].astype(np.int32)  # a few ids unused
+        goes_left = (rng.random(ids.size) < 0.5).tolist()
+        keep = (rng.random(2 * n_split) < p_keep).tolist()
+
+        # per segment: its left rows in order, then its right rows, each if kept
+        want, ranks, child, at = [], [], 0, 0
+        for s, size in zip(split.tolist(), sizes.tolist()):
+            seg = list(zip(ids[at : at + size].tolist(), goes_left[at : at + size]))
+            at += size
+            if not s:
+                continue
+            for side in (True, False):
+                rows = [i for i, is_left in seg if is_left == side]
+                if keep[child]:
+                    want += rows
+                    ranks += [child] * len(rows)
+                child += 1
+        # the grower's key: each kept child's rank in level order, else a rank past them all
+        key = np.full(ids.size + 5, 2 * n_split, dtype=np.min_scalar_type(2 * n_split + 1))
+        key[want] = ranks
+        got = models._partition(ids, key, len(want))
+        assert got.dtype == np.int32
+        assert got.tolist() == want
+        return key.dtype
+
+    @pytest.mark.parametrize("key_type, splits", [(np.uint8, (0, 127)), (np.uint16, (128, 2000))])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_radix_sorted_keys(self, key_type, splits, data):
+        got_type = self.check(
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            n_split=data.draw(st.integers(*splits), label="n_split"),
+            n_unsplit=data.draw(st.integers(0, 5), label="n_unsplit"),
+            max_size=data.draw(st.integers(1, 6), label="max_size"),
+            p_keep=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="p_keep"),
+        )
+        assert got_type == key_type
+
+    @settings(max_examples=3, deadline=None)  # each layout has over 65,535 children
+    @given(seed=st.integers(0, 2**32 - 1), n_split=st.integers(32768, 32800), n_unsplit=st.integers(0, 5))
+    def test_32_bit_keys(self, seed, n_split, n_unsplit):
+        assert self.check(seed, n_split, n_unsplit, max_size=3, p_keep=0.5) == np.uint32
 
 
 class TestNodeStats:
@@ -727,6 +810,23 @@ class TestLargeNodes:
             "value": "8169e7df5f0842c4e7d4355dcbd6bb1d7e7e2721106ff56d36e14357172d4daa",
             "n_samples": "43cd596184b87d2907944cd7db7040d601a7cff1f2fdfda4ead40ddb52f98816",
             "roots": "f5c4cb24f4c9b43e624e0a83cb11934f932dbd5db24eee67fed696354ac88a61",
+        }
+
+    def test_level_of_32768_splits(self):
+        # a balanced tree whose last split level holds 32,768 splits, so that
+        # level's child ranks need a 32-bit key (numpy sorts it with timsort,
+        # not radix); pinned as the rank-arithmetic partition grew it
+        n = 1 << 16
+        x, y = np.arange(float(n))[:, None], np.arange(float(n))
+        tree = fit_tree(x, y, impurity="mse", max_depth=None, min_samples_split=2)
+        assert tree.value.size == 2 * n - 1
+        assert tree_digests(tree) == {
+            "feature": "3bc90ef11b3b9df22c3368886a53ed4a94d35448b64b514ad09f179a27a35ce5",
+            "threshold": "4dcf9dab940bf8fc17711848e6b652f056e120f9ae611c57dbe7f310103d159e",
+            "left": "c73a2ce844417075e12ff8364cf86d76c94a13ca9f6ccb11197f85bb58af5622",
+            "value": "a09b5edb505533915b68577e99ce64d292906f7f9b479b5479236cb438cac532",
+            "n_samples": "b8549dc6b921562e313242214c959c55af025a5329e0d93da47bcab84860959a",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         }
 
 
