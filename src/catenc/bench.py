@@ -336,10 +336,12 @@ def run_grid(
     Work is done per (dataset, encoder, seed) unit, whose encoding every model
     shares; `workers` processes run the units. Output order is sorted by
     (dataset, encoder, model, seed) no matter how many workers ran, so runs are
-    reproducible modulo the timing columns.
+    reproducible modulo the timing columns. Each dataset is loaded first: one
+    that cannot be (SchemaError, OSError) stops the run before any cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    tables = {d.name: _load_dataset(d.csv_path, d.schema_path) for d in grid.datasets}
     units = [
         (d, e, grid.models, s, grid.split_ratio, record_timing)
         for d in grid.datasets
@@ -358,10 +360,10 @@ def run_grid(
     records.sort(key=lambda r: (r.dataset, r.encoder, r.model, r.seed))
     failures.sort(key=lambda r: (r.dataset, r.encoder, r.model, r.seed))
     sufficiency = {}
-    for d in grid.datasets:
+    for name, table in tables.items():
         try:
-            sufficiency[d.name] = minaspl(_load_dataset(d.csv_path, d.schema_path))
-        except (OSError, ValueError):
+            sufficiency[name] = minaspl(table)
+        except ValueError:  # no categorical column to measure
             continue
     return records, failures, sufficiency
 

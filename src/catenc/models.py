@@ -7,11 +7,13 @@ them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
 vectorized prefix scans per presorted feature, then moves each presorted
 array into the level's children with one stable sort on each sample's child
-rank (a radix sort on 8- or 16-bit ranks). Its sample-id arrays are stored as
-int32 and cast to intp, one at a time, to gather: numpy indexes about twice
-as fast with intp. A node is pure when its targets are all equal. The trees
-are flat node arrays that prediction walks in lock step, one row per group of
-rows that no threshold separates.
+rank (a radix sort on 8- or 16-bit ranks). Its sample-id arrays are stored in
+the smallest unsigned dtype that holds every id and cast to intp, one at a
+time, to gather: numpy indexes about twice as fast with intp. Split positions
+between equal values are found on per-sample value ranks, so a level reads x
+only where a split is chosen. A node is pure when its targets are all equal.
+The trees are flat node arrays that prediction walks in lock step, one row per
+group of rows that no threshold separates.
 """
 from __future__ import annotations
 
@@ -342,7 +344,8 @@ class Tree:
 
 
 #: Sample rows times (features + 1) that the index arrays of one batch of
-#: forest trees may hold; a forest on a larger table is grown in batches.
+#: forest trees may hold (per feature its presorted sample ids and value ranks,
+#: and one array in sample order); a forest on a larger table is grown in batches.
 _BATCH_CELLS = 1 << 19
 
 
@@ -383,7 +386,7 @@ def _node_stats(
 class _Level(NamedTuple):
     """The layout of one level: segment bounds and, per position, its segment
     (intp, to index with), its segment's size and the rows up to and including
-    it in its segment (int32, like the stored sample ids)."""
+    it in its segment (int32, to keep the per-position arrays small)."""
 
     starts: np.ndarray
     ends: np.ndarray
@@ -492,11 +495,29 @@ def _feature_candidates(
     return candidate
 
 
+def _presort(values: np.ndarray, base: np.ndarray, id_type: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """One feature's presort: each tree's stable argsort of its row of the
+    (trees, n) values, offset by base to sample ids, flattened and cast to
+    id_type, and each sample's value rank, indexed by sample id: the count of
+    value changes before it along the trees' presorts laid end to end, so
+    equal values in a tree (-0.0 and 0.0 too) share a rank. The ranks take the
+    smallest dtype that holds them."""
+    order = (np.argsort(values, axis=1, kind="stable") + base).ravel()
+    values = values.ravel()[order]
+    rank = np.empty(order.shape[0], dtype=id_type)  # fewer changes than samples
+    rank[0] = 0
+    np.cumsum(values[1:] != values[:-1], dtype=id_type, out=rank[1:])
+    ranks = np.empty(order.shape[0], dtype=np.min_scalar_type(rank[-1]))
+    ranks[order] = rank
+    return order.astype(id_type), ranks
+
+
 def _best_splits(
     x: np.ndarray,
     rows: np.ndarray,
     ys: np.ndarray,
     orders: list[np.ndarray],
+    ranks: list[np.ndarray],
     lev: _Level,
     impurity: str,
     min_samples_leaf: int,
@@ -505,7 +526,10 @@ def _best_splits(
     """Best feature and midpoint threshold of each segment (feature -1 where no
     split is valid). Features are scanned in ascending order and a score must
     be strictly lower to win, so ties keep the lowest feature, and within a
-    feature the first (lowest) threshold."""
+    feature the first (lowest) threshold. A position is no split point when
+    the next one holds an equal value, which ranks[f] (indexed by sample id,
+    see _presort) tells from a small contiguous array; x is read only at each
+    segment's winning positions."""
     room = lev.left_n < lev.size_of
     right_n = np.maximum(lev.size_of - lev.left_n, 1)  # an empty right side counts 1: no 0/0
     if min_samples_leaf > 1:
@@ -515,11 +539,10 @@ def _best_splits(
     best_thr = np.zeros(lev.starts.shape[0])
     for f, order in enumerate(orders):
         scores = _split_scores(ys, order, lev, right_n, impurity)  # before valid: its buffers set the peak
-        xcol = x[:, f]
-        xs = xcol[rows[order.astype(np.intp)]]
+        rs = np.take(ranks[f], order, mode="clip")  # ids are in range; "clip" gathers faster than "raise"
         valid = room.copy()
-        valid[:-1] &= xs[1:] != xs[:-1]
-        del xs
+        valid[:-1] &= rs[1:] != rs[:-1]
+        del rs
         if candidate is not None:
             valid &= candidate[lev.seg_of, f]
         scores[~valid] = np.inf
@@ -530,6 +553,7 @@ def _best_splits(
             at = hits[np.searchsorted(hits, lev.starts[better])]  # first minimum of each segment
             best_score[better] = seg_min[better]
             best_feat[better] = f
+            xcol = x[:, f]
             lo, hi = xcol[rows[order[at]]], xcol[rows[order[at + 1]]]
             with np.errstate(over="ignore"):
                 mid = (lo + hi) / 2.0
@@ -552,18 +576,21 @@ def _grow_trees(
 ) -> Tree:
     """Grow one CART tree per row of samples (row indices into x), level by level.
 
-    The trees share one layout: per feature an int32 array of sample ids in
-    which every node that may still split holds a contiguous segment, sorted
-    by the feature's value with ties in sample order (one stable presort per
-    tree), plus one such array in sample order. A level scores every split
-    position of every segment in a few numpy passes per feature. Then each
-    array is partitioned by one stable argsort on key, each sample's child
-    rank in level order (left child, then right), into the children that may
-    split in turn: the rank's smallest dtype is 8- or 16-bit, which numpy
-    radix-sorts, up to 32,767 splits a level. Leaves and unsplit segments take
+    The trees share one layout: per feature an array of sample ids in which
+    every node that may still split holds a contiguous segment, sorted by the
+    feature's value with ties in sample order (one stable presort per tree),
+    plus one such array in sample order. Beside each feature's ids sit its
+    value ranks, indexed by sample id, on which a level tests for ties. A
+    level scores every split position of every segment in a few numpy passes
+    per feature. Then each array is partitioned by one stable argsort on key,
+    each sample's child rank in level order (left child, then right), into the
+    children that may split in turn: the rank's smallest dtype is 8- or
+    16-bit, which numpy radix-sorts, up to 32,767 splits a level. Leaves and unsplit segments take
     a rank past every kept child's and drop out; when no child may split,
-    nothing is partitioned. The arrays are stored as int32 and each is cast
-    to intp, one at a time, where it indexes (numpy gathers and scatters about
+    nothing is partitioned. The id arrays are stored in the smallest dtype
+    that holds n_trees * n - 1 (uint16 up to 65,536 samples), which keeps the
+    grower's peak below that of int32 ids without ranks, and each is cast to
+    intp, one at a time, where it indexes (numpy gathers and scatters about
     twice as fast with intp indices); rows, which maps sample ids to rows of
     x, and the per-position segment ids are intp. A child is a leaf when it
     is pure (all its targets equal), smaller than min_samples_split or at
@@ -576,12 +603,12 @@ def _grow_trees(
     binary = impurity != "mse"
     rows = samples.ravel().astype(np.intp, copy=False)
     ys = y[rows]
-    base = (np.arange(n_trees, dtype=np.int32) * n)[:, None]
-    orders = [
-        (np.argsort(x[samples, f], axis=1, kind="stable").astype(np.int32) + base).ravel()
-        for f in range(p)
-    ]
-    row_order = np.arange(n_trees * n, dtype=np.int32)
+    id_type = np.min_scalar_type(n_trees * n - 1)
+    base = (np.arange(n_trees) * n)[:, None]  # intp: in id_type the product can overflow
+    presorted = [_presort(x[samples, f], base, id_type) for f in range(p)]
+    orders, ranks = [order for order, _ in presorted], [rank for _, rank in presorted]
+    del presorted
+    row_order = np.arange(n_trees * n, dtype=id_type)
     goes_left = np.zeros(n_trees * n, dtype=bool)
 
     sizes = np.full(n_trees, n)
@@ -602,7 +629,7 @@ def _grow_trees(
         if max_features is not None and max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
         lev = _level(starts, sizes)
-        best_feat, best_thr = _best_splits(x, rows, ys, orders, lev, impurity, min_samples_leaf, candidate)
+        best_feat, best_thr = _best_splits(x, rows, ys, orders, ranks, lev, impurity, min_samples_leaf, candidate)
         split = best_feat >= 0
         if not split.any():
             break

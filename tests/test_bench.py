@@ -20,6 +20,7 @@ from catenc.bench import (
     time_report,
     write_dataset_info_csv,
 )
+from catenc.data import SchemaError
 from catenc.encoders import EncoderSpec
 from catenc.metrics import MetricRecord
 
@@ -413,6 +414,23 @@ class TestRunGrid:
         assert [f.model for f in failures] == ["forest", "ridge", "tree"]
         assert len({f.error for f in failures}) == 1
         assert "'grade' is entirely missing" in failures[0].error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unloadable_dataset_is_refused_once_before_any_cell(self, tmp_path, monkeypatch, workers):
+        grid = small_grid(tmp_path, models=("ridge", "tree"))
+        (tmp_path / "clf.schema").write_text("grade = categorical\nx = numeric\ntarget = y\n")
+        reads = []
+        read_schema = bench.read_schema
+
+        def counting_read_schema(path):
+            reads.append(path)
+            return read_schema(path)
+
+        monkeypatch.setattr(bench, "read_schema", counting_read_schema)
+        monkeypatch.setattr(bench, "fit_pipeline", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(SchemaError, match=r"clf\.schema: target 'y' has no declared kind"):
+            run_grid(grid, workers=workers)
+        assert reads.count(str(tmp_path / "clf.schema")) == 1
 
     def test_rewritten_dataset_is_reloaded(self, tmp_path):
         grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))

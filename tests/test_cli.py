@@ -255,6 +255,16 @@ def test_bench_exits_1_only_when_every_cell_failed(tmp_path, bench_config, capsy
     assert f"scored {scored} cells, {failed} failed" in capsys.readouterr().out
 
 
+def test_bench_unloadable_dataset_is_one_error_line(tmp_path, bench_config, capsys):
+    # the schema omits the target's kind: the run stops before any cell
+    (tmp_path / "toy.schema").write_text("g = categorical\ntarget = y\n")
+    assert main(["bench", "--config", str(bench_config), "--no-timing"]) == 1
+    out, err = capsys.readouterr()
+    assert "scored" not in out
+    assert err.count("error:") == 1 and "toy.schema: target 'y' has no declared kind" in err
+    assert not (tmp_path / "results" / "failures.csv").exists()
+
+
 def test_bench_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[models]\nquantum\n")

@@ -394,6 +394,40 @@ class TestPartition:
         assert self.check(seed, n_split, n_unsplit, max_size=3, p_keep=0.5) == np.uint32
 
 
+#: values where a tie test on ranks could part from one on the values: signed
+#: zeros (equal), the smallest subnormals, and the largest finite floats
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestPresort:
+    """models._presort: each feature's presorted sample ids and value ranks, on
+    which the grower tests ties instead of on the values."""
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n_trees=st.integers(1, 3),
+        n=st.integers(1, 40),
+        pool=st.lists(
+            st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6
+        ),
+    )
+    def test_rank_ties_are_value_ties(self, data, n_trees, n, pool):
+        # few distinct values for many samples: heavy ties
+        values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n_trees * n, max_size=n_trees * n)))
+        values = values.reshape(n_trees, n)
+        id_type = np.min_scalar_type(n_trees * n - 1)
+        order, ranks = models._presort(values, (np.arange(n_trees) * n)[:, None], id_type)
+        assert order.dtype == id_type and ranks.dtype == np.min_scalar_type(ranks.max())
+        for t in range(n_trees):
+            ids = order[t * n : (t + 1) * n].astype(np.intp)
+            np.testing.assert_array_equal(ids - t * n, np.argsort(values[t], kind="stable"))
+            # any subsequence of the presort, as a partitioned segment keeps it
+            ids = ids[np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)]
+            xs, rs = values.ravel()[ids], ranks[ids]
+            np.testing.assert_array_equal(rs[1:] != rs[:-1], xs[1:] != xs[:-1])
+
+
 class TestNodeStats:
     """models._node_stats: a node is impure exactly when its targets are not all equal."""
 
@@ -828,6 +862,96 @@ class TestLargeNodes:
             "n_samples": "b8549dc6b921562e313242214c959c55af025a5329e0d93da47bcab84860959a",
             "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         }
+
+    def test_peak_memory_is_below_one_and_a_fifth_copies_of_x(self):
+        # the per-feature sample ids and value ranks, stored in their smallest
+        # dtypes, and the mse scoring buffers; no copy of x
+        rng = np.random.default_rng(4)
+        n = 20_000
+        x = np.column_stack([rng.integers(0, 2, (n, 15)).astype(float), rng.normal(size=(n, 2))])
+        y = x[:, :15] @ rng.normal(size=15) + rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            fit_tree(x, y, impurity="mse", max_depth=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * x.nbytes
+
+    # trees on each side of the grower's index dtype edges, pinned before the
+    # sample ids and value ranks were stored in their smallest dtype: at 256
+    # and 257 rows the ids (and the continuous column's ranks) cross from
+    # uint8 to uint16, at 65,536 and 65,537 from uint16 to uint32
+    TREE_EDGE_DIGESTS = {
+        256: (91, {
+            "feature": "2fd966c2be65e1c7168eadd5fd7bf0a5c273c47ce0b0489284d20bca8ebf54b4",
+            "threshold": "0120d8aaef4516522958e73e302e61a8548eacb36828e6b014544c36750ad1d9",
+            "left": "a0b70eafe1fb2aa7e0205983f97c45cb724b6de26b52f8f582be52cc35ffb0ee",
+            "value": "dd30ce955c6c167ccf1ddf67d4bcb4bf78bb63a4c6945423688c01159330f900",
+            "n_samples": "f28dcad076d0e95d6d8c60930847f61d5b6d1a19f7bf7b0971fc92078919b859",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        }),
+        257: (85, {
+            "feature": "7c0198e6bdeb9cbda847ae23227455d35432bbe08710ef3590b62a5eaf4b78ad",
+            "threshold": "6fc439ea0ef818613a37e11100bf3365a0870dcb543e9abb7fa03f2029851274",
+            "left": "64badef43784cda2c78aad1ea5fa3575163f10467e9a26d5d9c47f89967a7ed0",
+            "value": "6a1277e47601fbdcb49f71fc794c3cdfebd86ab632453fa8b99d4e90dd85e4f2",
+            "n_samples": "e0f39640d75d2c8db318dafb1c1adbab03c6186f1c0f40891fcbb35045e781bc",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        }),
+        65536: (1957, {
+            "feature": "0019505d4afcb82048fbb1031514c71a45dc26c67671b64252a348e717f57a16",
+            "threshold": "8da925758136eb5ef72d0d4c3b72bae14ddca5c0b7e4046f1c6c260123a8f81c",
+            "left": "aaca9151c02fb2ffa88a0298cdf50c394f4f86ed2ba4babd5f362662822c720e",
+            "value": "6f0bbcb04b4c143e414eed15d6ee2669840265f5efa799a54276a72a9c95a783",
+            "n_samples": "37d383f67d0f1c21b3ca6f8000e3b3c63a5659db57d28e5634ce447b389c95d2",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        }),
+        65537: (1957, {
+            "feature": "6b803742ea73b51b9a6142a91405ca762b7d957a2e5b5a9aac7602caaff358bb",
+            "threshold": "527be1349695356a382cfeec51199afa07d66541015f9554540334051ab5538a",
+            "left": "aaca9151c02fb2ffa88a0298cdf50c394f4f86ed2ba4babd5f362662822c720e",
+            "value": "52a26ee83c9b416dfca375a6db4852b5fd743331d07d9b63dbc166ceb39df73c",
+            "n_samples": "c975bf7ec59660ca5a30a2bd5fa1dd9f554062b0b58d0ee6eb4b68ee8c462261",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        }),
+    }
+
+    # a gini forest batch of 16 trees: 65,536 sample ids (uint16) and 65,552 (uint32)
+    FOREST_EDGE_DIGESTS = {
+        4096: (7728, {
+            "feature": "a7e189514deedcc0b19bd6fe5afd0c1c8d85dc0fa18b65aa2cf191a8011afaac",
+            "threshold": "c0871d684d9e5f5540c36aa0173beb0f9bfd54ea3af4685b897497e37abbce6f",
+            "left": "2fe952e30be6986ce0252172a67bb065b650f967e178da48039133c3effad034",
+            "value": "d71ad838829ac58d6e56c7440bec7a1025c2bea5925723df1714403f1fbaedf4",
+            "n_samples": "e37b7570748614f8f67b80957bc2d2745ae9e73aa68f98c0e57b62926e25825c",
+            "roots": "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+        }),
+        4097: (7712, {
+            "feature": "32358eee348961242d391bce26b62c95f9b01bc6c89a29a3717797acb50f88b3",
+            "threshold": "beb58546004ec7472c4d4983a85812d86b16886585ae1a968691bf3cba25b5e6",
+            "left": "030a213f2316cb1cc4dc8326834ac676cecdb4e46730d365507abdd962a0307b",
+            "value": "1b6bebc052a3c20cda6bb3a2aa85306ee2c9a4071e7af5a35d76e77e9d5ba811",
+            "n_samples": "4351a37e90d1f03ff8ede4c8f7e9e30d23da2cf61e2e0fe4ad642fd2abb5fe5b",
+            "roots": "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+        }),
+    }
+
+    @pytest.mark.parametrize("n", sorted(TREE_EDGE_DIGESTS))
+    def test_tree_at_index_dtype_edges(self, n):
+        x, y = large_table(13, n)
+        tree = fit_tree(x, y, impurity="mse", max_depth=10, min_samples_split=10)
+        size, digests = self.TREE_EDGE_DIGESTS[n]
+        assert tree.value.size == size
+        assert tree_digests(tree) == digests
+
+    @pytest.mark.parametrize("n", sorted(FOREST_EDGE_DIGESTS))
+    def test_forest_batch_at_index_dtype_edge(self, n):
+        x, y = large_table(14, n)
+        forest = fit_forest(x, (y > np.median(y)).astype(float), "classification", n_trees=16, seed=5, max_depth=12)
+        size, digests = self.FOREST_EDGE_DIGESTS[n]
+        assert [t.value.size for t in forest.trees] == [size]  # one batch
+        assert tree_digests(forest.trees[0]) == digests
 
 
 def walk_reference(tree: Tree, x: np.ndarray) -> np.ndarray:
