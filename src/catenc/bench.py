@@ -545,7 +545,13 @@ def write_reports(
 def run_and_report(
     grid: ExperimentGrid, workers: int = 1, record_timing: bool = True
 ) -> tuple[list[MetricRecord], list[CellFailure]]:
-    """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files."""
+    """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files.
+
+    A dataset that cannot be loaded stops the run before out_dir is made, and
+    an out_dir that cannot be made stops it before any cell runs; run_grid
+    then finds the datasets in _load_dataset's cache."""
+    for d in grid.datasets:
+        _load_dataset(d.csv_path, d.schema_path)
     os.makedirs(grid.out_dir, exist_ok=True)
     records, failures, sufficiency = run_grid(grid, workers=workers, record_timing=record_timing)
     write_records_csv(os.path.join(grid.out_dir, "records.csv"), MetricRecord, records)

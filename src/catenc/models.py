@@ -5,15 +5,18 @@ each fitted model carries its task, which is all predict needs. The
 gradient-based ones expose their loss/gradient so tests can finite-difference
 them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
-vectorized prefix scans per presorted feature, then moves each presorted
-array into the level's children with one stable sort on each sample's child
-rank (a radix sort on 8- or 16-bit ranks). Its sample-id arrays are stored in
-the smallest unsigned dtype that holds every id and cast to intp, one at a
-time, to gather: numpy indexes about twice as fast with intp. Split positions
-between equal values are found on per-sample value ranks, so a level reads x
-only where a split is chosen. A node is pure when its targets are all equal.
-The trees are flat node arrays that prediction walks in lock step, one row per
-group of rows that no threshold separates.
+vectorized prefix scans per presorted feature, skipping the nodes (and whole
+features) where a feature has no split point, then moves each presorted array
+into the level's children with one stable sort on each sample's child rank (a
+radix sort on 8- or 16-bit ranks). Each feature is presorted by a radix sort
+on its per-sample value ranks. The sample-id arrays are stored in the
+smallest unsigned dtype that holds every id and cast to intp, one at a time,
+to gather: numpy indexes about twice as fast with intp. Split positions
+between equal values are found on the value ranks, so a level reads x only
+where a split is chosen, and a node's rows go left up to the winning position
+in the winning feature's order. A node is pure when its targets are all
+equal. The trees are flat node arrays that prediction walks in lock step, one
+row per group of rows that no threshold separates.
 """
 from __future__ import annotations
 
@@ -345,7 +348,8 @@ class Tree:
 
 #: Sample rows times (features + 1) that the index arrays of one batch of
 #: forest trees may hold (per feature its presorted sample ids and value ranks,
-#: and one array in sample order); a forest on a larger table is grown in batches.
+#: and one array in sample order; each level adds a few float64 arrays over its
+#: positions); a forest on a larger table is grown in batches.
 _BATCH_CELLS = 1 << 19
 
 
@@ -384,22 +388,22 @@ def _node_stats(
 
 
 class _Level(NamedTuple):
-    """The layout of one level: segment bounds and, per position, its segment
-    (intp, to index with), its segment's size and the rows up to and including
-    it in its segment (int32, to keep the per-position arrays small)."""
+    """The layout of one level: segment bounds and sizes and, per position, its
+    segment's size and the rows up to and including it in its segment (float64,
+    exact, so that the scores divide by them without a conversion). A
+    per-segment array v is spread over the positions with np.repeat(v, sizes)."""
 
     starts: np.ndarray
     ends: np.ndarray
-    seg_of: np.ndarray
+    sizes: np.ndarray
     size_of: np.ndarray
     left_n: np.ndarray
 
 
 def _level(starts: np.ndarray, sizes: np.ndarray) -> _Level:
-    seg_of = np.repeat(np.arange(sizes.shape[0], dtype=np.intp), sizes)
-    left_n = np.arange(1, seg_of.shape[0] + 1, dtype=np.int32)
-    left_n -= starts.astype(np.int32)[seg_of]
-    return _Level(starts, starts + sizes, seg_of, sizes.astype(np.int32)[seg_of], left_n)
+    left_n = np.arange(1.0, sizes.sum() + 1.0)
+    left_n -= np.repeat(starts.astype(float), sizes)
+    return _Level(starts, starts + sizes, sizes, np.repeat(sizes.astype(float), sizes), left_n)
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -411,21 +415,29 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 
 
 def _split_scores(
-    ys: np.ndarray, order: np.ndarray, lev: _Level, right_n: np.ndarray, impurity: str
+    ys: np.ndarray,
+    order: np.ndarray,
+    lev: _Level,
+    right_n: np.ndarray,
+    impurity: str,
+    scored: np.ndarray,
 ) -> np.ndarray:
     """Weighted child impurity of a split after each position of every segment
     of order, with lev.left_n and right_n rows on its sides.
 
-    Prefix sums run sequentially from each segment's first position, as
-    np.cumsum does on the segment alone: np.add.accumulate is the loop
+    For mse, prefix sums run sequentially from each segment's first position,
+    as np.cumsum does on the segment alone: np.add.accumulate is the loop
     np.cumsum runs, without its wrapper, which costs more than the sum on a
-    small segment.
+    small segment. They run only over the segments that scored marks; the
+    scores of the other segments are meaningless.
     """
-    seg_of, left_n, size_of = lev.seg_of, lev.left_n, lev.size_of
+    sizes, left_n, size_of = lev.sizes, lev.left_n, lev.size_of
     order = order.astype(np.intp)  # numpy gathers fastest with intp indices
     if impurity == "mse":
         # sse_left = csq - csum**2 / left_n and sse_right = (total_sq - csq)
-        # - (total - csum)**2 / right_n, computed in place: the layout can be large
+        # - (total - csum)**2 / right_n, computed in place, the right side's
+        # terms in the spent rows of sums: the layout can be large, and a fresh
+        # array of its size can cost more in page faults than the pass filling it
         sums = np.empty((2, order.shape[0]))
         csum, csq = sums
         np.take(ys, order, out=csum, mode="clip")  # ids are in range; "raise" would buffer out
@@ -436,18 +448,16 @@ def _split_scores(
         # of the tree definition that the golden tests pin
         last_sq = np.float_power(csum[last], 2.0)
         np.multiply(csum, csum, out=csq)
-        for s, e in zip(lev.starts.tolist(), lev.ends.tolist()):
+        for s, e in zip(lev.starts[scored].tolist(), lev.ends[scored].tolist()):
             np.add.accumulate(sums[:, s:e], axis=1, out=sums[:, s:e])
         total_sq = csq[last - 1] + last_sq
         out = np.square(csum)
         out /= left_n
         np.subtract(csq, out, out=out)
-        rest = np.take(csum[last], seg_of, mode="clip")
-        rest -= csum
+        rest = np.subtract(np.repeat(csum[last], sizes), csum, out=csum)  # csum is spent
         np.square(rest, out=rest)
         rest /= right_n
-        sse_right = np.take(total_sq, seg_of, out=csum, mode="clip")  # csum is spent
-        sse_right -= csq
+        sse_right = np.subtract(np.repeat(total_sq, sizes), csq, out=csq)  # csq is spent
         sse_right -= rest
         out += sse_right
         out /= size_of
@@ -456,8 +466,8 @@ def _split_scores(
     ys = ys[order]
     csum = np.add.accumulate(ys)
     before = csum[lev.starts] - ys[lev.starts]
-    ones_left = csum - before[seg_of]
-    ones_right = (csum[lev.ends - 1] - before)[seg_of] - ones_left
+    ones_left = csum - np.repeat(before, sizes)
+    ones_right = np.repeat(csum[lev.ends - 1] - before, sizes) - ones_left
     p_left = ones_left / left_n
     p_right = ones_right / right_n
     if impurity == "gini":
@@ -501,15 +511,21 @@ def _presort(values: np.ndarray, base: np.ndarray, id_type: np.dtype) -> tuple[n
     id_type, and each sample's value rank, indexed by sample id: the count of
     value changes before it along the trees' presorts laid end to end, so
     equal values in a tree (-0.0 and 0.0 too) share a rank. The ranks take the
-    smallest dtype that holds them."""
-    order = (np.argsort(values, axis=1, kind="stable") + base).ravel()
+    smallest dtype that holds them.
+
+    The ranks come from each row's unstable argsort, in which only the order
+    of equal values differs. Ranks never decrease along the trees laid end to
+    end, and a tree's sample ids are below the next tree's, so sorting the
+    ids by (rank, id) is the stable presort: one stable argsort of the ranks,
+    which numpy runs as a radix sort on 8- and 16-bit ranks."""
+    order = (np.argsort(values, axis=1) + base).ravel()
     values = values.ravel()[order]
     rank = np.empty(order.shape[0], dtype=id_type)  # fewer changes than samples
     rank[0] = 0
     np.cumsum(values[1:] != values[:-1], dtype=id_type, out=rank[1:])
     ranks = np.empty(order.shape[0], dtype=np.min_scalar_type(rank[-1]))
     ranks[order] = rank
-    return order.astype(id_type), ranks
+    return np.argsort(ranks, kind="stable").astype(id_type), ranks
 
 
 def _best_splits(
@@ -522,45 +538,55 @@ def _best_splits(
     impurity: str,
     min_samples_leaf: int,
     candidate: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best feature and midpoint threshold of each segment (feature -1 where no
-    split is valid). Features are scanned in ascending order and a score must
-    be strictly lower to win, so ties keep the lowest feature, and within a
-    feature the first (lowest) threshold. A position is no split point when
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best feature, midpoint threshold and split position (the last position
+    that goes left, in the feature's order) of each segment; feature -1 where
+    no split is valid. Features are scanned in ascending order and a score
+    must be strictly lower to win, so ties keep the lowest feature, and within
+    a feature the first (lowest) threshold. A position is no split point when
     the next one holds an equal value, which ranks[f] (indexed by sample id,
     see _presort) tells from a small contiguous array; x is read only at each
-    segment's winning positions."""
+    segment's winning positions. A feature is scored only on the segments
+    where it has a split point, and not at all where it has none."""
     room = lev.left_n < lev.size_of
-    right_n = np.maximum(lev.size_of - lev.left_n, 1)  # an empty right side counts 1: no 0/0
+    right_n = np.maximum(lev.size_of - lev.left_n, 1.0)  # an empty right side counts 1: no 0/0
     if min_samples_leaf > 1:
         room &= (lev.left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
     best_score = np.full(lev.starts.shape[0], np.inf)
     best_feat = np.full(lev.starts.shape[0], -1)
     best_thr = np.zeros(lev.starts.shape[0])
+    best_at = np.zeros(lev.starts.shape[0], dtype=np.intp)
     for f, order in enumerate(orders):
-        scores = _split_scores(ys, order, lev, right_n, impurity)  # before valid: its buffers set the peak
+        if candidate is not None and not candidate[:, f].any():
+            continue
         rs = np.take(ranks[f], order, mode="clip")  # ids are in range; "clip" gathers faster than "raise"
         valid = room.copy()
         valid[:-1] &= rs[1:] != rs[:-1]
         del rs
         if candidate is not None:
-            valid &= candidate[lev.seg_of, f]
+            valid &= np.repeat(candidate[:, f], lev.sizes)
+        scored = np.logical_or.reduceat(valid, lev.starts)
+        if not scored.any():
+            continue
+        scores = _split_scores(ys, order, lev, right_n, impurity, scored)
         scores[~valid] = np.inf
         seg_min = np.minimum.reduceat(scores, lev.starts)
         better = seg_min < best_score
         if better.any():
-            hits = np.flatnonzero(scores == seg_min[lev.seg_of])
+            hits = np.flatnonzero(scores == np.repeat(seg_min, lev.sizes))
             at = hits[np.searchsorted(hits, lev.starts[better])]  # first minimum of each segment
             best_score[better] = seg_min[better]
             best_feat[better] = f
+            best_at[better] = at
             xcol = x[:, f]
             lo, hi = xcol[rows[order[at]]], xcol[rows[order[at + 1]]]
             with np.errstate(over="ignore"):
                 mid = (lo + hi) / 2.0
-            # a midpoint that rounds (or overflows) up to hi would send every row left
-            best_thr[better] = np.where(mid < hi, mid, lo)
+            # a midpoint that rounds (or overflows) up to hi would send every row
+            # left, and one that overflows down to -inf every row right
+            best_thr[better] = np.where((lo <= mid) & (mid < hi), mid, lo)
         del valid, scores  # free before the next feature's arrays are built
-    return best_feat, best_thr
+    return best_feat, best_thr, best_at
 
 
 def _grow_trees(
@@ -582,17 +608,20 @@ def _grow_trees(
     plus one such array in sample order. Beside each feature's ids sit its
     value ranks, indexed by sample id, on which a level tests for ties. A
     level scores every split position of every segment in a few numpy passes
-    per feature. Then each array is partitioned by one stable argsort on key,
-    each sample's child rank in level order (left child, then right), into the
-    children that may split in turn: the rank's smallest dtype is 8- or
-    16-bit, which numpy radix-sorts, up to 32,767 splits a level. Leaves and unsplit segments take
-    a rank past every kept child's and drop out; when no child may split,
-    nothing is partitioned. The id arrays are stored in the smallest dtype
-    that holds n_trees * n - 1 (uint16 up to 65,536 samples), which keeps the
-    grower's peak below that of int32 ids without ranks, and each is cast to
-    intp, one at a time, where it indexes (numpy gathers and scatters about
-    twice as fast with intp indices); rows, which maps sample ids to rows of
-    x, and the per-position segment ids are intp. A child is a leaf when it
+    per feature, except on the segments (or whole features) where the feature
+    has no split point. A split segment's rows up to its winning position, in
+    the winning feature's order, go to the left child. Then each array is
+    partitioned by one stable argsort on key, each sample's child rank in
+    level order (left child, then right), into the children that may split in
+    turn: the rank's smallest dtype is 8- or 16-bit, which numpy radix-sorts,
+    up to 32,767 splits a level. Leaves and unsplit segments take a rank past
+    every kept child's and drop out; when no child may split, nothing is
+    partitioned. The id arrays are stored in the smallest dtype that holds
+    n_trees * n - 1 (uint16 up to 65,536 samples), which keeps the grower's
+    peak below that of int32 ids without ranks, and each is cast to intp, one
+    at a time, where it indexes (numpy gathers and scatters about twice as
+    fast with intp indices); rows, which maps sample ids to rows of x, is
+    intp. A child is a leaf when it
     is pure (all its targets equal), smaller than min_samples_split or at
     max_depth. Each level appends its children's values and sizes and its
     split parents, features and thresholds to levels, so the k-th split's
@@ -609,7 +638,6 @@ def _grow_trees(
     orders, ranks = [order for order, _ in presorted], [rank for _, rank in presorted]
     del presorted
     row_order = np.arange(n_trees * n, dtype=id_type)
-    goes_left = np.zeros(n_trees * n, dtype=bool)
 
     sizes = np.full(n_trees, n)
     check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
@@ -629,22 +657,27 @@ def _grow_trees(
         if max_features is not None and max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
         lev = _level(starts, sizes)
-        best_feat, best_thr = _best_splits(x, rows, ys, orders, ranks, lev, impurity, min_samples_leaf, candidate)
+        best_feat, best_thr, best_at = _best_splits(
+            x, rows, ys, orders, ranks, lev, impurity, min_samples_leaf, candidate
+        )
         split = best_feat >= 0
         if not split.any():
             break
-        seg_of = lev.seg_of
+        # a segment's rows up to its split position in the winning feature's
+        # order go left: the threshold lies at or above that position's value
+        # and below the next one's
+        goes_left = np.zeros(n_trees * n, dtype=bool)
         for f in sorted(set(best_feat[split].tolist())):  # np.unique would import numpy.ma: 1 MiB
-            mine = best_feat[seg_of] == f
-            order = orders[f][mine].astype(np.intp)
-            goes_left[order] = x[:, f][rows[order]] <= best_thr[seg_of[mine]]
+            n_left = np.repeat(np.where(best_feat == f, lev.left_n[best_at], 0.0), lev.sizes)
+            goes_left[orders[f][lev.left_n <= n_left].astype(np.intp)] = True
+        del n_left
 
         # each position's child rank, left then right in level order; the pair
         # after the last one stands for the segments that did not split
         n_split = int(split.sum())
         rank_type = np.min_scalar_type(2 * n_split + 1)
         at = row_order.astype(np.intp)
-        child = np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(rank_type)[seg_of]
+        child = np.repeat(np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(rank_type), lev.sizes)
         child += ~goes_left[at]
         child_sizes = np.bincount(child, minlength=2 * n_split + 2)[: 2 * n_split]
         child_starts = np.cumsum(child_sizes) - child_sizes
@@ -672,7 +705,7 @@ def _grow_trees(
         nodes = children[keep]
         trees = np.repeat(trees[split], 2)[keep]
         depth += 1
-        del lev, seg_of, at, child, key, mine, order  # free before the next scan
+        del lev, at, child, key, goes_left  # free before the next scan
     value, n_samples, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
     feature, threshold, left = np.full(value.shape, -1), np.full(value.shape, np.nan), np.full(value.shape, -1)
     feature[parents], threshold[parents], left[parents] = feats, thrs, n_trees + 2 * np.arange(parents.shape[0])

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from catenc import bench as bench_mod
 from catenc import encoders as enc_mod
 from catenc.cli import main
 from catenc.data import fit_preprocessor, impute, infer_schema, load_csv
@@ -263,6 +264,24 @@ def test_bench_unloadable_dataset_is_one_error_line(tmp_path, bench_config, caps
     assert "scored" not in out
     assert err.count("error:") == 1 and "toy.schema: target 'y' has no declared kind" in err
     assert not (tmp_path / "results" / "failures.csv").exists()
+
+
+def test_bench_unloadable_dataset_leaves_no_output_directory(tmp_path, bench_config, capsys):
+    (tmp_path / "toy.schema").write_text("g = categorical\ntarget = y\n")
+    assert main(["bench", "--config", str(bench_config), "--no-timing"]) == 1
+    assert "no declared kind" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_bench_unwritable_out_is_refused_before_any_cell(tmp_path, bench_config, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    monkeypatch.setattr(bench_mod, "fit_pipeline", lambda *a: pytest.fail("a cell ran"))
+    assert main(["bench", "--config", str(bench_config), "--no-timing", "--out", str(taken)]) == 1
+    out, err = capsys.readouterr()
+    assert "scored" not in out
+    assert err.count("error:") == 1 and str(taken) in err
+    assert taken.read_text() == "a file, not a directory\n"
 
 
 def test_bench_bad_config_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import tracemalloc
@@ -333,7 +334,7 @@ class TestSplitScores:
         sizes = np.array(sizes)
         lev = models._level(np.cumsum(sizes) - sizes, sizes)
         right_n = np.maximum(lev.size_of - lev.left_n, 1)
-        got = models._split_scores(ys, order, lev, right_n, impurity)
+        got = models._split_scores(ys, order, lev, right_n, impurity, np.ones(sizes.size, dtype=bool))
         want = []
         for start, end in zip(lev.starts, lev.ends):
             seg = ys[order[start:end]]
@@ -451,6 +452,49 @@ class TestNodeStats:
         assert values.tolist() == [1.0, 0.5, 0.0, 1.0]
 
 
+class TestRouting:
+    """Every training row walked through predict_tree reaches a leaf whose
+    n_samples counts it: the grower sends rows to the children the thresholds
+    send them to, on the values where a midpoint rounds, overflows or ties."""
+
+    @staticmethod
+    def leaf_counts(tree: Tree, x: np.ndarray) -> np.ndarray:
+        # leaf values replaced by node ids, so predict_tree returns each row's leaf
+        ids = dataclasses.replace(tree, value=np.arange(tree.value.size, dtype=float))
+        return np.bincount(predict_tree(ids, x).astype(np.intp).ravel(), minlength=tree.value.size)
+
+    def check(self, tree: Tree, x: np.ndarray) -> None:
+        counts = self.leaf_counts(tree, x)
+        leaf = tree.feature < 0
+        np.testing.assert_array_equal(counts[leaf], tree.n_samples[leaf])
+        assert not counts[~leaf].any()
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 40),
+        p=st.integers(3, 4),
+        pool=st.lists(
+            st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5
+        ),
+    )
+    def test_training_rows_reach_their_leaves(self, data, n, p, pool):
+        # a drawn value's neighbour floats join the pool, whose few values make heavy ties
+        pool, big = np.array(pool), np.finfo(float).max
+        pool = np.r_[pool, np.nextafter(pool, big), np.nextafter(pool, -big)]
+        cells = data.draw(st.lists(st.integers(0, pool.size - 1), min_size=n * p, max_size=n * p), label="cells")
+        x = pool[np.array(cells)].reshape(n, p)
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="labels"))
+        binary, real = (labels % 2).astype(float), np.array([0.1, 1 / 3, -2.5, 7.0])[labels]
+        for impurity, y in (("gini", binary), ("mse", real)):
+            for min_samples_leaf in (1, 3):
+                self.check(fit_tree(x, y, impurity, None, 2, min_samples_leaf), x)
+        assert int(np.ceil(np.sqrt(p))) < p  # the forests' nodes draw candidate features
+        for task, y in (("classification", binary), ("regression", real)):
+            forest = fit_forest(x, y, task, n_trees=4, seed=data.draw(st.integers(0, 9), label="seed"), bootstrap=False)
+            self.check(forest.trees[0], x)
+
+
 class TestTree:
     def test_root_split_at_midpoint_between_classes(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -549,10 +593,10 @@ class TestTree:
             with pytest.raises(ValueError, match="0/1"):
                 fit_tree(x, np.array([0.0, 1.0, 2.0, 1.0]), impurity=kind)
 
-    @pytest.mark.parametrize("lo", [np.nextafter(1.0, 2.0), 1e308])
+    @pytest.mark.parametrize("lo", [np.nextafter(1.0, 2.0), 1e308, -1.5e308])
     def test_split_between_values_whose_midpoint_rounds_up(self, lo):
         # (lo + hi) / 2 rounds to hi for adjacent floats and overflows to inf
-        # for huge ones; the split must still separate lo from hi
+        # (or -inf) for huge ones; the split must still separate lo from hi
         hi = np.nextafter(lo, np.inf) if lo < 2.0 else 1.5e308
         x = np.array([[lo], [hi], [lo], [hi]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
@@ -844,6 +888,34 @@ class TestLargeNodes:
             "value": "8169e7df5f0842c4e7d4355dcbd6bb1d7e7e2721106ff56d36e14357172d4daa",
             "n_samples": "43cd596184b87d2907944cd7db7040d601a7cff1f2fdfda4ead40ddb52f98816",
             "roots": "f5c4cb24f4c9b43e624e0a83cb11934f932dbd5db24eee67fed696354ac88a61",
+        }
+
+    def test_wide_one_hot_forest(self, monkeypatch):
+        # a gini forest on 60 one-hot columns draws 8 candidates a node, so
+        # every level has features that no segment may split on; pinned
+        # before the grower skipped such features
+        u = np.random.default_rng(15).random((300, 2))
+        code = np.floor(u[:, 0] * 60.0)
+        x = (code[:, None] == np.arange(60.0)).astype(float)
+        y = ((code % 7 < 3) != (u[:, 1] < 0.2)).astype(float)
+        unused, draw = [], models._feature_candidates
+
+        def spy(*args):
+            candidate = draw(*args)
+            unused.append(int((~candidate.any(axis=0)).sum()))
+            return candidate
+
+        monkeypatch.setattr(models, "_feature_candidates", spy)
+        forest = fit_forest(x, y, "classification", n_trees=10, seed=2)
+        assert len(unused) == 56 and min(unused) > 0
+        assert [t.value.size for t in forest.trees] == [928]  # one batch
+        assert tree_digests(forest.trees[0]) == {
+            "feature": "36c976e55d95adf5990efbaaf85979a85d090700a0bc579fe66aa315a23b0c4f",
+            "threshold": "dc435c802f843daf048c297648521ece88873801d217d8bbdc8c9a75e2020095",
+            "left": "5ebd2c29f9716c7b222cd7af0a24a19e2bd55aaa2eaa6e4d91fde9b12308c7ba",
+            "value": "02d1c3bb572cb94cf5a7daf412e4ff1e24457699c85385aee985f9203cc58bc1",
+            "n_samples": "491d5e9c395924d85bcf04e193fd6f004734ea03825325b10c80162ff9b5e6ed",
+            "roots": "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
         }
 
     def test_level_of_32768_splits(self):
