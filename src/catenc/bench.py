@@ -547,9 +547,11 @@ def run_and_report(
 ) -> tuple[list[MetricRecord], list[CellFailure]]:
     """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files.
 
-    A dataset that cannot be loaded stops the run before out_dir is made, and
-    an out_dir that cannot be made stops it before any cell runs; run_grid
-    then finds the datasets in _load_dataset's cache."""
+    A worker count below 1 or a dataset that cannot be loaded stops the run
+    before out_dir is made, and an out_dir that cannot be made stops it before
+    any cell runs; run_grid then finds the datasets in _load_dataset's cache."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     for d in grid.datasets:
         _load_dataset(d.csv_path, d.schema_path)
     os.makedirs(grid.out_dir, exist_ok=True)

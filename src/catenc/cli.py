@@ -37,11 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--problem", required=True, choices=("regression", "classification"))
     p_sweep.add_argument("--encoder", required=True, choices=enc_mod.ENCODER_VARIANTS)
     p_sweep.add_argument("--model", required=True, choices=models_mod.MODEL_NAMES)
-    p_sweep.add_argument("--aspl", type=int, nargs="+", default=list(range(5, 101, 5)))
-    p_sweep.add_argument("--seeds", type=int, default=30, help="seeds per ASPL value")
-    p_sweep.add_argument("--test-size", type=int, default=1000)
-    p_sweep.add_argument("--sigma", type=float, default=1.0, help="regression noise scale")
-    p_sweep.add_argument("--seed", type=int, default=0, help="base seed for all streams")
+    synth = synth_mod.SynthConfig()  # the sweep's defaults
+    p_sweep.add_argument("--aspl", type=int, nargs="+", default=list(synth.aspl_values))
+    p_sweep.add_argument("--seeds", type=int, default=synth.seeds_per_aspl, help="seeds per ASPL value")
+    p_sweep.add_argument("--test-size", type=int, default=synth.test_size)
+    p_sweep.add_argument("--sigma", type=float, default=synth.sigma, help="regression noise scale")
+    p_sweep.add_argument("--seed", type=int, default=synth.base_seed, help="base seed for all streams")
     p_sweep.add_argument("--out", default=".", help="output directory")
 
     p_verify = sub.add_parser("verify", help="run the randomized structural checks")
@@ -126,6 +127,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     if args.suite in ("onehot-equivalence", "all"):
         rows += theory_mod.verify_onehot_equivalence(trials=args.trials, seed=args.seed)

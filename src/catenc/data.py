@@ -123,7 +123,7 @@ def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
 
     Lines are ``column = numeric|categorical`` plus one ``target = <name>`` line;
     blank lines and ``#`` comments are skipped, and so is a leading UTF-8
-    byte-order mark.
+    byte-order mark. A column or the target named twice is refused.
     """
     kinds: dict[str, ColumnKind] = {}
     target = None
@@ -135,6 +135,8 @@ def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
             if "=" not in line:
                 raise SchemaError(f"{path}:{lineno}: expected 'name = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in kinds or (key == "target" and target is not None):
+                raise SchemaError(f"{path}:{lineno}: duplicate schema key: {key}")
             if key == "target":
                 target = value
             else:
@@ -329,16 +331,16 @@ def split_train_test(table: DataTable, ratio: float, seed: int) -> SplitPair:
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class FittedPipeline:
     """Everything fitted on a train table: imputation fills, one encoder per
-    categorical feature, the (column name, width) blocks of the encoded matrix in
-    schema order, and the per-column mean and population std of the imputed,
-    encoded train matrix (float64 arrays aligned with its columns).
+    categorical feature, and the per-column mean and population std of the
+    imputed, encoded train matrix (float64 arrays aligned with its columns).
+    The matrix has one block per feature in schema order: a categorical
+    feature's is `encoders[name].output_dim` wide, a numeric one's 1.
     """
 
     schema: tuple[tuple[str, ColumnKind], ...]
     target: str
     fills: dict[str, float | str]
     encoders: dict[str, enc_mod.FittedEncoder]
-    layout: tuple[tuple[str, int], ...]
     mean: np.ndarray
     std: np.ndarray
 
@@ -399,24 +401,20 @@ def fit_pipeline(
         }
     else:
         encoders = dict(spec)
-    matrix, layout = _encode_features(encoders, filled)
+    matrix = _encode_features(encoders, filled)
     pipeline = FittedPipeline(
         schema=train.schema,
         target=train.target,
         fills=fills,
         encoders=encoders,
-        layout=layout,
         mean=matrix.mean(axis=0),
         std=matrix.std(axis=0),  # population std
     )
     return pipeline, _standardize(pipeline, matrix)
 
 
-def _encode_features(
-    encoders: Mapping[str, enc_mod.FittedEncoder], table: DataTable
-) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
+def _encode_features(encoders: Mapping[str, enc_mod.FittedEncoder], table: DataTable) -> np.ndarray:
     blocks = [np.empty((table.row_count, 0))]
-    layout: list[tuple[str, int]] = []
     for name, kind in table.schema:
         if name == table.target:
             continue
@@ -428,8 +426,7 @@ def _encode_features(
         else:
             block = col.reshape(-1, 1)
         blocks.append(block)
-        layout.append((name, block.shape[1]))
-    return np.hstack(blocks), tuple(layout)
+    return np.hstack(blocks)
 
 
 def _standardize(pipeline: FittedPipeline, matrix: np.ndarray) -> np.ndarray:
@@ -448,5 +445,5 @@ def apply_pipeline(pipeline: FittedPipeline, table: DataTable) -> np.ndarray:
     schema must match the fit-time schema."""
     if table.schema != pipeline.schema or table.target != pipeline.target:
         raise SchemaError("table schema does not match the fitted pipeline")
-    matrix, _ = _encode_features(pipeline.encoders, impute(pipeline.fills, table))
+    matrix = _encode_features(pipeline.encoders, impute(pipeline.fills, table))
     return _standardize(pipeline, matrix)

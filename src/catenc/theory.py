@@ -5,7 +5,9 @@ Two families of checks live here:
 * one-hot universality for models whose first operation is an affine map of the
   encoded input: any fixed encoding composed with such a map (an (h, l) weight
   matrix over the l code columns) is reproduced exactly by one-hot plus a
-  constructed (h, c) weight matrix;
+  constructed (h, c) weight matrix, on every row of trained levels (one-hot
+  codes an unseen level as zeros). The check fits each of the package's
+  encoders and one-hot on the same column and compares transformed rows;
 * optimal level bipartitions for trees: with a single categorical feature, the
   best split over all 2^(c-1) - 1 bipartitions is already a threshold on the
   levels' target means (Fisher 1958; Breiman et al. 1984, Thm 4.5). Tied means
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import EncoderSpec, FittedEncoder, compute_group_stats, fit, transform
+from .encoders import ENCODER_VARIANTS, EncoderSpec, FittedEncoder, compute_group_stats, fit, transform
 from .models import fit_tree
 
 
@@ -39,20 +41,6 @@ def build_equivalent_onehot_weights(w: np.ndarray, enc: FittedEncoder) -> np.nda
 def encoded_contributions(w: np.ndarray, enc: FittedEncoder, column: Sequence[str]) -> np.ndarray:
     """Per-row categorical contributions z = w @ phi(v), shape (n, h)."""
     return transform(enc, column) @ w.T
-
-
-def contribution_difference(
-    w_a: np.ndarray, enc_a: FittedEncoder, w_b: np.ndarray, enc_b: FittedEncoder, column: Sequence[str]
-) -> float:
-    """Mean squared distance between two models' categorical contributions,
-    (1/n) * sum ||z_a - z_b||^2 over the given column."""
-    if w_a.shape[0] != w_b.shape[0]:
-        raise ValueError(f"contribution widths differ: {w_a.shape[0]} vs {w_b.shape[0]}")
-    if not column:
-        raise ValueError("empty column")
-    za = encoded_contributions(w_a, enc_a, column)
-    zb = encoded_contributions(w_b, enc_b, column)
-    return float(np.mean(np.sum((za - zb) ** 2, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +157,35 @@ class CheckRow:
 
 
 def verify_onehot_equivalence(trials: int = 100, seed: int = 0, tol: float = 1e-10) -> list[CheckRow]:
-    """Random encoders (2-10 levels, 1-5 code columns) and affine maps (1-8
-    outputs); the constructed one-hot weights must reproduce every level's
-    contribution to within tol."""
+    """Trial t fits encoder ENCODER_VARIANTS[t % 14] and one-hot on one random
+    training column (2-10 levels, 10-100 rows, a normal target), then draws a
+    map w (1-8 outputs). On every row, one-hot with the constructed weights and
+    the encoder under w must give the same contribution, and both must be the
+    constructed weights' column for the row's level, to within tol."""
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(trials):
+        variant = ENCODER_VARIANTS[t % len(ENCODER_VARIANTS)]
         c = int(rng.integers(2, 11))
-        l = int(rng.integers(1, 6))
+        n = int(rng.integers(10, 101))
+        level = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])  # v0..v(c-1) in order
+        column = [f"v{k}" for k in level]
+        y = rng.normal(size=n)
+        enc = fit(EncoderSpec(variant), column, y)
+        onehot = fit(EncoderSpec("onehot"), column)
         h = int(rng.integers(1, 9))
-        enc = FittedEncoder(
-            variant="onehot",  # stand-in tag; the map is what matters
-            levels=tuple(f"v{k}" for k in range(c)),
-            codes=rng.uniform(-1, 1, size=(c, l)),
-            unseen_policy=np.zeros(l),
-        )
-        w = rng.uniform(-1, 1, size=(h, l))
+        w = rng.uniform(-1, 1, size=(h, enc.output_dim))
         w_oh = build_equivalent_onehot_weights(w, enc)
-        dev = 0.0
-        for k in range(c):
-            direct = w @ enc.codes[k]
-            via_onehot = w_oh[:, k]
-            dev = max(dev, float(np.max(np.abs(direct - via_onehot))))
+        z = encoded_contributions(w, enc, column)
+        dev = max(
+            float(np.max(np.abs(encoded_contributions(w_oh, onehot, column) - z))),
+            # a fault in transform's row gather moves both sides alike; the level column does not move
+            float(np.max(np.abs(w_oh.T[level] - z))),
+        )
         rows.append(
             CheckRow(
                 name="onehot-equivalence",
-                params=f"trial={t} c={c} l={l} h={h}",
+                params=f"trial={t} {variant} c={c} l={enc.output_dim} h={h}",
                 deviation=dev,
                 ok=dev < tol,
             )

@@ -11,6 +11,7 @@ from conftest import record_criterion
 from catenc.bench import DatasetSpec, ExperimentGrid, ModelSpec, run_and_report
 from catenc.data import ColumnKind, DataTable
 from catenc.encoders import (
+    ENCODER_VARIANTS,
     EncoderSpec,
     compute_group_stats,
     contrast_matrix,
@@ -56,11 +57,14 @@ def test_onehot_reproduces_any_encoder_contribution():
     rows = verify_onehot_equivalence(trials=100, seed=0, tol=1e-10)
     elapsed = time.perf_counter() - t0
     worst = max(r.deviation for r in rows)
-    ok = all(r.ok for r in rows) and worst < 1e-10 and elapsed < 1.0
+    passed = sum(r.ok for r in rows)
+    encoders = {r.params.split()[1] for r in rows}
+    ok = passed == len(rows) == 100 and encoders == set(ENCODER_VARIANTS) and worst < 1e-10 and elapsed < 1.0
     crit(
         "onehot-equivalence",
         ok,
-        f"100/100 instances, max deviation {worst:.2e} (tol 1e-10), {elapsed:.2f}s (budget 1s)",
+        f"{passed}/{len(rows)} instances over {len(encoders)} fitted encoders, "
+        f"max deviation {worst:.2e} (tol 1e-10), {elapsed:.2f}s (budget 1s)",
     )
 
 

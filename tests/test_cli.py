@@ -225,6 +225,14 @@ def test_verify_all_suites_pass(tmp_path, capsys):
     assert out.count("deviation=") >= 10 + 11 + 10
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_trial(capsys, trials):
+    # no instance would run, and "0/0 checks passed" would read as a pass
+    assert main(["verify", "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: trials must be >= 1\n"
+
+
 def test_verify_single_suite(capsys):
     rc = main(["verify", "--suite", "split-count"])
     assert rc == 0
@@ -271,6 +279,13 @@ def test_bench_unloadable_dataset_leaves_no_output_directory(tmp_path, bench_con
     assert main(["bench", "--config", str(bench_config), "--no-timing"]) == 1
     assert "no declared kind" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+def test_bench_zero_workers_is_refused_before_anything_is_made(tmp_path, bench_config, capsys):
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(bench_config), "--workers", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert not out.exists()
 
 
 def test_bench_unwritable_out_is_refused_before_any_cell(tmp_path, bench_config, capsys, monkeypatch):

@@ -114,6 +114,54 @@ class TestLoadCsv:
         assert kinds["temp"] is ColumnKind.NUMERIC
 
 
+class TestReadSchema:
+    def test_blank_lines_and_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "t.schema"
+        path.write_text("\n# kinds\na = categorical  # the level\n\n   \ny = numeric\ntarget = y\n")
+        assert read_schema(str(path)) == ({"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("a = categorical\ny numeric\ntarget = y\n", ":2: expected 'name = value'"),
+            ("a = categorical\ny = float\ntarget = y\n", ":2: kind must be numeric or categorical, got 'float'"),
+            ("a = categorical\ny = numeric\n", ": no 'target =' line"),
+            ("a = categorical\ntarget = y\n", ": target 'y' has no declared kind"),
+            # keeping the last line would change a column's kind or the target silently
+            ("a = numeric\ny = numeric\na = categorical\ntarget = y\n", ":3: duplicate schema key: a"),
+            ("a = numeric\ny = numeric\ntarget = y\n\ntarget = a\n", ":5: duplicate schema key: target"),
+        ],
+        ids=["no-equals", "bad-kind", "no-target", "target-kind", "repeated-column", "repeated-target"],
+    )
+    def test_refusals_name_the_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "t.schema"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as info:
+            read_schema(str(path))
+        assert str(info.value) == f"{path}{error}"
+
+
+class TestDataTableRefusals:
+    @pytest.mark.parametrize(
+        "schema, columns, target, error",
+        [
+            ((("a", ColumnKind.NUMERIC), ("a", ColumnKind.NUMERIC)), {"a": [1.0]}, "a", "duplicate column names"),
+            ((("a", ColumnKind.NUMERIC),), {"a": [1.0], "b": [2.0]}, "a", "schema names and stored columns disagree"),
+            ((("a", ColumnKind.NUMERIC),), {"a": [1.0]}, "y", "target column 'y' not in table"),
+            (
+                (("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
+                {"a": ["u", "v", "u"], "y": [1.0, 2.0]},
+                "y",
+                r"ragged columns: lengths \[2, 3\]",
+            ),
+        ],
+        ids=["duplicate", "disagree", "target", "ragged"],
+    )
+    def test_refusals(self, schema, columns, target, error):
+        with pytest.raises(SchemaError, match=error):
+            DataTable(schema=schema, columns=columns, target=target)
+
+
 class TestSplit:
     def test_partition_preserves_rows(self):
         table = make_table(n=23)
@@ -302,7 +350,7 @@ class TestPreprocessor:
             spec = EncoderSpec(variant)
         pipeline, x_train = fit_pipeline(table, spec)
         assert np.array_equal(x_train, apply_pipeline(pipeline, table))
-        assert x_train.shape[1] == sum(width for _, width in pipeline.layout)
+        assert x_train.shape[1] == 1 + pipeline.encoders["season"].output_dim
 
     def test_target_and_task_detection(self):
         t = make_table()

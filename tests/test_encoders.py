@@ -384,6 +384,24 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             EncoderSpec("woodwork")
 
+    @pytest.mark.parametrize(
+        "variant, fields, error",
+        [
+            ("basen", {"base": 1}, "base must be >= 2"),
+            ("sshrink", {"s2": 0.0}, "s2 must be positive"),
+            ("mestimate", {"m": -1.0}, "m must be nonnegative"),
+            ("similarity", {"ngram_range": (0, 3)}, "bad ngram_range"),
+            ("similarity", {"ngram_range": (4, 2)}, "bad ngram_range"),
+            ("minhash", {"n_components": 0}, "n_components must be >= 1"),
+            ("glmm", {"glmm_max_iter": 0}, "bad GLMM iteration settings"),
+            ("glmm", {"glmm_tol": 0.0}, "bad GLMM iteration settings"),
+        ],
+        ids=["base", "s2", "m", "ngram-low", "ngram-reversed", "n_components", "glmm_max_iter", "glmm_tol"],
+    )
+    def test_spec_refusals(self, variant, fields, error):
+        with pytest.raises(ValueError, match=error):
+            EncoderSpec(variant, **fields)
+
 
 @given(
     variant=st.sampled_from(ENCODER_VARIANTS),

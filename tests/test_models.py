@@ -146,6 +146,14 @@ class TestLogistic:
         assert np.max(np.abs(grad)) < 1e-6
         assert model.converged
 
+    @pytest.mark.parametrize("short, converged", [(0, True), (1, False)])
+    def test_stopping_at_max_iter_reads_convergence_from_the_final_gradient(self, short, converged):
+        x, y = self.make_problem()
+        steps = fit_logistic(x, y).n_iter  # the accepted steps an unbounded fit takes
+        model = fit_logistic(x, y, max_iter=steps - short)
+        assert model.n_iter == steps - short
+        assert model.converged is converged
+
     def test_finite_difference_gradient(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 4))

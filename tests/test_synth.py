@@ -121,6 +121,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="distinct"):
             SynthConfig(aspl_values=(5, 10, 5))
 
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"problem": "ranking"}, "unknown problem 'ranking'"),
+            ({"aspl_values": ()}, "aspl_values must be positive"),
+            ({"aspl_values": (5, 0)}, "aspl_values must be positive"),
+            ({"seeds_per_aspl": 0}, "seeds_per_aspl and test_size must be positive"),
+            ({"test_size": 0}, "seeds_per_aspl and test_size must be positive"),
+        ],
+        ids=["problem", "no-aspl", "aspl-zero", "seeds", "test_size"],
+    )
+    def test_config_refusals(self, fields, error):
+        with pytest.raises(ValueError, match=error):
+            SynthConfig(**fields)
+
     def test_truth_rows_have_zero_gap(self):
         cfg = self.small_config("regression")
         _, summaries = run_aspl_sweep(cfg, "ridge", EncoderSpec("ordinal"))

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenc.encoders import EncoderSpec, fit
+import catenc.theory as theory_mod
+from catenc.encoders import ENCODER_VARIANTS, EncoderSpec, fit, transform
 from catenc.theory import (
     build_equivalent_onehot_weights,
     best_split_exhaustive,
-    contribution_difference,
     encoded_contributions,
     enumerate_level_splits,
     mean_code_split,
@@ -37,27 +37,11 @@ class TestOnehotUniversality:
         za = encoded_contributions(mapped, enc, column)
         zb = encoded_contributions(oh_map, onehot, column)
         np.testing.assert_allclose(za, zb, atol=1e-12)
-        assert contribution_difference(mapped, enc, oh_map, onehot, column) < 1e-24
 
     def test_width_mismatch_rejected(self):
         enc = fit(EncoderSpec("onehot"), ["a", "b", "c"])
         with pytest.raises(ValueError):
             build_equivalent_onehot_weights(np.ones((2, 5)), enc)
-
-    def test_difference_is_zero_against_self(self):
-        rng = np.random.default_rng(3)
-        column = ["a", "b", "a", "c"]
-        enc = fit(EncoderSpec("onehot"), column)
-        m = random_map(rng, 2, 3)
-        assert contribution_difference(m, enc, m, enc, column) == 0.0
-
-    def test_difference_matches_hand_rolled_mean(self):
-        column = ["a", "b"]
-        enc = fit(EncoderSpec("onehot"), column)
-        m1 = np.array([[1.0, 0.0]])
-        m2 = np.array([[0.0, 2.0]])
-        # contributions: m1 -> [1, 0], m2 -> [0, 2]; mean of (1, 4) is 2.5
-        assert contribution_difference(m1, enc, m2, enc, column) == pytest.approx(2.5)
 
 
 class TestSplitEnumeration:
@@ -153,6 +137,25 @@ class TestVerifySuites:
         assert len(rows) == 25
         assert all(r.ok for r in rows)
         assert max(r.deviation for r in rows) < 1e-10
+
+    def test_onehot_equivalence_fits_every_encoder_in_turn(self):
+        rows = verify_onehot_equivalence(trials=len(ENCODER_VARIANTS), seed=3)
+        assert [r.params.split()[1] for r in rows] == list(ENCODER_VARIANTS)
+
+    @pytest.mark.parametrize("fault", ["reversed one-hot rows", "shifted row gather"])
+    def test_onehot_equivalence_fails_on_a_broken_encoder(self, monkeypatch, fault):
+        if fault == "reversed one-hot rows":
+            def broken_fit(spec, column, target=None):
+                enc = fit(spec, column, target)
+                if spec.variant == "onehot":
+                    enc.codes = enc.codes[::-1].copy()
+                return enc
+            monkeypatch.setattr(theory_mod, "fit", broken_fit)
+        else:
+            # both sides go through transform, so only the level-column check sees this
+            monkeypatch.setattr(theory_mod, "transform", lambda enc, col: np.roll(transform(enc, col), 1, axis=0))
+        rows = verify_onehot_equivalence(trials=len(ENCODER_VARIANTS), seed=0)
+        assert not any(r.ok for r in rows)
 
     def test_split_count_rows_exact(self):
         rows = verify_split_counts(2, 8)
