@@ -6,17 +6,19 @@ gradient-based ones expose their loss/gradient so tests can finite-difference
 them. The trees search exact midpoint thresholds: one level-wise grower
 scores every node of a level, across all the trees of a forest, in a few
 vectorized prefix scans per presorted feature, skipping the nodes (and whole
-features) where a feature has no split point, then moves each presorted array
-into the level's children with one stable sort on each sample's child rank (a
-radix sort on 8- or 16-bit ranks). Each feature is presorted by a radix sort
-on its per-sample value ranks. The sample-id arrays are stored in the
-smallest unsigned dtype that holds every id and cast to intp, one at a time,
-to gather: numpy indexes about twice as fast with intp. Split positions
-between equal values are found on the value ranks, so a level reads x only
-where a split is chosen, and a node's rows go left up to the winning position
-in the winning feature's order. A node is pure when its targets are all
-equal. The trees are flat node arrays that prediction walks in lock step, one
-row per group of rows that no threshold separates.
+features) where a feature has no split point; on an mse level, a feature with
+few split points, as an encoded column has, is scored at those alone. It then
+moves each presorted array into the level's children with one stable sort on
+each sample's child rank (a radix sort on 8- or 16-bit ranks). Each feature
+is presorted by a radix sort on its per-sample value ranks. The sample-id
+arrays are stored in the smallest unsigned dtype that holds every id and cast
+to intp, one at a time, to gather: numpy indexes about twice as fast with
+intp. Split positions between equal values are found on the value ranks, so
+a level reads x only where a split is chosen, and a node's rows go left up to
+the winning position in the winning feature's order. A node is pure when its
+targets are all equal, and its value is their mean. The trees are flat node
+arrays that prediction walks in lock step, one row per group of rows that no
+threshold separates.
 """
 from __future__ import annotations
 
@@ -59,9 +61,11 @@ def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, fl
 def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPHAS) -> RidgeModel:
     """L2-penalized least squares with an unpenalized intercept.
 
-    alpha is picked from the candidates by deterministic k-fold CV (round-robin
-    fold assignment, k = min(5, n)); ties keep the earliest candidate. Each
-    fold's centered moments are computed once and shared by the candidates.
+    alpha is picked from the candidates, each finite and >= 0, by
+    deterministic k-fold CV (round-robin fold assignment, k = min(5, n)); ties
+    keep the earliest candidate. Each fold's centered moments and held-out
+    rows are taken once and shared by the candidates, and each candidate's
+    fold errors are added in fold order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -73,23 +77,28 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     if not alphas:
         raise ValueError("no alpha candidates")
     alphas = tuple(float(a) for a in alphas)
+    if not all(np.isfinite(a) and a >= 0.0 for a in alphas):
+        raise ValueError(f"alphas must be finite and >= 0, got {alphas}")
     if len(alphas) == 1:
         best = alphas[0]
     else:
         k = min(5, n)
         folds = np.arange(n) % k
-        moments = [_ridge_moments(x[folds != f], y[folds != f]) for f in range(k)]  # (p, p) each
+        errs = [0.0] * len(alphas)
+        for f in range(k):
+            moments = _ridge_moments(x[folds != f], y[folds != f])  # frees its (n, p) copy
+            x_out, y_out = x[folds == f], y[folds == f]
+            for i, alpha in enumerate(alphas):
+                w, b = _ridge_solve(*moments, alpha)
+                resid = y_out - (x_out @ w + b)
+                errs[i] += float(resid @ resid)
+            del x_out  # free before the next fold's training copy
         best, best_err = None, np.inf
-        for alpha in alphas:
-            err = 0.0
-            for f in range(k):
-                mask = folds == f
-                w, b = _ridge_solve(*moments[f], alpha)
-                resid = y[mask] - (x[mask] @ w + b)
-                err += float(resid @ resid)
+        for alpha, err in zip(alphas, errs):
             if err < best_err:
                 best, best_err = alpha, err
-        assert best is not None
+        if best is None:
+            raise ValueError("no alpha candidate has a finite cross-validation error")
     w, b = _ridge_solve(*_ridge_moments(np.copy(x), y), best)  # np.copy keeps x's memory order
     return RidgeModel(weights=w, intercept=b, alpha=best)
 
@@ -142,11 +151,14 @@ def fit_logistic(
 ) -> LogisticModel:
     """Damped Newton (IRLS) on the penalized log-loss; intercept unpenalized.
 
-    Refuses single-class targets. Step halving keeps the objective monotone, so
-    the L2-regularized problem converges to its unique optimum. When 30 halvings
-    find no step that does not raise the loss, the fit stops at the current
-    parameters with converged=False; n_iter counts the accepted steps.
+    Refuses single-class targets, and a c that is not finite and > 0. Step
+    halving keeps the objective monotone, so the L2-regularized problem
+    converges to its unique optimum. When 30 halvings find no step that does
+    not raise the loss, the fit stops at the current parameters with
+    converged=False; n_iter counts the accepted steps.
     """
+    if not (np.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     is_one = y == 1
@@ -352,8 +364,17 @@ class Tree:
 #: positions); a forest on a larger table is grown in batches.
 _BATCH_CELLS = 1 << 19
 
+#: An mse level scores a feature only at its split points when they are fewer
+#: than this share of the level's positions, as on a target-encoded or base-n
+#: column; a numeric column, split almost everywhere, is scored everywhere.
+_SPLIT_POINT_SHARE = 0.25
 
-def _tree_inputs(x: np.ndarray, y: np.ndarray, impurity: str) -> tuple[np.ndarray, np.ndarray]:
+
+def _tree_inputs(
+    x: np.ndarray, y: np.ndarray, impurity: str, max_depth: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
@@ -375,15 +396,17 @@ def _node_stats(
 
     yrow holds each node's targets in ascending row order. For 0/1 labels the
     sums are exact counts, so ones / n is the mean and 0 < ones < n the purity
-    test. For mse the mean is np.mean over the node's rows, and the purity test
-    compares each node's largest and smallest target (np.var of equal targets
-    can round to nonzero, and of unequal tiny ones to zero).
+    test. For mse the mean is np.add.reduce over the node's rows divided by
+    their count, which is the sum and division np.mean runs, without its
+    wrapper, so the value is np.mean's bit for bit; the purity test compares
+    each node's largest and smallest target (np.var of equal targets can round
+    to nonzero, and of unequal tiny ones to zero).
     """
     if binary:
         csum = np.concatenate(([0.0], np.add.accumulate(yrow)))
         ones = csum[starts + sizes] - csum[starts]
         return ones / sizes, (ones > 0.0) & (ones < sizes)
-    values = np.array([np.mean(yrow[s : s + n]) for s, n in zip(starts.tolist(), sizes.tolist())])
+    values = np.array([np.add.reduce(yrow[s : s + n]) / n for s, n in zip(starts.tolist(), sizes.tolist())])
     return values, np.maximum.reduceat(yrow, starts) != np.minimum.reduceat(yrow, starts)
 
 
@@ -421,15 +444,21 @@ def _split_scores(
     right_n: np.ndarray,
     impurity: str,
     scored: np.ndarray,
+    at: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted child impurity of a split after each position of every segment
-    of order, with lev.left_n and right_n rows on its sides.
+    of order, with lev.left_n and right_n rows on its sides; for mse, given
+    at, the ascending positions to score, and counts, how many of them each
+    segment holds, the scores at those positions only.
 
     For mse, prefix sums run sequentially from each segment's first position,
     as np.cumsum does on the segment alone: np.add.accumulate is the loop
     np.cumsum runs, without its wrapper, which costs more than the sum on a
     small segment. They run only over the segments that scored marks; the
-    scores of the other segments are meaningless.
+    scores of the other segments are meaningless. Scoring at a subset of
+    positions gathers the sums, sizes and segment totals there and applies
+    the same formula, so each of its scores is the full one's bit for bit.
     """
     sizes, left_n, size_of = lev.sizes, lev.left_n, lev.size_of
     order = order.astype(np.intp)  # numpy gathers fastest with intp indices
@@ -450,11 +479,15 @@ def _split_scores(
         np.multiply(csum, csum, out=csq)
         for s, e in zip(lev.starts[scored].tolist(), lev.ends[scored].tolist()):
             np.add.accumulate(sums[:, s:e], axis=1, out=sums[:, s:e])
-        total_sq = csq[last - 1] + last_sq
+        total, total_sq = csum[last], csq[last - 1] + last_sq
+        if at is not None:
+            csum, csq = sums[:, at]
+            left_n, right_n, size_of, sizes = left_n[at], right_n[at], size_of[at], counts
+        del sums  # the full sums are spent once gathered at the positions
         out = np.square(csum)
         out /= left_n
         np.subtract(csq, out, out=out)
-        rest = np.subtract(np.repeat(csum[last], sizes), csum, out=csum)  # csum is spent
+        rest = np.subtract(np.repeat(total, sizes), csum, out=csum)  # csum is spent
         np.square(rest, out=rest)
         rest /= right_n
         sse_right = np.subtract(np.repeat(total_sq, sizes), csq, out=csq)  # csq is spent
@@ -547,7 +580,12 @@ def _best_splits(
     the next one holds an equal value, which ranks[f] (indexed by sample id,
     see _presort) tells from a small contiguous array; x is read only at each
     segment's winning positions. A feature is scored only on the segments
-    where it has a split point, and not at all where it has none."""
+    where it has a split point, and not at all where it has none. On an mse
+    level a feature whose split points are fewer than _SPLIT_POINT_SHARE of
+    the positions is scored at its split points alone, and each segment's
+    first minimum is found among them; the full scores there are the same,
+    bit for bit. Gathering them costs more than it saves where most
+    positions are split points, as on a numeric column."""
     room = lev.left_n < lev.size_of
     right_n = np.maximum(lev.size_of - lev.left_n, 1.0)  # an empty right side counts 1: no 0/0
     if min_samples_leaf > 1:
@@ -568,13 +606,28 @@ def _best_splits(
         scored = np.logical_or.reduceat(valid, lev.starts)
         if not scored.any():
             continue
-        scores = _split_scores(ys, order, lev, right_n, impurity, scored)
-        scores[~valid] = np.inf
-        seg_min = np.minimum.reduceat(scores, lev.starts)
+        if impurity == "mse" and np.count_nonzero(valid) < _SPLIT_POINT_SHARE * valid.shape[0]:
+            # few split points (an encoded column): scores at those alone, in
+            # one group per segment that has any
+            points = np.flatnonzero(valid)
+            counts = np.add.reduceat(valid, lev.starts, dtype=np.intp)
+            scores = _split_scores(ys, order, lev, right_n, impurity, scored, points, counts)
+            groups, group_sizes = scored, counts[scored]
+            group_starts = np.cumsum(group_sizes) - group_sizes
+            seg_min = np.full(lev.starts.shape[0], np.inf)
+            seg_min[scored] = np.minimum.reduceat(scores, group_starts)
+        else:
+            points = None
+            scores = _split_scores(ys, order, lev, right_n, impurity, scored)
+            scores[~valid] = np.inf
+            groups, group_sizes, group_starts = slice(None), lev.sizes, lev.starts
+            seg_min = np.minimum.reduceat(scores, lev.starts)
         better = seg_min < best_score
         if better.any():
-            hits = np.flatnonzero(scores == np.repeat(seg_min, lev.sizes))
-            at = hits[np.searchsorted(hits, lev.starts[better])]  # first minimum of each segment
+            hits = np.flatnonzero(scores == np.repeat(seg_min[groups], group_sizes))
+            at = hits[np.searchsorted(hits, group_starts[better[groups]])]  # first minimum of each segment
+            if points is not None:
+                at = points[at]
             best_score[better] = seg_min[better]
             best_feat[better] = f
             best_at[better] = at
@@ -725,9 +778,9 @@ def fit_tree(
     A node becomes a leaf when it is pure, too small to split, at max depth, or
     no feature offers a valid split. Ties across features keep the lowest feature
     index; ties within a feature keep the lowest threshold. gini and entropy
-    need 0/1 labels. x and y must be finite.
+    need 0/1 labels. x and y must be finite, and max_depth None or >= 0.
     """
-    x, y = _tree_inputs(x, y, impurity)
+    x, y = _tree_inputs(x, y, impurity, max_depth)
     n = x.shape[0]
     return _grow_trees(
         x, y, np.arange(n)[None, :], impurity, max_depth, min_samples_split,
@@ -800,14 +853,15 @@ def fit_forest(
     sample, then, level by level, the candidate features of the tree's nodes
     (see _feature_candidates), so cells are reproducible regardless of
     execution order. The trees are grown together, level by level, in as few
-    batches as memory allows; each batch is one flat Tree.
+    batches as memory allows; each batch is one flat Tree. max_depth must be
+    None or >= 0.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     impurity = "gini" if task == "classification" else "mse"
-    x, y = _tree_inputs(x, y, impurity)
+    x, y = _tree_inputs(x, y, impurity, max_depth)
     n, p = x.shape
     max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
     per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))

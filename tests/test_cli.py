@@ -264,6 +264,18 @@ def test_bench_exits_1_only_when_every_cell_failed(tmp_path, bench_config, capsy
     assert f"scored {scored} cells, {failed} failed" in capsys.readouterr().out
 
 
+def test_bench_out_of_range_ridge_alphas_fail_their_cells(tmp_path, bench_config, capsys):
+    # a negative penalty is refused, so its cells are failures, not scores
+    cfg = tmp_path / "alphas.cfg"
+    cfg.write_text(bench_config.read_text().replace("[models]\ntree\n", "[models]\ntree\nridge alphas=-50:-40\n"))
+    assert main(["bench", "--config", str(cfg), "--no-timing"]) == 0
+    assert "scored 4 cells, 4 failed" in capsys.readouterr().out
+    with open(tmp_path / "results" / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [f["model"] for f in failures] == ["ridge"] * 4
+    assert all("alphas must be finite and >= 0" in f["error"] for f in failures)
+
+
 def test_bench_unloadable_dataset_is_one_error_line(tmp_path, bench_config, capsys):
     # the schema omits the target's kind: the run stops before any cell
     (tmp_path / "toy.schema").write_text("g = categorical\ntarget = y\n")

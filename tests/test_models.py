@@ -114,6 +114,12 @@ class TestRidge:
         assert np.array_equal(x, seen)
         assert np.array_equal(got.weights, want.weights) and got.intercept == want.intercept
 
+    @pytest.mark.parametrize("alphas", [(-1.0,), (0.1, -50.0), (np.nan,), (np.nan, np.nan), (np.inf,), (1.0, -np.inf)])
+    def test_refuses_a_negative_or_non_finite_alpha(self, alphas):
+        x, y, _ = linear_data(n=30, p=2, seed=1)
+        with pytest.raises(ValueError, match="alphas must be finite and >= 0"):
+            fit_ridge(x, y, alphas=alphas)
+
     def test_peak_memory_is_about_one_copy_of_x(self):
         rng = np.random.default_rng(3)
         n, p = 20_000, 60
@@ -202,6 +208,12 @@ class TestLogistic:
         start_loss, _ = real(np.zeros(4), x, y, 1.0)
         assert real(params, x, y, 1.0)[0] <= start_loss
         assert not model.converged
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf])
+    def test_refuses_a_non_positive_or_non_finite_c(self, c):
+        x, y = self.make_problem(n=50)
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            fit_logistic(x, y, c=c)
 
     def test_rejects_bad_labels(self):
         x = np.zeros((4, 1))
@@ -333,7 +345,7 @@ class TestSplitScores:
     """models._split_scores, the score CART minimizes, against brute force."""
 
     @pytest.mark.parametrize("impurity", ["gini", "entropy", "mse"])
-    @pytest.mark.parametrize("sizes", [(9,), (6, 11)])
+    @pytest.mark.parametrize("sizes", [(9,), (6, 11), (5, 2, 8, 3)])
     def test_every_position_matches_brute_force(self, impurity, sizes):
         rng = np.random.default_rng(len(sizes))
         n = sum(sizes)
@@ -348,6 +360,14 @@ class TestSplitScores:
             seg = ys[order[start:end]]
             want += [brute_child_impurity(seg, k, impurity) for k in range(1, seg.size + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        if impurity != "mse":
+            return
+        # mse scored at some positions only: the full scores there, bit for bit
+        points = np.flatnonzero((rng.random(n) < 0.4) | (np.arange(n) == lev.starts[-1]))
+        counts = np.searchsorted(points, lev.ends) - np.searchsorted(points, lev.starts)
+        at_points = models._split_scores(ys, order, lev, right_n, impurity, counts > 0, points, counts)
+        np.testing.assert_array_equal(at_points, got[points])
+        np.testing.assert_allclose(at_points, np.array(want)[points], rtol=1e-12, atol=1e-12)
 
 
 class TestPartition:
@@ -453,11 +473,64 @@ class TestNodeStats:
         assert values.tolist() == [np.mean(seg) for seg in segments]
         assert 0 < impure.sum() < impure.size
 
+    @pytest.mark.parametrize("low, high", [(1, 9), (9, 300), (8000, 8400), (16000, 20001)])
+    def test_mse_values_are_np_mean_at_every_segment_size(self, low, high):
+        # np.add.reduce sums in unrolled blocks of 8, splits pairwise above 128
+        # elements and buffers 8,192 at a time: sizes on both sides of each
+        rng = np.random.default_rng(low)
+        edges = [n for n in (8, 9, 127, 128, 129, 8191, 8192, 8193, 16384, 20000) if low <= n < high]
+        sizes = np.r_[edges, rng.integers(low, high, 8)]
+        yrow = rng.normal(size=sizes.sum()) * 10.0 ** rng.uniform(-3.0, 3.0, size=sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        values, _ = models._node_stats(yrow, starts, sizes, binary=False)
+        assert values.tolist() == [np.mean(yrow[s : s + n]) for s, n in zip(starts, sizes)]
+
     def test_binary_purity_is_not_all_equal(self):
         yrow = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
         values, impure = models._node_stats(yrow, np.array([0, 2, 4, 6]), np.array([2, 2, 2, 1]), binary=True)
         assert impure.tolist() == [False, True, False, False]
         assert values.tolist() == [1.0, 0.5, 0.0, 1.0]
+
+
+class TestSplitPointScoring:
+    """An mse level that scores a feature only at its split points grows the
+    trees that scoring every position grows, byte for byte. Each path is forced
+    through models._SPLIT_POINT_SHARE: no share of positions is below 0, and
+    every share is below 2."""
+
+    @staticmethod
+    def grow(share, x, y, kind, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_SPLIT_POINT_SHARE", share)
+            if kind == "forest":  # bootstrap samples and 2 candidate features of 4 per node
+                return [tree_digests(t) for t in fit_forest(x, y, "regression", n_trees=3, seed=seed).trees]
+            return [tree_digests(fit_tree(x, y, max_depth=None, min_samples_split=2, min_samples_leaf=kind))]
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 80),
+        kind=st.sampled_from([1, 3, "forest"]),
+        targets=st.sampled_from(["few", "rounded", "edge"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_points_alone_grow_the_same_trees(self, data, n, kind, targets, seed):
+        rng = np.random.default_rng(seed)
+        # few-valued columns, as encoded ones are, beside a continuous one
+        x = np.column_stack([
+            data.draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=n, max_size=n), label="edge column"),
+            rng.integers(0, 2, n),
+            np.round(rng.normal(size=n), 1),
+            rng.normal(size=n),
+        ]).astype(float)
+        if targets == "few":  # many tied scores
+            y = rng.integers(0, 3, n).astype(float)
+        elif targets == "rounded":
+            y = np.round(rng.normal(size=n), 1)
+        else:  # sums that overflow: inf and NaN scores
+            y = rng.choice(EDGE_VALUES, size=n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.grow(-1.0, x, y, kind, seed) == self.grow(2.0, x, y, kind, seed)
 
 
 class TestRouting:
@@ -526,6 +599,13 @@ class TestTree:
         tree = fit_tree(x, y, max_depth=0)
         assert tree.feature[0] == -1
         assert tree.value[0] == pytest.approx(y.mean())
+
+    def test_refuses_a_negative_max_depth(self):
+        x, y, _ = linear_data(n=30, p=2, seed=1)
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            fit_tree(x, y, max_depth=-1)
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            fit_forest(x, y, "regression", n_trees=2, max_depth=-1)
 
     def test_tie_prefers_lowest_feature_index(self):
         base = np.array([1.0, 2.0, 3.0, 4.0])
