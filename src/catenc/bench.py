@@ -259,7 +259,8 @@ class CellFailure:
 
 def _load_dataset(csv_path: str, schema_path: str) -> DataTable:
     """Load a dataset once per process; each file's (mtime, size) is part of the
-    cache key, so a rewritten file is read again."""
+    cache key, so a rewritten file is read again. Several grids run in one
+    process over one dataset, one cli.main call each, parse it once."""
     stamps = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (schema_path, csv_path)))
     return _read_dataset(csv_path, schema_path, stamps)
 
@@ -271,23 +272,23 @@ def _read_dataset(csv_path: str, schema_path: str, stamps: tuple) -> DataTable:
 
 
 def _run_unit(
-    dataset: DatasetSpec,
+    name: str,
+    table: DataTable,
     enc_spec: enc_mod.EncoderSpec,
     models: Sequence[ModelSpec],
     seed: int,
     split_ratio: float,
     record_timing: bool,
 ) -> list[MetricRecord | CellFailure]:
-    """Score every model on one (dataset, encoder, seed): load, split and fit the
+    """Score every model on one (dataset, encoder, seed): split and fit the
     pipeline once, then fit, predict and score each model on the shared matrices.
     A failure before the model loop fails every model's cell with that error."""
 
     def failure(model_spec: ModelSpec, exc: Exception) -> CellFailure:
         error = f"{type(exc).__name__}: {exc}"
-        return CellFailure(dataset.name, enc_spec.variant, model_spec.name, seed, error)
+        return CellFailure(name, enc_spec.variant, model_spec.name, seed, error)
 
     try:  # a bad cell must not sink the grid
-        table = _load_dataset(dataset.csv_path, dataset.schema_path)
         pair = split_train_test(table, split_ratio, seed)
         task = table.task()
         y_train = pair.train.target_values()
@@ -311,7 +312,7 @@ def _run_unit(
                 metric, value = "rmse", rmse(y_test, pred)
             results.append(
                 MetricRecord(
-                    dataset=dataset.name,
+                    dataset=name,
                     encoder=enc_spec.variant,
                     model=model_spec.name,
                     seed=seed,
@@ -336,15 +337,18 @@ def run_grid(
     Work is done per (dataset, encoder, seed) unit, whose encoding every model
     shares; `workers` processes run the units. Output order is sorted by
     (dataset, encoder, model, seed) no matter how many workers ran, so runs are
-    reproducible modulo the timing columns. Each dataset is loaded first: one
-    that cannot be (SchemaError, OSError) stops the run before any cell.
+    reproducible modulo the timing columns. Each dataset is loaded here, and
+    only here, and its table handed to its units (pickled to a worker): one
+    that cannot be loaded (SchemaError, OSError) stops the run before out_dir
+    is made, and an out_dir that cannot be made stops it before any cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tables = {d.name: _load_dataset(d.csv_path, d.schema_path) for d in grid.datasets}
+    os.makedirs(grid.out_dir, exist_ok=True)
     units = [
-        (d, e, grid.models, s, grid.split_ratio, record_timing)
-        for d in grid.datasets
+        (name, table, e, grid.models, s, grid.split_ratio, record_timing)
+        for name, table in tables.items()
         for e in grid.encoders
         for s in grid.seeds
     ]
@@ -545,16 +549,7 @@ def write_reports(
 def run_and_report(
     grid: ExperimentGrid, workers: int = 1, record_timing: bool = True
 ) -> tuple[list[MetricRecord], list[CellFailure]]:
-    """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files.
-
-    A worker count below 1 or a dataset that cannot be loaded stops the run
-    before out_dir is made, and an out_dir that cannot be made stops it before
-    any cell runs; run_grid then finds the datasets in _load_dataset's cache."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    for d in grid.datasets:
-        _load_dataset(d.csv_path, d.schema_path)
-    os.makedirs(grid.out_dir, exist_ok=True)
+    """Run the grid; write records.csv, failures.csv, dataset_info.csv and write_reports' files."""
     records, failures, sufficiency = run_grid(grid, workers=workers, record_timing=record_timing)
     write_records_csv(os.path.join(grid.out_dir, "records.csv"), MetricRecord, records)
     write_failures_csv(failures, os.path.join(grid.out_dir, "failures.csv"))

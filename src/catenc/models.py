@@ -31,6 +31,12 @@ import numpy as np
 RIDGE_ALPHAS = (0.1, 1.0, 10.0)
 
 
+def _require(ok: bool, name: str, value, rule: str) -> None:
+    """Refuse an out-of-range hyperparameter, naming it and its value."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass
 class RidgeModel:
     weights: np.ndarray
@@ -77,8 +83,7 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     if not alphas:
         raise ValueError("no alpha candidates")
     alphas = tuple(float(a) for a in alphas)
-    if not all(np.isfinite(a) and a >= 0.0 for a in alphas):
-        raise ValueError(f"alphas must be finite and >= 0, got {alphas}")
+    _require(all(np.isfinite(a) and a >= 0.0 for a in alphas), "alphas", alphas, "finite and >= 0")
     if len(alphas) == 1:
         best = alphas[0]
     else:
@@ -151,14 +156,16 @@ def fit_logistic(
 ) -> LogisticModel:
     """Damped Newton (IRLS) on the penalized log-loss; intercept unpenalized.
 
-    Refuses single-class targets, and a c that is not finite and > 0. Step
+    Refuses single-class targets, a c that is not finite and > 0, a max_iter
+    below 1 and a tol that is not finite and >= 0. Step
     halving keeps the objective monotone, so the L2-regularized problem
     converges to its unique optimum. When 30 halvings find no step that does
     not raise the loss, the fit stops at the current parameters with
     converged=False; n_iter counts the accepted steps.
     """
-    if not (np.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be finite and > 0, got {c}")
+    _require(np.isfinite(c) and c > 0.0, "c", c, "finite and > 0")
+    _require(max_iter >= 1, "max_iter", max_iter, ">= 1")
+    _require(np.isfinite(tol) and tol >= 0.0, "tol", tol, "finite and >= 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     is_one = y == 1
@@ -230,6 +237,7 @@ def init_mlp(n_features: int, task: str, seed: int, hidden: int) -> MLPModel:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
+    _require(hidden >= 1, "hidden", hidden, ">= 1")
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (n_features + hidden))
     lim2 = np.sqrt(6.0 / (hidden + 1))
@@ -291,7 +299,15 @@ def train_mlp(
     l2: float = 1e-4,
     batch_size: int | None = None,
 ) -> MLPModel:
-    """Adam with seeded epoch shuffling, fixed epoch count, no early stopping."""
+    """Adam with seeded epoch shuffling, fixed epoch count, no early stopping.
+
+    Refuses epochs or batch_size below 1, an lr that is not finite and > 0,
+    and an l2 that is not finite and >= 0.
+    """
+    _require(epochs >= 1, "epochs", epochs, ">= 1")
+    _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")
+    _require(np.isfinite(l2) and l2 >= 0.0, "l2", l2, "finite and >= 0")
+    _require(batch_size is None or batch_size >= 1, "batch_size", batch_size, ">= 1 or None")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -371,10 +387,11 @@ _SPLIT_POINT_SHARE = 0.25
 
 
 def _tree_inputs(
-    x: np.ndarray, y: np.ndarray, impurity: str, max_depth: int | None
+    x: np.ndarray, y: np.ndarray, impurity: str, max_depth: int | None, min_samples_split: int, min_samples_leaf: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
+    _require(max_depth is None or max_depth >= 0, "max_depth", max_depth, ">= 0 or None")
+    _require(min_samples_split >= 1, "min_samples_split", min_samples_split, ">= 1")
+    _require(min_samples_leaf >= 1, "min_samples_leaf", min_samples_leaf, ">= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
@@ -385,6 +402,11 @@ def _tree_inputs(
         raise ValueError(f"unknown impurity {impurity!r}")
     if impurity != "mse" and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError(f"{impurity} impurity needs 0/1 labels")
+    # below the bound, every prefix sum over a tree's n samples, drawn with
+    # replacement or not, and its square stay below 2**1020: no score overflows
+    # (max|y| is compared with the bound / n, as their product could overflow)
+    if impurity == "mse" and (top := float(np.abs(y).max())) >= 2.0**510 / y.shape[0]:
+        raise ValueError(f"mse targets need n * max|y| < 2**510, got n = {y.shape[0]}, max|y| = {top:.3g}: rescale y")
     return x, y
 
 
@@ -778,9 +800,12 @@ def fit_tree(
     A node becomes a leaf when it is pure, too small to split, at max depth, or
     no feature offers a valid split. Ties across features keep the lowest feature
     index; ties within a feature keep the lowest threshold. gini and entropy
-    need 0/1 labels. x and y must be finite, and max_depth None or >= 0.
+    need 0/1 labels. x and y must be finite, max_depth None or >= 0, and
+    min_samples_split and min_samples_leaf >= 1. An mse target needs n * max|y|
+    below 2**510 (about 3.4e153), so its squared sums stay finite: rescale a
+    larger one.
     """
-    x, y = _tree_inputs(x, y, impurity, max_depth)
+    x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, min_samples_leaf)
     n = x.shape[0]
     return _grow_trees(
         x, y, np.arange(n)[None, :], impurity, max_depth, min_samples_split,
@@ -854,14 +879,15 @@ def fit_forest(
     (see _feature_candidates), so cells are reproducible regardless of
     execution order. The trees are grown together, level by level, in as few
     batches as memory allows; each batch is one flat Tree. max_depth must be
-    None or >= 0.
+    None or >= 0 and min_samples_split >= 1. A regression target needs n *
+    max|y| below 2**510 (about 3.4e153), so the squared sums over a bootstrap
+    sample stay finite: rescale a larger one.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    _require(n_trees >= 1, "n_trees", n_trees, ">= 1")
     impurity = "gini" if task == "classification" else "mse"
-    x, y = _tree_inputs(x, y, impurity, max_depth)
+    x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, 1)
     n, p = x.shape
     max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
     per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -431,6 +432,23 @@ class TestRunGrid:
         with pytest.raises(SchemaError, match=r"clf\.schema: target 'y' has no declared kind"):
             run_grid(grid, workers=workers)
         assert reads.count(str(tmp_path / "clf.schema")) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_dataset_is_read_once_in_the_main_process(self, tmp_path, monkeypatch, workers):
+        # a file, not a list, so a read in a forked worker would show up too
+        log = tmp_path / "reads.log"
+        load_csv = bench.load_csv
+
+        def logging_load_csv(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return load_csv(*args)
+
+        monkeypatch.setattr(bench, "load_csv", logging_load_csv)
+        grid = small_grid(tmp_path, models=("tree",))
+        records, failures, _ = run_grid(grid, workers=workers)
+        assert len(records) == 2 * 2 * 2 and failures == []
+        assert log.read_text().split() == [str(os.getpid())] * 2
 
     def test_rewritten_dataset_is_reloaded(self, tmp_path):
         grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))

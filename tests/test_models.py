@@ -527,8 +527,12 @@ class TestSplitPointScoring:
             y = rng.integers(0, 3, n).astype(float)
         elif targets == "rounded":
             y = np.round(rng.normal(size=n), 1)
-        else:  # sums that overflow: inf and NaN scores
+        else:  # sums that would overflow are refused before a tree grows
             y = rng.choice(EDGE_VALUES, size=n)
+            y[rng.integers(n)] = rng.choice(EDGE_VALUES[-2:])
+            with pytest.raises(ValueError, match="rescale y"):
+                self.grow(2.0, x, y, kind, seed)
+            return
         with np.errstate(over="ignore", invalid="ignore"):
             assert self.grow(-1.0, x, y, kind, seed) == self.grow(2.0, x, y, kind, seed)
 
@@ -606,6 +610,17 @@ class TestTree:
             fit_tree(x, y, max_depth=-1)
         with pytest.raises(ValueError, match="max_depth must be >= 0"):
             fit_forest(x, y, "regression", n_trees=2, max_depth=-1)
+
+    def test_refuses_mse_targets_whose_squared_sums_overflow(self):
+        # a perfect split at 9.5; scaled by 1e160, the squared prefix sums overflow
+        x = np.arange(20.0)[:, None]
+        y = np.where(x[:, 0] < 10, 1.0, 3.0)
+        tree = fit_tree(x, y * 1e150, max_depth=1, min_samples_split=2)
+        assert tree.threshold[0] == 9.5
+        with pytest.raises(ValueError, match=r"n \* max\|y\| < 2\*\*510, got n = 20, max\|y\| = 3e\+160: rescale y"):
+            fit_tree(x, y * 1e160, max_depth=1, min_samples_split=2)
+        with pytest.raises(ValueError, match="rescale y"):
+            fit_forest(x, y * 1e160, "regression", n_trees=2)
 
     def test_tie_prefers_lowest_feature_index(self):
         base = np.array([1.0, 2.0, 3.0, 4.0])
@@ -1278,3 +1293,27 @@ class TestPredictionContract:
         model, x = self.fit(name, "regression")
         with pytest.raises(ValueError, match="regression .* has no probabilities"):
             predict_proba(model, x)
+
+    @pytest.mark.parametrize(
+        "name, key, refused, smallest",
+        [
+            ("mlp", "hidden", [0, -1], 1),
+            ("mlp", "epochs", [0, -1], 1),
+            ("mlp", "lr", [0.0, -1.0, np.nan, np.inf], 1e-300),
+            ("mlp", "l2", [-5.0, np.nan, np.inf], 0.0),
+            ("mlp", "batch_size", [0, -1], 1),
+            ("logistic", "max_iter", [0, -3], 1),
+            ("logistic", "tol", [-1.0, np.nan, np.inf], 0.0),
+            ("tree", "min_samples_leaf", [0, -2], 1),
+            ("tree", "min_samples_split", [0, -5], 1),
+            ("forest", "min_samples_split", [0, -5], 1),
+        ],
+    )
+    def test_out_of_range_hyperparameters_are_refused(self, name, key, refused, smallest):
+        # fit_model is the bench cell's path, so such a grid override fails its cells
+        x, y = self.noisy("classification", n=30)
+        quick = {"mlp": {"epochs": 2, "hidden": 4}, "forest": {"n_trees": 2}}.get(name, {})
+        for value in refused:
+            with pytest.raises(ValueError, match=rf"^{key} must be .*, got {value}$"):
+                models.fit_model(name, "classification", x, y, 0, **{**quick, key: value})
+        models.fit_model(name, "classification", x, y, 0, **{**quick, key: smallest})
