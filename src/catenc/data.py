@@ -221,8 +221,9 @@ def _csv_rows(path: str, fh) -> Iterator[list[str]]:
 def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTable:
     """Load a header-ed CSV into a DataTable under a declared schema.
 
-    Declared columns absent from the file raise SchemaError; file columns that are
-    not declared are dropped. Unparsable or empty cells become missing cells.
+    Declared columns absent from the file or named more than once in its header
+    raise SchemaError; file columns that are not declared are dropped, repeated
+    or not. Unparsable or empty cells become missing cells.
     A declared numeric column whose unparsable cells outnumber half the rows is a
     schema error (the declaration is considered wrong, not the data). Blank rows
     are skipped and short rows read missing cells. A leading UTF-8 byte-order
@@ -244,6 +245,9 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
         missing_cols = [name for name in schema if name not in header]
         if missing_cols:
             raise SchemaError(f"{path}: declared columns absent: {missing_cols}")
+        repeated = [name for name in schema if header.count(name) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: declared columns repeated in the header: {repeated}")
         col_pos = {name: header.index(name) for name in schema}
         chunks = {
             name: [np.empty(0, dtype=np.intp if kind is ColumnKind.CATEGORICAL else float)]

@@ -106,16 +106,19 @@ class EncoderSpec:
             raise ValueError(f"unknown encoder variant {self.variant!r}")
         if self.base < 2:
             raise ValueError("base must be >= 2")
-        if self.s2 <= 0:
+        # each check states what must hold, so a NaN setting fails it
+        if not np.isfinite(self.s1):
+            raise ValueError(f"s1 must be finite, got {self.s1}")
+        if not self.s2 > 0:
             raise ValueError("s2 must be positive")
-        if self.m < 0:
+        if not self.m >= 0:
             raise ValueError("m must be nonnegative")
         lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad ngram_range {self.ngram_range}")
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if self.glmm_max_iter < 1 or self.glmm_tol <= 0:
+        if self.glmm_max_iter < 1 or not self.glmm_tol > 0:
             raise ValueError("bad GLMM iteration settings")
 
 
@@ -184,20 +187,13 @@ def contrast_matrix(cardinality: int, scheme: str) -> np.ndarray:
     c = cardinality
     if c < 1:
         raise ValueError("need at least one level")
+    i, k = np.indices((c, c - 1))  # row i is level i + 1, column k is contrast k + 1
     if scheme == "sum":
-        return np.vstack([np.eye(c - 1), -np.ones((1, c - 1))]) if c > 1 else np.zeros((1, 0))
+        return np.where(i == c - 1, -1.0, np.where(i == k, 1.0, 0.0))
     if scheme == "helmert":
-        mat = np.zeros((c, c - 1))
-        for j in range(1, c):
-            mat[:j, j - 1] = -1.0
-            mat[j, j - 1] = float(j)
-        return mat
+        return np.where(i <= k, -1.0, np.where(i == k + 1, k + 1.0, 0.0))
     if scheme == "backdiff":
-        mat = np.zeros((c, c - 1))
-        for j in range(1, c):
-            mat[:j, j - 1] = -(c - j) / c
-            mat[j:, j - 1] = j / c
-        return mat
+        return np.where(i <= k, -(c - 1 - k) / c, (k + 1) / c)
     raise ValueError(f"unknown contrast scheme {scheme!r}")
 
 
@@ -345,8 +341,7 @@ def shrink_factors(stats: GroupStats, scheme: str, spec: EncoderSpec) -> np.ndar
         tau2 = float(np.var(stats.means, ddof=1))
         denom = sigma_k2 + tau2
         ratio = (c - 3) / (c - 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            one_minus_b = np.where(denom > 0, ratio * sigma_k2 / np.where(denom > 0, denom, 1.0), 0.0)
+        one_minus_b = np.divide(ratio * sigma_k2, denom, out=np.zeros_like(denom), where=denom > 0)
         return np.clip(1.0 - one_minus_b, 0.0, 1.0)
     raise ValueError(f"unknown shrinkage scheme {scheme!r}")
 

@@ -30,7 +30,7 @@ class GuidanceQuery:
             raise ValueError(
                 f"model_family must be one of {MODEL_FAMILIES}, got {self.model_family!r}"
             )
-        if self.min_aspl < 0:
+        if not self.min_aspl >= 0:  # NaN fails it too
             raise ValueError("min_aspl must be nonnegative")
 
 

@@ -65,11 +65,13 @@ def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, fl
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPHAS) -> RidgeModel:
-    """L2-penalized least squares with an unpenalized intercept.
+    """L2-penalized least squares with an unpenalized intercept; x and y must
+    be finite.
 
     alpha is picked from the candidates, each finite and >= 0, by
-    deterministic k-fold CV (round-robin fold assignment, k = min(5, n)); ties
-    keep the earliest candidate. Each fold's centered moments and held-out
+    deterministic k-fold CV (round-robin fold assignment, k = min(5, n)): the
+    smallest finite error wins and ties keep the earliest candidate. A lone
+    candidate is used without CV. Each fold's centered moments and held-out
     rows are taken once and shared by the candidates, and each candidate's
     fold errors are added in fold order.
     """
@@ -77,6 +79,8 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be (n, p) with matching y")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
@@ -98,12 +102,10 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
                 resid = y_out - (x_out @ w + b)
                 errs[i] += float(resid @ resid)
             del x_out  # free before the next fold's training copy
-        best, best_err = None, np.inf
-        for alpha, err in zip(alphas, errs):
-            if err < best_err:
-                best, best_err = alpha, err
-        if best is None:
+        finite = [(err, i) for i, err in enumerate(errs) if err < np.inf]  # drops inf and NaN
+        if not finite:
             raise ValueError("no alpha candidate has a finite cross-validation error")
+        best = alphas[min(finite)[1]]  # the smallest error, then the earliest alpha
     w, b = _ridge_solve(*_ridge_moments(np.copy(x), y), best)  # np.copy keeps x's memory order
     return RidgeModel(weights=w, intercept=b, alpha=best)
 
@@ -156,18 +158,21 @@ def fit_logistic(
 ) -> LogisticModel:
     """Damped Newton (IRLS) on the penalized log-loss; intercept unpenalized.
 
-    Refuses single-class targets, a c that is not finite and > 0, a max_iter
-    below 1 and a tol that is not finite and >= 0. Step
-    halving keeps the objective monotone, so the L2-regularized problem
+    Refuses x or y that is not finite, single-class targets, a c that is not
+    finite and > 0, a max_iter below 1 and a tol that is not finite and >= 0.
+    Newton steps run while fewer than max_iter were taken and max|grad| >= tol.
+    Step halving keeps the objective monotone, so the L2-regularized problem
     converges to its unique optimum. When 30 halvings find no step that does
-    not raise the loss, the fit stops at the current parameters with
-    converged=False; n_iter counts the accepted steps.
+    not raise the loss, the fit stops at the current parameters. n_iter counts
+    the accepted steps, and converged is max|grad| < tol at the end.
     """
     _require(np.isfinite(c) and c > 0.0, "c", c, "finite and > 0")
     _require(max_iter >= 1, "max_iter", max_iter, ">= 1")
     _require(np.isfinite(tol) and tol >= 0.0, "tol", tol, "finite and >= 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     is_one = y == 1
     if not (is_one | (y == 0)).all():
         raise ValueError(f"labels must be 0/1, got {sorted(set(y.tolist()))}")
@@ -178,13 +183,8 @@ def fit_logistic(
     penalty = np.concatenate([np.full(p, 1.0 / c), [0.0]])
     xa = np.hstack([x, np.ones((n, 1))])
     loss, grad = logistic_loss_and_grad(params, x, y, c)
-    converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        if float(np.max(np.abs(grad))) < tol:
-            converged = True
-            n_iter -= 1
-            break
+    while n_iter < max_iter and float(np.max(np.abs(grad))) >= tol:
         prob = _sigmoid(xa @ params)
         s = np.maximum(prob * (1.0 - prob), 1e-12)
         hess = (xa * s[:, None]).T @ xa + np.diag(penalty)
@@ -197,18 +197,11 @@ def fit_logistic(
                 break
             scale *= 0.5
         else:
-            n_iter -= 1
-            break
+            break  # no step lowers the loss: stop at the current parameters
         params, loss, grad = trial, trial_loss, trial_grad
-    else:
-        converged = float(np.max(np.abs(grad))) < tol
-    return LogisticModel(
-        weights=params[:-1],
-        intercept=float(params[-1]),
-        c=c,
-        n_iter=n_iter,
-        converged=converged,
-    )
+        n_iter += 1
+    converged = float(np.max(np.abs(grad))) < tol
+    return LogisticModel(params[:-1], float(params[-1]), c, n_iter, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +294,8 @@ def train_mlp(
 ) -> MLPModel:
     """Adam with seeded epoch shuffling, fixed epoch count, no early stopping.
 
-    Refuses epochs or batch_size below 1, an lr that is not finite and > 0,
-    and an l2 that is not finite and >= 0.
+    Refuses x or y that is not finite, epochs or batch_size below 1, an lr
+    that is not finite and > 0, and an l2 that is not finite and >= 0.
     """
     _require(epochs >= 1, "epochs", epochs, ">= 1")
     _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")
@@ -310,6 +303,8 @@ def train_mlp(
     _require(batch_size is None or batch_size >= 1, "batch_size", batch_size, ">= 1 or None")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     n = x.shape[0]
     if batch_size is None:
         batch_size = min(200, n)

@@ -32,8 +32,8 @@ def generate_regression(n: int, rng: np.random.Generator, sigma: float = 1.0) ->
     """y = truth(season) + Normal(0, sigma^2). Columns: season (categorical), y."""
     if n < 1:
         raise ValueError("need at least one row")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     idx = rng.integers(0, 4, size=n)
     noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     y = np.array([REGRESSION_TRUTH[s] for s in SEASONS])[idx] + noise
@@ -71,7 +71,8 @@ def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Sweep shape: which problem, which ASPL grid, how many seeds, test size."""
+    """Sweep shape: which problem, which ASPL grid, how many seeds, test size,
+    and the regression noise scale sigma (finite and >= 0)."""
 
     problem: str = "regression"
     aspl_values: tuple[int, ...] = tuple(range(5, 101, 5))
@@ -90,6 +91,8 @@ class SynthConfig:
             raise ValueError(f"aspl_values must be distinct, got {list(self.aspl_values)}")
         if self.seeds_per_aspl < 1 or self.test_size < 1:
             raise ValueError("seeds_per_aspl and test_size must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):  # before any draw, NaN too
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

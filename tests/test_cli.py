@@ -408,3 +408,31 @@ def test_bench_repeated_run_key_names_its_line(tmp_path, bench_config, capsys):
     assert main(["bench", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:11: duplicate run key: seeds\n"
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_sweep_non_finite_sigma_is_one_error_line(tmp_path, capsys, sigma):
+    # NaN used to run noise-free (the CSV equal to --sigma 0's) and inf to fail in the ridge CV
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--problem", "regression", "--encoder", "mean", "--model", "ridge",
+               "--aspl", "5", "--seeds", "1", "--sigma", sigma, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sigma must be nonnegative and finite, got {sigma}\n"
+    assert not out.exists()
+
+
+def test_guide_nan_min_aspl_exits_1(capsys):
+    # NaN used to fall through every cutoff and recommend the "scarce" rule's encoders
+    assert main(["guide", "--model-family", "ati", "--min-aspl", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: min_aspl must be nonnegative\n"
+    assert "recommended" not in captured.out
+
+
+def test_bench_nan_encoder_setting_names_its_line(tmp_path, bench_config, capsys):
+    # it used to parse, and every sshrink cell then failed on NaN codes
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(bench_config.read_text().replace("mean\n", "sshrink s2=nan\n"))
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:5: s2 must be positive\n"
+    assert not (tmp_path / "results").exists()

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,26 @@ class TestLoadCsv:
         p.write_text("a,junk,y\nx,zzz,1\n")
         table = load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
         assert "junk" not in table.columns
+
+    @pytest.mark.parametrize(
+        "header, repeated",
+        [("a,a,y", "['a']"), ("a,y, a ", "['a']"), ("a,y,y", "['y']"), ("a,y,a,y", "['a', 'y']")],
+    )
+    def test_a_repeated_declared_column_is_schema_error(self, tmp_path, header, repeated):
+        # the first copy used to be read and the others ignored without a word
+        p = tmp_path / "dup.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * header.count(",")) + ",2\n")
+        error = re.escape(f"dup.csv: declared columns repeated in the header: {repeated}")
+        with pytest.raises(SchemaError, match=error):
+            load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
+        with pytest.raises(SchemaError, match=error):
+            infer_schema(str(p), "y")  # declares every header column
+
+    def test_a_repeated_undeclared_column_is_still_dropped(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,junk,junk,y\nx,zzz,www,1\n")
+        table = load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
+        assert list(table.columns) == ["a", "y"]
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         csv_path, schema_path = tmp_path / "bom.csv", tmp_path / "bom.schema"

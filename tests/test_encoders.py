@@ -155,6 +155,29 @@ class TestContrast:
         )
         np.testing.assert_allclose(contrast_matrix(4, "backdiff"), expected, atol=1e-15)
 
+    @staticmethod
+    def defined(c, scheme):
+        """The contrast matrix filled column by column from its definition."""
+        mat = np.zeros((c, c - 1))
+        for j in range(1, c):
+            if scheme == "sum":
+                mat[j - 1, j - 1] = 1.0
+                mat[c - 1, j - 1] = -1.0
+            elif scheme == "helmert":
+                mat[:j, j - 1] = -1.0
+                mat[j, j - 1] = float(j)
+            else:
+                mat[:j, j - 1] = -(c - j) / c
+                mat[j:, j - 1] = j / c
+        return mat
+
+    @pytest.mark.parametrize("scheme", ["sum", "helmert", "backdiff"])
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_matches_its_definition_bit_for_bit(self, scheme, c):
+        got, want = contrast_matrix(c, scheme), self.defined(c, scheme)
+        assert (got.shape, got.dtype, got.flags.c_contiguous) == (want.shape, want.dtype, True)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("scheme", ["sum", "helmert", "backdiff"])
     @pytest.mark.parametrize("c", [2, 3, 5, 9])
     def test_full_column_rank(self, scheme, c):
@@ -395,8 +418,16 @@ class TestDispatcher:
             ("minhash", {"n_components": 0}, "n_components must be >= 1"),
             ("glmm", {"glmm_max_iter": 0}, "bad GLMM iteration settings"),
             ("glmm", {"glmm_tol": 0.0}, "bad GLMM iteration settings"),
+            # a NaN setting made every code NaN, or ran the GLMM to its iteration cap
+            ("sshrink", {"s1": np.nan}, "s1 must be finite, got nan"),
+            ("sshrink", {"s2": np.nan}, "s2 must be positive"),
+            ("mestimate", {"m": np.nan}, "m must be nonnegative"),
+            ("glmm", {"glmm_tol": np.nan}, "bad GLMM iteration settings"),
         ],
-        ids=["base", "s2", "m", "ngram-low", "ngram-reversed", "n_components", "glmm_max_iter", "glmm_tol"],
+        ids=[
+            "base", "s2", "m", "ngram-low", "ngram-reversed", "n_components", "glmm_max_iter", "glmm_tol",
+            "s1-nan", "s2-nan", "m-nan", "glmm_tol-nan",
+        ],
     )
     def test_spec_refusals(self, variant, fields, error):
         with pytest.raises(ValueError, match=error):

@@ -60,6 +60,9 @@ def test_query_validation():
         GuidanceQuery("svm", 10.0)
     with pytest.raises(ValueError):
         GuidanceQuery("ati", -1.0)
+    # NaN fell through every cutoff to the "scarce" rule
+    with pytest.raises(ValueError, match="min_aspl must be nonnegative"):
+        GuidanceQuery("ati", float("nan"))
 
 
 def test_query_from_table_measures_minaspl():

@@ -208,6 +208,7 @@ class TestLogistic:
         start_loss, _ = real(np.zeros(4), x, y, 1.0)
         assert real(params, x, y, 1.0)[0] <= start_loss
         assert not model.converged
+        assert model.n_iter == 0  # the first step's line search failed: no step was accepted
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf])
     def test_refuses_a_non_positive_or_non_finite_c(self, c):
@@ -1280,6 +1281,28 @@ class TestPredictionContract:
         x, y = self.noisy("regression")
         model = models.fit_model("tree", "regression", x, y, 0, max_depth=3)
         np.testing.assert_array_equal(predict(model, x), predict_tree(model.trees[0], x)[0])
+
+    @pytest.mark.parametrize(
+        "name, task, params",
+        [
+            ("ridge", "regression", {}),
+            ("ridge", "regression", {"alphas": (1.0,)}),
+            ("logistic", "classification", {}),
+            ("mlp", "regression", {"epochs": 2, "hidden": 4}),
+            ("mlp", "classification", {"epochs": 2, "hidden": 4}),
+        ],
+        ids=["ridge", "ridge-one-alpha", "logistic", "mlp-regression", "mlp-classification"],
+    )
+    @pytest.mark.parametrize(
+        "cell, bad", [((5, 1), np.nan), ((5, 0), np.inf), (5, np.nan), (7, -np.inf)], ids=["x-nan", "x-inf", "y-nan", "y-neg-inf"]
+    )
+    def test_non_finite_input_is_refused(self, name, task, params, cell, bad):
+        # before, ridge returned all-NaN weights for one alpha and blamed the CV
+        # for several, logistic returned zero weights, and the MLP a NaN loss
+        x, y = self.noisy(task)
+        (x if isinstance(cell, tuple) else y)[cell] = bad
+        with pytest.raises(ValueError, match="^x and y must be finite$"):
+            models.fit_model(name, task, x, y, 0, **params)
 
     @pytest.mark.parametrize("name", models.MODEL_NAMES)
     def test_unknown_task_is_refused(self, name):

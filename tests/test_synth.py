@@ -136,6 +136,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=error):
             SynthConfig(**fields)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_sigma_must_be_nonnegative_and_finite(self, sigma):
+        # NaN used to run the sweep noise-free and inf to fail in the ridge CV
+        msg = f"sigma must be nonnegative and finite, got {sigma}"
+        with pytest.raises(ValueError, match=msg):
+            SynthConfig(sigma=sigma)
+        with pytest.raises(ValueError, match=msg):
+            generate_regression(10, np.random.default_rng(0), sigma=sigma)
+
     def test_truth_rows_have_zero_gap(self):
         cfg = self.small_config("regression")
         _, summaries = run_aspl_sweep(cfg, "ridge", EncoderSpec("ordinal"))
