@@ -339,12 +339,15 @@ def run_grid(
     (dataset, encoder, model, seed) no matter how many workers ran, so runs are
     reproducible modulo the timing columns. Each dataset is loaded here, and
     only here, and its table handed to its units (pickled to a worker): one
-    that cannot be loaded (SchemaError, OSError) stops the run before out_dir
-    is made, and an out_dir that cannot be made stops it before any cell.
+    that cannot be loaded (SchemaError, OSError), or whose target has a missing
+    or non-numeric value, stops the run before out_dir is made, and an out_dir
+    that cannot be made stops it before any cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tables = {d.name: _load_dataset(d.csv_path, d.schema_path) for d in grid.datasets}
+    for table in tables.values():
+        table.target_values()  # a missing or non-numeric target stops the run here
     os.makedirs(grid.out_dir, exist_ok=True)
     units = [
         (name, table, e, grid.models, s, grid.split_ratio, record_timing)

@@ -37,6 +37,19 @@ def _require(ok: bool, name: str, value, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+def _learner_inputs(x, y, labels01: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every learner's input contract: x as a finite float (n, p) matrix, n >= 1,
+    and y as its n finite targets, each 0 or 1 when labels01."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.shape != x.shape[:1] or x.shape[0] == 0:
+        raise ValueError("x must be (n, p) with matching nonempty y")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
+    if labels01 and (bad := y[(y != 0.0) & (y != 1.0)]).size:
+        raise ValueError(f"labels must be 0/1, got {bad[0]}")
+    return x, y
+
+
 @dataclass
 class RidgeModel:
     weights: np.ndarray
@@ -60,27 +73,26 @@ def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.
 
 
 def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, float]:
-    w = np.linalg.solve(xtx + alpha * np.eye(xtx.shape[0]), xty)
+    try:
+        w = np.linalg.solve(xtx + alpha * np.eye(xtx.shape[0]), xty)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"alpha {alpha} leaves a singular system: give a positive alpha") from None
     return w, float(y_mean - x_mean @ w)
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPHAS) -> RidgeModel:
-    """L2-penalized least squares with an unpenalized intercept; x and y must
-    be finite.
+    """L2-penalized least squares with an unpenalized intercept, on x and y as
+    _learner_inputs takes them, with at least 2 rows.
 
     alpha is picked from the candidates, each finite and >= 0, by
     deterministic k-fold CV (round-robin fold assignment, k = min(5, n)): the
-    smallest finite error wins and ties keep the earliest candidate. A lone
-    candidate is used without CV. Each fold's centered moments and held-out
-    rows are taken once and shared by the candidates, and each candidate's
-    fold errors are added in fold order.
+    smallest finite error wins and ties keep the earliest candidate; a singular
+    solve on any fold makes a candidate's error infinite. A lone candidate is
+    used without CV, and refused, naming it, when its system is singular. Each
+    fold's centered moments and held-out rows are taken once and shared by the
+    candidates, and each candidate's fold errors are added in fold order.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be (n, p) with matching y")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
+    x, y = _learner_inputs(x, y, labels01=False)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
@@ -98,7 +110,11 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
             moments = _ridge_moments(x[folds != f], y[folds != f])  # frees its (n, p) copy
             x_out, y_out = x[folds == f], y[folds == f]
             for i, alpha in enumerate(alphas):
-                w, b = _ridge_solve(*moments, alpha)
+                try:
+                    w, b = _ridge_solve(*moments, alpha)
+                except ValueError:  # singular on this fold
+                    errs[i] = np.inf
+                    continue
                 resid = y_out - (x_out @ w + b)
                 errs[i] += float(resid @ resid)
             del x_out  # free before the next fold's training copy
@@ -158,8 +174,8 @@ def fit_logistic(
 ) -> LogisticModel:
     """Damped Newton (IRLS) on the penalized log-loss; intercept unpenalized.
 
-    Refuses x or y that is not finite, single-class targets, a c that is not
-    finite and > 0, a max_iter below 1 and a tol that is not finite and >= 0.
+    Refuses what _learner_inputs refuses (0/1 labels) and single-class targets;
+    c must be finite and > 0, max_iter >= 1, and tol finite and >= 0.
     Newton steps run while fewer than max_iter were taken and max|grad| >= tol.
     Step halving keeps the objective monotone, so the L2-regularized problem
     converges to its unique optimum. When 30 halvings find no step that does
@@ -169,14 +185,8 @@ def fit_logistic(
     _require(np.isfinite(c) and c > 0.0, "c", c, "finite and > 0")
     _require(max_iter >= 1, "max_iter", max_iter, ">= 1")
     _require(np.isfinite(tol) and tol >= 0.0, "tol", tol, "finite and >= 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
-    is_one = y == 1
-    if not (is_one | (y == 0)).all():
-        raise ValueError(f"labels must be 0/1, got {sorted(set(y.tolist()))}")
-    if is_one.all() or not is_one.any():
+    x, y = _learner_inputs(x, y, labels01=True)
+    if y.min() == y.max():
         raise ValueError("single-class targets: nothing to separate")
     n, p = x.shape
     params = np.zeros(p + 1)
@@ -294,17 +304,14 @@ def train_mlp(
 ) -> MLPModel:
     """Adam with seeded epoch shuffling, fixed epoch count, no early stopping.
 
-    Refuses x or y that is not finite, epochs or batch_size below 1, an lr
-    that is not finite and > 0, and an l2 that is not finite and >= 0.
+    Refuses what _learner_inputs refuses (0/1 labels for a classifier); epochs
+    and batch_size must be >= 1, lr finite and > 0, and l2 finite and >= 0.
     """
     _require(epochs >= 1, "epochs", epochs, ">= 1")
     _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")
     _require(np.isfinite(l2) and l2 >= 0.0, "l2", l2, "finite and >= 0")
     _require(batch_size is None or batch_size >= 1, "batch_size", batch_size, ">= 1 or None")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
+    x, y = _learner_inputs(x, y, model.task == "classification")
     n = x.shape[0]
     if batch_size is None:
         batch_size = min(200, n)
@@ -338,7 +345,7 @@ def fit_mlp(
     hidden: int = 100,
     **train_kwargs,
 ) -> MLPModel:
-    x = np.asarray(x, dtype=float)
+    x, y = _learner_inputs(x, y, task == "classification")
     model = init_mlp(x.shape[1], task, seed=seed, hidden=hidden)
     # distinct stream for shuffling so init and batching do not interact
     return train_mlp(model, x, y, seed=seed + 1, **train_kwargs)
@@ -387,16 +394,9 @@ def _tree_inputs(
     _require(max_depth is None or max_depth >= 0, "max_depth", max_depth, ">= 0 or None")
     _require(min_samples_split >= 1, "min_samples_split", min_samples_split, ">= 1")
     _require(min_samples_leaf >= 1, "min_samples_leaf", min_samples_leaf, ">= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("x must be (n, p) with matching nonempty y")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite: a NaN or inf value cannot be split on")
     if impurity not in ("gini", "entropy", "mse"):
         raise ValueError(f"unknown impurity {impurity!r}")
-    if impurity != "mse" and not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError(f"{impurity} impurity needs 0/1 labels")
+    x, y = _learner_inputs(x, y, labels01=impurity != "mse")
     # below the bound, every prefix sum over a tree's n samples, drawn with
     # replacement or not, and its square stay below 2**1020: no score overflows
     # (max|y| is compared with the bound / n, as their product could overflow)
@@ -794,11 +794,10 @@ def fit_tree(
 
     A node becomes a leaf when it is pure, too small to split, at max depth, or
     no feature offers a valid split. Ties across features keep the lowest feature
-    index; ties within a feature keep the lowest threshold. gini and entropy
-    need 0/1 labels. x and y must be finite, max_depth None or >= 0, and
-    min_samples_split and min_samples_leaf >= 1. An mse target needs n * max|y|
-    below 2**510 (about 3.4e153), so its squared sums stay finite: rescale a
-    larger one.
+    index; ties within a feature keep the lowest threshold. x and y are as
+    _learner_inputs takes them (0/1 labels for gini and entropy), max_depth None
+    or >= 0, the min_samples_* >= 1. An mse target needs n * max|y| below 2**510
+    (about 3.4e153), so its squared sums stay finite: rescale a larger one.
     """
     x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, min_samples_leaf)
     n = x.shape[0]

@@ -433,6 +433,32 @@ class TestRunGrid:
             run_grid(grid, workers=workers)
         assert reads.count(str(tmp_path / "clf.schema")) == 1
 
+    def test_non_numeric_target_is_refused_before_out_dir(self, tmp_path, monkeypatch):
+        # before, every cell failed with "could not convert string to float: 'no'"
+        grid = small_grid(tmp_path, models=("tree",), datasets=("clf",))
+        csv_path = tmp_path / "clf.csv"
+        lines = csv_path.read_text().splitlines()
+        yes_no = [line.rsplit(",", 1)[0] + ("," + ("yes" if line.endswith("1.0") else "no")) for line in lines[1:]]
+        csv_path.write_text("\n".join([lines[0], *yes_no]) + "\n")
+        (tmp_path / "clf.schema").write_text("grade = categorical\nx = numeric\ny = categorical\ntarget = y\n")
+        monkeypatch.setattr(bench, "fit_pipeline", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(SchemaError, match=r"^target column 'y' must be numeric: "):
+            run_grid(grid)
+        assert not os.path.exists(grid.out_dir)
+
+    def test_a_singular_ridge_alpha_does_not_fail_the_cell(self, tmp_path):
+        # a one-level column encodes to a constant, so alpha 0 leaves x'x singular
+        csv_path, schema_path = write_dataset(tmp_path, "reg", "regression")
+        csv_path.write_text(re.sub(r"(?m)^(lo|mid|hi),", "k,", csv_path.read_text()))
+        grid = ExperimentGrid(
+            datasets=(DatasetSpec("reg", str(csv_path), str(schema_path)),),
+            encoders=(EncoderSpec("mean"), EncoderSpec("onehot")),
+            models=(ModelSpec("ridge", (("alphas", (0.0, 1.0)),)),),
+            seeds=(0,),
+        )
+        records, failures, _ = run_grid(grid)
+        assert failures == [] and len(records) == 2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_dataset_is_read_once_in_the_main_process(self, tmp_path, monkeypatch, workers):
         # a file, not a list, so a read in a forked worker would show up too

@@ -404,3 +404,9 @@ class TestPreprocessor:
         table = DataTable(schema=(("y", ColumnKind.NUMERIC),), columns={"y": [0.0, np.nan]}, target="y")
         with pytest.raises(SchemaError, match="missing values"):
             table.target_is_binary()
+
+    def test_non_numeric_target_is_schema_error(self):
+        # before, numpy's "could not convert string to float" never named the column
+        table = DataTable(schema=(("y", ColumnKind.CATEGORICAL),), columns={"y": ["yes", "no", "yes"]}, target="y")
+        with pytest.raises(SchemaError, match=r"^target column 'y' must be numeric: .*'yes'$"):
+            table.target_values()

@@ -120,6 +120,19 @@ class TestRidge:
         with pytest.raises(ValueError, match="alphas must be finite and >= 0"):
             fit_ridge(x, y, alphas=alphas)
 
+    def test_a_singular_candidate_scores_an_infinite_cv_error(self):
+        # x = [a, b, a] has a singular x'x: alpha 0 used to abort the whole fit
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 40))
+        x, y = np.column_stack([a, b, a]), a - b + rng.normal(size=40)
+        got, want = fit_ridge(x, y, alphas=(0.0, 1.0)), fit_ridge(x, y, alphas=(1.0,))
+        assert got.alpha == 1.0
+        assert np.array_equal(got.weights, want.weights) and got.intercept == want.intercept
+        with pytest.raises(ValueError, match="^alpha 0.0 leaves a singular system: give a positive alpha$"):
+            fit_ridge(x, y, alphas=(0.0,))
+        with pytest.raises(ValueError, match="^no alpha candidate has a finite cross-validation error$"):
+            fit_ridge(x, y, alphas=(0.0, 0.0))
+
     def test_peak_memory_is_about_one_copy_of_x(self):
         rng = np.random.default_rng(3)
         n, p = 20_000, 60
@@ -1290,8 +1303,10 @@ class TestPredictionContract:
             ("logistic", "classification", {}),
             ("mlp", "regression", {"epochs": 2, "hidden": 4}),
             ("mlp", "classification", {"epochs": 2, "hidden": 4}),
+            ("tree", "classification", {}),
+            ("forest", "regression", {"n_trees": 3}),
         ],
-        ids=["ridge", "ridge-one-alpha", "logistic", "mlp-regression", "mlp-classification"],
+        ids=["ridge", "ridge-one-alpha", "logistic", "mlp-regression", "mlp-classification", "tree", "forest"],
     )
     @pytest.mark.parametrize(
         "cell, bad", [((5, 1), np.nan), ((5, 0), np.inf), (5, np.nan), (7, -np.inf)], ids=["x-nan", "x-inf", "y-nan", "y-neg-inf"]
@@ -1303,6 +1318,48 @@ class TestPredictionContract:
         (x if isinstance(cell, tuple) else y)[cell] = bad
         with pytest.raises(ValueError, match="^x and y must be finite$"):
             models.fit_model(name, task, x, y, 0, **params)
+
+    #: each learner's public fitters, called as fit_model calls them
+    PUBLIC_FITTERS = {
+        "ridge": [lambda x, y, task: fit_ridge(x, y)],
+        "logistic": [lambda x, y, task: fit_logistic(x, y)],
+        "mlp": [
+            lambda x, y, task: fit_mlp(x, y, task, epochs=1, hidden=2),
+            lambda x, y, task: train_mlp(init_mlp(2, task, 0, hidden=2), x, y, seed=1, epochs=1),
+        ],
+        "tree": [lambda x, y, task: fit_tree(x, y, impurity="gini" if task == "classification" else "mse")],
+        "forest": [lambda x, y, task: fit_forest(x, y, task, n_trees=2)],
+    }
+
+    def refusals(self, name, task, x, y, message):
+        quick = {"mlp": {"epochs": 1, "hidden": 2}, "forest": {"n_trees": 2}}.get(name, {})
+        with pytest.raises(ValueError, match=message):
+            models.fit_model(name, task, x, y, 0, **quick)
+        for fit in self.PUBLIC_FITTERS[name]:
+            with pytest.raises(ValueError, match=message):
+                fit(x, y, task)
+
+    @pytest.mark.parametrize("name", models.MODEL_NAMES)
+    @pytest.mark.parametrize("case", ["x-1d", "y-one-longer", "no-rows", "y-2d"])
+    def test_every_learner_refuses_a_mismatched_shape(self, name, case):
+        # before, the MLP dropped y's extra value or failed with an IndexError,
+        # logistic with numpy's broadcast or unpack messages, ridge with a TypeError
+        task = "regression" if name == "ridge" else "classification"
+        x, y = self.noisy(task)
+        x, y = {
+            "x-1d": (x[:, 0], y),
+            "y-one-longer": (x, np.append(y, y[0])),
+            "no-rows": (x[:0], y[:0]),
+            "y-2d": (x, y[:, None]),
+        }[case]
+        self.refusals(name, task, x, y, r"^x must be \(n, p\) with matching nonempty y$")
+
+    @pytest.mark.parametrize("name", [m for m in models.MODEL_NAMES if m != "ridge"])
+    def test_every_classifier_refuses_a_label_other_than_0_or_1(self, name):
+        # before, the MLP trained on any labels and logistic listed every distinct value
+        x, y = self.noisy("classification")
+        y[7] = 2.0
+        self.refusals(name, "classification", x, y, r"^labels must be 0/1, got 2.0$")
 
     @pytest.mark.parametrize("name", models.MODEL_NAMES)
     def test_unknown_task_is_refused(self, name):
