@@ -93,16 +93,19 @@ class DataTable:
         ]
 
     def target_values(self) -> np.ndarray:
-        """The target as floats; a missing value, or a categorical level that is
-        not a number, is a SchemaError."""
+        """The target as finite floats; a missing value, or a categorical level
+        that is not a number, or a non-finite one (inf, nan), is a SchemaError."""
         col = self.columns[self.target]
         categorical = isinstance(col, Categorical)
         if (col.codes < 0 if categorical else np.isnan(col)).any():
             raise SchemaError(f"target column {self.target!r} has missing values")
         try:
-            return np.array(col.levels, dtype=float)[col.codes] if categorical else col.copy()
+            y = np.array(col.levels, dtype=float)[col.codes] if categorical else col.copy()
         except ValueError as exc:
             raise SchemaError(f"target column {self.target!r} must be numeric: {exc}") from None
+        if not (finite := np.isfinite(y)).all():
+            raise SchemaError(f"target column {self.target!r} has non-finite values, such as {y[~finite][0]}")
+        return y
 
     def target_is_binary(self) -> bool:
         """True when every target value is 0 or 1; a single-class 0/1 target

@@ -18,10 +18,13 @@ a level reads x only where a split is chosen, and a node's rows go left up to
 the winning position in the winning feature's order. A node is pure when its
 targets are all equal, and its value is their mean. The trees are flat node
 arrays that prediction walks in lock step, one row per group of rows that no
-threshold separates.
+threshold separates; a leaf loops to itself, so a step has no leaf test, and
+the pairs at a leaf drop out every few steps. A forest's tree t draws from
+np.random.default_rng([seed, t])'s generator, built from memoized seed words.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence, get_type_hints
@@ -807,13 +810,23 @@ def fit_tree(
     )
 
 
+#: Walk steps between two compactions of the (tree, group) pairs in
+#: predict_tree; a pair at a leaf loops there meanwhile (2 and 3 measured best).
+_COMPACT_EVERY = 2
+
+
 def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
     """(trees, rows) leaf values (target mean / class-1 fraction) of x's rows.
 
     Rows in the same gap between the sorted thresholds of every feature take
-    the same path, so one row per group walks all trees in lock step, leaving
-    at its leaves, and the table is gathered back to rows. The walk compares
-    real values with the thresholds, so it is exact: a NaN fails <= and goes right.
+    the same path, so one row per group walks all trees in lock step, and the
+    table is gathered from each (tree, group) pair's leaf and back to rows.
+    A step is node = left[node] + (x > threshold[node]), with no leaf test:
+    each leaf loops to itself (feature 0, threshold +inf, left its own id),
+    and the pairs at a leaf drop out every _COMPACT_EVERY steps. A NaN cell
+    reads +inf, so it goes right at every split, as it fails <=. That is
+    exact because every split threshold is finite: fit refuses non-finite x,
+    and a midpoint that is not below the upper value falls back to the lower.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != tree.n_features:
@@ -824,20 +837,29 @@ def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
         if cuts.size:  # renumbered after each column, so the key stays below the row count
             _, key = np.unique(key * (cuts.size + 1) + np.searchsorted(cuts, x[:, f]), return_inverse=True)
     _, rep, key = np.unique(key, return_index=True, return_inverse=True)  # rep: a row per group
-    table = np.empty((tree.roots.shape[0], rep.shape[0]))
-    at = np.arange(table.size)  # (tree, group) pairs still walking, as flat indices into table
-    node = np.repeat(tree.roots, rep.shape[0])
-    xg = x[rep].ravel()  # the groups' rows, flat
-    start = np.tile(np.arange(rep.shape[0]) * x.shape[1], tree.roots.shape[0])  # each pair's row in xg
-    while at.size:
-        f = tree.feature[node]
-        leaf = f < 0
-        table.flat[at[leaf]] = tree.value[node[leaf]]
-        walk = ~leaf
-        at, node, f, start = at[walk], node[walk], f[walk], start[walk]
-        node = tree.left[node] + ~(xg[start + f] <= tree.threshold[node])
+    leaf = tree.feature < 0
+    feature = np.where(leaf, 0, tree.feature)
+    threshold = np.where(leaf, np.inf, tree.threshold)
+    left = np.where(leaf, np.arange(leaf.shape[0]), tree.left)
+    xg = x[rep]  # the groups' rows, a copy
+    xg[np.isnan(xg)] = np.inf
+    xg = xg.ravel()
+    n_trees, n_groups = tree.roots.shape[0], rep.shape[0]
+    node = np.repeat(tree.roots, n_groups)
+    start = np.tile(np.arange(n_groups) * x.shape[1], n_trees)  # each pair's row in xg
+    at = np.arange(node.shape[0])  # the pairs still walking, as flat indices into the table
+    final = np.empty(node.shape[0], dtype=np.intp)  # each pair's leaf
+    while True:
+        done = leaf[node]
+        final[at[done]] = node[done]
+        walk = ~done
+        if not walk.any():
+            break
+        at, node, start = at[walk], node[walk], start[walk]
+        for _ in range(_COMPACT_EVERY):
+            node = left[node] + (xg[start + feature[node]] > threshold[node])
     # np.take keeps the table C-ordered, so a mean over trees adds them in order
-    return np.take(table, key, axis=1)
+    return np.take(tree.value[final].reshape(n_trees, n_groups), key, axis=1)
 
 
 @dataclass
@@ -853,6 +875,28 @@ class ForestModel:
         if self.task == "classification":
             votes = (votes >= 0.5).astype(float)
         return votes.mean(axis=0)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)  # 40 seeds of 100 trees
+def _tree_seed_words(seed: int, t: int, n_words: int, dtype) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(n_words, dtype), read-only. A
+    seed SeedSequence refuses (negative, or a float, which typed keeps from
+    sharing an equal int's entry) raises on every call, as it is not cached."""
+    words = np.random.SeedSequence([seed, t]).generate_state(n_words, dtype)
+    words.flags.writeable = False
+    return words
+
+
+class _TreeSeed(np.random.bit_generator.ISeedSequence):
+    """SeedSequence([seed, t]) as a bit generator reads it: the same state words
+    for each (n_words, dtype) it asks for, from the _tree_seed_words memo, so a
+    tree's generator is the one np.random.default_rng([seed, t]) builds."""
+
+    def __init__(self, seed: int, t: int):
+        self.seed, self.t = seed, t
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return _tree_seed_words(self.seed, self.t, n_words, dtype)
 
 
 def fit_forest(
@@ -871,11 +915,14 @@ def fit_forest(
     Tree t uses its own generator seeded from (seed, t): it draws the bootstrap
     sample, then, level by level, the candidate features of the tree's nodes
     (see _feature_candidates), so cells are reproducible regardless of
-    execution order. The trees are grown together, level by level, in as few
-    batches as memory allows; each batch is one flat Tree. max_depth must be
-    None or >= 0 and min_samples_split >= 1. A regression target needs n *
-    max|y| below 2**510 (about 3.4e153), so the squared sums over a bootstrap
-    sample stay finite: rescale a larger one.
+    execution order. The generator is np.random.default_rng([seed, t])'s,
+    built from _tree_seed_words, a bounded memo of the seed words: a sweep or
+    grid refits the same few seeds, and hashing them anew took about a sixth
+    of a forest sweep on 20-80-row tables. The trees are grown together,
+    level by level, in as few batches as memory allows; each batch is one
+    flat Tree. max_depth must be None or >= 0 and min_samples_split >= 1. A
+    regression target needs n * max|y| below 2**510 (about 3.4e153), so the
+    squared sums over a bootstrap sample stay finite: rescale a larger one.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
@@ -887,7 +934,10 @@ def fit_forest(
     per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))
     trees: list[Tree] = []
     for first in range(0, n_trees, per_batch):
-        rngs = [np.random.default_rng([seed, t]) for t in range(first, min(first + per_batch, n_trees))]
+        rngs = [
+            np.random.Generator(np.random.PCG64(_TreeSeed(seed, t)))
+            for t in range(first, min(first + per_batch, n_trees))
+        ]
         samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
         trees.append(_grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features))
     return ForestModel(trees=trees, task=task)

@@ -446,6 +446,21 @@ class TestRunGrid:
             run_grid(grid)
         assert not os.path.exists(grid.out_dir)
 
+    def test_non_finite_target_is_refused_before_out_dir(self, tmp_path, monkeypatch):
+        # before, every cell failed with "x and y must be finite"
+        grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))
+        csv_path = tmp_path / "reg.csv"
+        lines = csv_path.read_text().splitlines()
+        levels = ("1.5", "2.5", "inf")
+        relabeled = [line.rsplit(",", 1)[0] + "," + levels[i % 3] for i, line in enumerate(lines[1:])]
+        csv_path.write_text("\n".join([lines[0], *relabeled]) + "\n")
+        schema = (tmp_path / "reg.schema").read_text()
+        (tmp_path / "reg.schema").write_text(schema.replace("y = numeric", "y = categorical"))
+        monkeypatch.setattr(bench, "fit_pipeline", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(SchemaError, match=r"^target column 'y' has non-finite values, such as inf$"):
+            run_grid(grid)
+        assert not os.path.exists(grid.out_dir)
+
     def test_a_singular_ridge_alpha_does_not_fail_the_cell(self, tmp_path):
         # a one-level column encodes to a constant, so alpha 0 leaves x'x singular
         csv_path, schema_path = write_dataset(tmp_path, "reg", "regression")

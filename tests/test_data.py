@@ -391,14 +391,30 @@ class TestPreprocessor:
             (ColumnKind.NUMERIC, [], True),  # no value that is not 0 or 1
             (ColumnKind.NUMERIC, [1.0, 1.0, 1.0], True),  # a single 0/1 class counts
             (ColumnKind.NUMERIC, [0.0, 0.0], True),
-            (ColumnKind.NUMERIC, [0.0, np.inf], False),
+            (ColumnKind.NUMERIC, [0.0, 1e308], False),  # the non-finite cases are refused below
             (ColumnKind.CATEGORICAL, ["1", "0", "-0"], True),
-            (ColumnKind.CATEGORICAL, ["0", "nan"], False),  # a NaN level is neither 0 nor 1
+            (ColumnKind.CATEGORICAL, ["0", "-1e308"], False),
         ],
     )
     def test_target_is_binary_edge_cases(self, kind, y, binary):
         table = DataTable(schema=(("y", kind),), columns={"y": y}, target="y")
         assert table.target_is_binary() is binary
+
+    @pytest.mark.parametrize(
+        "kind, y, bad",
+        [
+            (ColumnKind.NUMERIC, [0.0, np.inf], "inf"),
+            (ColumnKind.NUMERIC, [-np.inf, 1.0], "-inf"),
+            (ColumnKind.CATEGORICAL, ["0", "nan"], "nan"),  # a NaN level is no missing cell
+            (ColumnKind.CATEGORICAL, ["1.5", "2.5", "inf", "1.5"], "inf"),
+        ],
+    )
+    def test_non_finite_target_is_refused(self, kind, y, bad):
+        # before, target_is_binary read False and every learner refused the cell later
+        table = DataTable(schema=(("y", kind),), columns={"y": y}, target="y")
+        for call in (table.target_values, table.target_is_binary):
+            with pytest.raises(SchemaError, match=rf"^target column 'y' has non-finite values, such as {bad}$"):
+                call()
 
     def test_missing_target_is_refused_by_task_detection(self):
         table = DataTable(schema=(("y", ColumnKind.NUMERIC),), columns={"y": [0.0, np.nan]}, target="y")

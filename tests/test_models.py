@@ -950,6 +950,49 @@ class TestForest:
         assert forest_preorders(a) != forest_preorders(c)
 
 
+class TestTreeSeeds:
+    """Tree t's generator comes from memoized SeedSequence([seed, t]) words and
+    draws what np.random.default_rng([seed, t]) draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+    def test_draws_match_default_rng(self, seed):
+        models._tree_seed_words.cache_clear()
+        for warm in (False, True):
+            for t in (0, 1, 99):
+                got = np.random.Generator(np.random.PCG64(models._TreeSeed(seed, t)))
+                want = np.random.default_rng([seed, t])
+                assert np.array_equal(got.integers(0, 37, size=37), want.integers(0, 37, size=37)), (warm, t)
+                assert np.array_equal(got.random((6, 4)), want.random((6, 4))), (warm, t)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_cold_and_warm_fits_are_equal(self, task):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(40, 5))
+        y = (x[:, 0] > 0).astype(float) if task == "classification" else x[:, 0] + rng.normal(size=40)
+        models._tree_seed_words.cache_clear()
+        cold = fit_forest(x, y, task, n_trees=12, seed=6)
+        assert models._tree_seed_words.cache_info().misses == 12
+        warm = fit_forest(x, y, task, n_trees=12, seed=6)
+        assert models._tree_seed_words.cache_info().hits == 12
+        for a, b in zip(cold.trees, warm.trees, strict=True):
+            for field in dataclasses.fields(Tree):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name), equal_nan=True), field.name
+
+    def test_negative_or_float_seed_is_refused_by_numpy(self):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            fit_forest(x, x[:, 0], "regression", n_trees=3, seed=-1)
+        fit_forest(x, x[:, 0], "regression", n_trees=3, seed=1)
+        with pytest.raises(TypeError):  # 1.0 does not hit the memo entry of the seed 1
+            fit_forest(x, x[:, 0], "regression", n_trees=3, seed=1.0)
+
+    def test_memo_is_bounded_and_read_only(self):
+        assert models._tree_seed_words.cache_info().maxsize is not None
+        words = models._TreeSeed(3, 4).generate_state(4, np.uint64)
+        assert not words.flags.writeable
+        assert np.array_equal(words, np.random.SeedSequence([3, 4]).generate_state(4, np.uint64))
+
+
 def large_table(seed: int, n: int = 3000) -> tuple[np.ndarray, np.ndarray]:
     """n rows: two discrete columns (7 and 40 levels), a continuous one and a
     rounded one with ties; a real target from them plus uniform noise. Only
@@ -1234,6 +1277,67 @@ class TestFlatPrediction:
         forest = fit_forest(x, y, "regression", n_trees=60, seed=2, max_depth=4)
         assert 3000 * (3 + 1) * 60 > models._BATCH_CELLS and len(forest.trees) > 1
         self.check(forest, x[:300])
+
+    @staticmethod
+    def chains(depths, p=2) -> Tree:
+        """One tree per depth d: a chain whose node at level l sends x[l % p] <= l
+        to a leaf and the rest on, down to a last leaf at depth d, so the
+        leaves sit at every depth from 0 to max(depths)."""
+        feature, threshold, left = [], [], []
+
+        def node():
+            feature.append(-1), threshold.append(np.nan), left.append(-1)
+            return len(feature) - 1
+
+        roots = [node() for _ in depths]
+        for root, depth in zip(roots, depths):
+            at = root
+            for level in range(depth):
+                lo, hi = node(), node()
+                feature[at], threshold[at], left[at] = level % p, float(level), lo
+                at = hi
+        size = len(feature)
+        value = np.random.default_rng(len(depths)).normal(size=size)
+        return Tree(np.array(feature), np.array(threshold), np.array(left), value, np.ones(size, int), np.array(roots), p)
+
+    def test_chain_leaves_at_every_depth(self):
+        tree = self.chains(range(8))
+        rng = np.random.default_rng(7)
+        x = rng.integers(-1, 9, size=(400, 2)).astype(float)
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[rng.random(x.shape) < 0.05] = np.inf
+        got = predict_tree(tree, x)
+        assert np.array_equal(got, walk_reference(tree, x))
+        leaves = np.flatnonzero(tree.feature < 0)
+        assert np.isin(tree.value[leaves], got).all()  # every leaf, at every depth, is reached
+
+    def test_roots_that_are_all_leaves(self):
+        for p in (0, 2):
+            tree = Tree(np.full(5, -1), np.full(5, np.nan), np.full(5, -1), np.arange(5.0), np.ones(5, int), np.arange(5), p)
+            x = np.random.default_rng(1).normal(size=(6, p))
+            if p:
+                x[0] = np.nan
+            got = predict_tree(tree, x)
+            assert np.array_equal(got, walk_reference(tree, x))
+            assert np.array_equal(got, np.repeat(np.arange(5.0)[:, None], 6, axis=1))
+
+    def test_a_cell_at_a_threshold_goes_left_and_inf_and_nan_right(self):
+        tree = Tree(np.array([0, -1, -1]), np.array([1.5, np.nan, np.nan]), np.array([1, -1, -1]),
+                    np.array([0.0, 10.0, 20.0]), np.ones(3, int), np.array([0]), 1)
+        x = np.array([[1.5], [np.nextafter(1.5, np.inf)], [np.inf], [np.nan], [-np.inf], [np.nextafter(1.5, 0.0)]])
+        got = predict_tree(tree, x)
+        assert np.array_equal(got, [[10.0, 20.0, 20.0, 20.0, 10.0, 10.0]])
+        assert np.array_equal(got, walk_reference(tree, x))
+
+    def test_read_only_x_with_nan_is_not_written(self, fitted):
+        forest, x = fitted
+        odd = x[:40].copy()
+        odd[::3, 1] = np.nan
+        before = odd.copy()
+        odd.flags.writeable = False
+        (tree,) = forest.trees
+        assert np.array_equal(predict_tree(tree, odd), walk_reference(tree, odd))
+        assert np.array_equal(odd, before, equal_nan=True)
 
     @pytest.mark.parametrize("width", [1, 5])
     def test_wrong_width_is_rejected(self, width):
