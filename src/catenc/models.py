@@ -21,13 +21,15 @@ arrays that prediction walks in lock step, one row per group of rows that no
 threshold separates; a leaf loops to itself, so a step has no leaf test, and
 the pairs at a leaf drop out every few steps. A forest's tree t draws from
 np.random.default_rng([seed, t])'s generator, built from memoized seed words.
+fit_forests grows the forests of several equal-shape fits in one batch, as
+one forest's trees are grown, and cuts the batch into its forests.
 """
 from __future__ import annotations
 
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Sequence, get_type_hints
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -382,7 +384,8 @@ class Tree:
 #: Sample rows times (features + 1) that the index arrays of one batch of
 #: forest trees may hold (per feature its presorted sample ids and value ranks,
 #: and one array in sample order; each level adds a few float64 arrays over its
-#: positions); a forest on a larger table is grown in batches.
+#: positions); a forest on a larger table is grown in batches, and the forests
+#: of several small equal-shape fits share one (fit_forests).
 _BATCH_CELLS = 1 << 19
 
 #: An mse level scores a feature only at its split points when they are fewer
@@ -515,20 +518,35 @@ def _split_scores(
         out += sse_right
         out /= size_of
         return out
-    # 0/1 labels: a running count minus the count before the segment is exact
-    ys = ys[order]
-    csum = np.add.accumulate(ys)
-    before = csum[lev.starts] - ys[lev.starts]
-    ones_left = csum - np.repeat(before, sizes)
-    ones_right = np.repeat(csum[lev.ends - 1] - before, sizes) - ones_left
-    p_left = ones_left / left_n
-    p_right = ones_right / right_n
+    # 0/1 labels: a running count minus the count before the segment is exact.
+    # The counts, shares and gini terms take three position-sized buffers,
+    # filled in place in the order of the plain formula, so the scores are
+    # its bits
+    csum = np.take(ys, order, mode="clip")
+    del order
+    before = csum[lev.starts]
+    np.add.accumulate(csum, out=csum)
+    before = csum[lev.starts] - before
+    ones = csum[lev.ends - 1] - before
+    p_left = csum
+    p_left -= np.repeat(before, sizes)  # ones_left
+    p_right = np.repeat(ones, sizes)
+    p_right -= p_left  # ones_right
+    p_left /= left_n
+    p_right /= right_n
     if impurity == "gini":
-        return (
-            left_n * 2.0 * p_left * (1.0 - p_left)
-            + right_n * 2.0 * p_right * (1.0 - p_right)
-        ) / size_of
-    return (left_n * _entropy(p_left) + right_n * _entropy(p_right)) / size_of
+        out = np.multiply(left_n, 2.0)
+        out *= p_left
+        out *= np.subtract(1.0, p_left, out=p_left)
+        right = np.multiply(right_n, 2.0, out=p_left)
+        right *= p_right
+        right *= np.subtract(1.0, p_right, out=p_right)
+    else:
+        out = np.multiply(left_n, _entropy(p_left), out=p_left)
+        right = np.multiply(right_n, _entropy(p_right), out=p_right)
+    out += right
+    out /= size_of
+    return out
 
 
 def _partition(order: np.ndarray, key: np.ndarray, size: int) -> np.ndarray:
@@ -672,8 +690,10 @@ def _grow_trees(
     min_samples_leaf: int,
     rngs: Sequence[np.random.Generator | None],
     max_features: int | None,
-) -> Tree:
-    """Grow one CART tree per row of samples (row indices into x), level by level.
+    forest_trees: int,
+) -> list[Tree]:
+    """Grow one CART tree per row of samples (row indices into x), level by
+    level, and return them as one Tree per forest_trees consecutive trees.
 
     The trees share one layout: per feature an array of sample ids in which
     every node that may still split holds a contiguous segment, sorted by the
@@ -696,9 +716,9 @@ def _grow_trees(
     fast with intp indices); rows, which maps sample ids to rows of x, is
     intp. A child is a leaf when it
     is pure (all its targets equal), smaller than min_samples_split or at
-    max_depth. Each level appends its children's values and sizes and its
-    split parents, features and thresholds to levels, so the k-th split's
-    left child is node n_trees + 2k.
+    max_depth. Each level appends its children's values, sizes and trees and
+    its split parents, features and thresholds to levels; the nodes are then
+    cut into their forests by each node's tree.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -715,7 +735,7 @@ def _grow_trees(
     sizes = np.full(n_trees, n)
     check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
     values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary)
-    levels = [(values, sizes, np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    levels = [(values, sizes, np.arange(n_trees), np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
     keep = impure & check
     if not keep.all():
         kept = np.repeat(keep, sizes)
@@ -760,7 +780,7 @@ def _grow_trees(
             check[:] = False
         values, impure = _node_stats(ys[row_order.astype(np.intp)], child_starts, child_sizes, binary)
         children = sum(len(level[0]) for level in levels) + np.arange(2 * n_split)  # after the nodes so far
-        levels.append((values, child_sizes, nodes[split], best_feat[split], best_thr[split]))
+        levels.append((values, child_sizes, np.repeat(trees[split], 2), nodes[split], best_feat[split], best_thr[split]))
 
         keep = impure & check
         if not keep.any():
@@ -779,10 +799,22 @@ def _grow_trees(
         trees = np.repeat(trees[split], 2)[keep]
         depth += 1
         del lev, at, child, key, goes_left  # free before the next scan
-    value, n_samples, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
-    feature, threshold, left = np.full(value.shape, -1), np.full(value.shape, np.nan), np.full(value.shape, -1)
-    feature[parents], threshold[parents], left[parents] = feats, thrs, n_trees + 2 * np.arange(parents.shape[0])
-    return Tree(feature, threshold, left, value, n_samples, np.arange(n_trees), p)
+    del orders, ranks, row_order, rows, ys  # spent: free before the node arrays are built
+    value, n_samples, tree_of, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
+    del levels
+    feature, threshold = np.full(value.shape, -1), np.full(value.shape, np.nan)
+    feature[parents], threshold[parents] = feats, thrs
+    # one Tree per forest: its nodes in batch order, roots first and then each
+    # level's children in level order, renumbered from 0 as the forest grown
+    # alone numbers them, so that its k-th split's left child is node
+    # forest_trees + 2k
+    forest = tree_of // forest_trees
+    out = []
+    for ids in np.split(np.argsort(forest, kind="stable"), np.cumsum(np.bincount(forest))[:-1]):
+        split = feature[ids] >= 0
+        left = np.where(split, forest_trees - 2 + 2 * np.cumsum(split), -1)
+        out.append(Tree(feature[ids], threshold[ids], left, value[ids], n_samples[ids], np.arange(forest_trees), p))
+    return out
 
 
 def fit_tree(
@@ -806,8 +838,8 @@ def fit_tree(
     n = x.shape[0]
     return _grow_trees(
         x, y, np.arange(n)[None, :], impurity, max_depth, min_samples_split,
-        min_samples_leaf, [None], None,
-    )
+        min_samples_leaf, [None], None, 1,
+    )[0]
 
 
 #: Walk steps between two compactions of the (tree, group) pairs in
@@ -867,7 +899,7 @@ class ForestModel:
     """Trees that vote (classification) or average (regression); fit_model's
     "tree" is a forest of one."""
 
-    trees: list[Tree]  # one per batch of trees grown together
+    trees: list[Tree]  # one per batch its trees were grown in, cut from batches shared with other forests
     task: str
 
     def _output(self, x: np.ndarray) -> np.ndarray:
@@ -923,24 +955,89 @@ def fit_forest(
     flat Tree. max_depth must be None or >= 0 and min_samples_split >= 1. A
     regression target needs n * max|y| below 2**510 (about 3.4e153), so the
     squared sums over a bootstrap sample stay finite: rescale a larger one.
+    This is fit_forests on the one job (x, y, seed).
+    """
+    return next(fit_forests(
+        [(x, y, seed)], task, n_trees=n_trees, max_depth=max_depth, min_samples_split=min_samples_split,
+        bootstrap=bootstrap, subsample_features=subsample_features,
+    ))
+
+
+def fit_forests(
+    jobs: Iterable[tuple[np.ndarray, np.ndarray, int]],
+    task: str,
+    n_trees: int = 100,
+    max_depth: int | None = None,
+    min_samples_split: int = 2,
+    bootstrap: bool = True,
+    subsample_features: bool = True,
+) -> Iterator[ForestModel]:
+    """fit_forest(x, y, task, seed=seed, **params) of each (x, y, seed) job,
+    yielded in job order, the forests of several jobs grown in one batch.
+
+    Consecutive jobs with equal x shapes share a batch while all their trees
+    fit in one (_BATCH_CELLS); their x and y are stacked and each tree's
+    bootstrap rows are offset to its job's rows. Every tree keeps its own
+    generator, and the grower splits nowhere across trees, so each forest,
+    cut from the batch with its nodes renumbered, is the one fit_forest grows
+    alone, array for array. A forest larger than one batch is grown alone in
+    batches. One batch of forests is held at a time: a caller that drops each
+    forest after use holds no more.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
     _require(n_trees >= 1, "n_trees", n_trees, ">= 1")
     impurity = "gini" if task == "classification" else "mse"
-    x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, 1)
-    n, p = x.shape
+    group: list[tuple[np.ndarray, np.ndarray, int]] = []
+    for x, y, seed in jobs:
+        x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, 1)
+        if group and (x.shape != group[0][0].shape or (len(group) + 1) * n_trees > _batch_trees(x.shape)):
+            yield from _grow_forests(group, task, impurity, n_trees, max_depth, min_samples_split, bootstrap, subsample_features)
+            group = []
+        group.append((x, y, seed))
+    if group:
+        yield from _grow_forests(group, task, impurity, n_trees, max_depth, min_samples_split, bootstrap, subsample_features)
+
+
+def _batch_trees(shape: tuple[int, int]) -> int:
+    """The trees on an (n, p) x that one batch grows (at least one)."""
+    n, p = shape
+    return max(1, _BATCH_CELLS // (n * (p + 1)))
+
+
+def _grow_forests(
+    group: list[tuple[np.ndarray, np.ndarray, int]],
+    task: str,
+    impurity: str,
+    n_trees: int,
+    max_depth: int | None,
+    min_samples_split: int,
+    bootstrap: bool,
+    subsample_features: bool,
+) -> list[ForestModel]:
+    """The forests of jobs whose x share a shape: all in one batch, or one
+    forest in as many batches as it needs. Tree i of the group is tree
+    i % n_trees of job i // n_trees."""
+    n, p = group[0][0].shape
+    # a lone job's x is used as it is: a forest larger than a batch can have a large x
+    x = group[0][0] if len(group) == 1 else np.concatenate([job[0] for job in group])
+    y = group[0][1] if len(group) == 1 else np.concatenate([job[1] for job in group])
     max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
-    per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))
-    trees: list[Tree] = []
-    for first in range(0, n_trees, per_batch):
-        rngs = [
-            np.random.Generator(np.random.PCG64(_TreeSeed(seed, t)))
-            for t in range(first, min(first + per_batch, n_trees))
-        ]
-        samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
-        trees.append(_grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features))
-    return ForestModel(trees=trees, task=task)
+    per_batch, total = _batch_trees((n, p)), len(group) * n_trees
+    forests: list[list[Tree]] = [[] for _ in group]
+    for first in range(0, total, per_batch):
+        batch = range(first, min(first + per_batch, total))
+        rngs = [np.random.Generator(np.random.PCG64(_TreeSeed(group[i // n_trees][2], i % n_trees))) for i in batch]
+        samples = np.array([
+            (rng.integers(0, n, size=n) if bootstrap else np.arange(n)) + i // n_trees * n
+            for i, rng in zip(batch, rngs)
+        ])
+        grown = _grow_trees(
+            x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, min(n_trees, len(batch))
+        )
+        for j, tree in enumerate(grown, start=first // n_trees):
+            forests[j].append(tree)
+    return [ForestModel(trees=trees, task=task) for trees in forests]
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1092,14 @@ def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **p
     if name == "forest":
         return fit_forest(x, y, task=task, seed=seed, **params)
     raise ValueError(f"unknown model {name!r}")
+
+
+def fit_models(name: str, task: str, jobs: Iterable[tuple[np.ndarray, np.ndarray, int]], **params) -> Iterator:
+    """fit_model(name, task, x, y, seed, **params) of each (x, y, seed) job,
+    yielded in job order; forests are grown several to a batch (fit_forests)."""
+    if name == "forest":
+        return fit_forests(jobs, task, **params)
+    return (fit_model(name, task, x, y, seed, **params) for x, y, seed in jobs)
 
 
 def predict(model, x: np.ndarray) -> np.ndarray:

@@ -162,6 +162,10 @@ def run_aspl_sweep(
     cells execute in. The truth cell does not depend on the encoder, so it is
     computed at most once per process for each (problem, sigma, base_seed,
     test_size, model_kind, a, s) and shared by every later sweep with that key.
+    Per ASPL value, every seed's table is drawn and its pipelines fit, and the
+    models of all its cells, the encoder's and then the truth fits the memo
+    misses, come from one models.fit_models call, which grows forests several
+    to a batch; each model is scored as it is yielded and then dropped.
     Returns per-seed cells plus per-ASPL aggregates with a normal-approximation
     95% interval and the signed gap to the truth run (positive means the
     requested encoder does worse).
@@ -178,24 +182,35 @@ def run_aspl_sweep(
     y_test = test.target_values()
     truth_encoders = {"season": _truth_encoder(truth)}
 
-    def fit_and_score(spec, train: DataTable, y_train: np.ndarray, seed: int) -> tuple[str, float]:
-        pipeline, x_train = fit_pipeline(train, spec)
-        x_test = apply_pipeline(pipeline, test)
-        model = mod.fit_model(model_kind, task, x_train, y_train, seed)
-        return _score(model, x_test, y_test)
-
     cells: list[SweepCell] = []
     for a in config.aspl_values:
-        for s in range(config.seeds_per_aspl):
+        slots = [
+            _truth_slot(config.problem, config.sigma, config.base_seed, config.test_size, model_kind, a, s)
+            for s in range(config.seeds_per_aspl)
+        ]
+        # every seed's encoder job, then the truth jobs the memo misses, so
+        # that runs of equal widths share forest batches
+        encoded: list[tuple[tuple, np.ndarray]] = []
+        truths: list[tuple[tuple, np.ndarray]] = []
+        for s, slot in enumerate(slots):
             train = generate(4 * a, np.random.default_rng([config.base_seed, a, s]))
             y_train = train.target_values()
-            encoded = fit_and_score(encoder_spec, train, y_train, s)
-            slot = _truth_slot(
-                config.problem, config.sigma, config.base_seed, config.test_size, model_kind, a, s
-            )
+            for spec, out in ((encoder_spec, encoded), (truth_encoders, truths)):
+                if out is truths and slot:
+                    continue
+                pipeline, x_train = fit_pipeline(train, spec)
+                out.append(((x_train, y_train, s), apply_pipeline(pipeline, test)))
+        jobs = encoded + truths
+        scores = []
+        for model, (_, x_test) in zip(mod.fit_models(model_kind, task, [job for job, _ in jobs]), jobs):
+            scores.append(_score(model, x_test, y_test))
+            del model  # scored: at most one batch of forests is alive
+        missed = iter(scores[len(encoded):])
+        for slot in slots:
             if not slot:
-                slot.append(fit_and_score(truth_encoders, train, y_train, s))
-            for enc_name, (metric, value) in ((encoder_spec.variant, encoded), ("truth", slot[0])):
+                slot.append(next(missed))
+        for s, slot in enumerate(slots):
+            for enc_name, (metric, value) in ((encoder_spec.variant, scores[s]), ("truth", slot[0])):
                 cells.append(
                     SweepCell(
                         problem=config.problem,

@@ -13,6 +13,7 @@ from catenc.models import (
     RIDGE_ALPHAS,
     Tree,
     fit_forest,
+    fit_forests,
     fit_logistic,
     fit_mlp,
     fit_ridge,
@@ -991,6 +992,108 @@ class TestTreeSeeds:
         words = models._TreeSeed(3, 4).generate_state(4, np.uint64)
         assert not words.flags.writeable
         assert np.array_equal(words, np.random.SeedSequence([3, 4]).generate_state(4, np.uint64))
+
+
+def assert_same_forest(got, want, x: np.ndarray) -> None:
+    """Every array of every Tree byte-equal (dtype included), and the
+    predictions on x too."""
+    assert got.task == want.task and len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        assert a.n_features == b.n_features
+        for field in dataclasses.fields(Tree):
+            u, v = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(u, np.ndarray):
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field.name
+    assert predict(got, x).tobytes() == predict(want, x).tobytes()
+
+
+class TestBatchedForests:
+    """fit_forests grows the forests of consecutive equal-shape jobs in one
+    batch; each is the forest fit_forest grows on its job alone."""
+
+    @staticmethod
+    def job(task: str, n: int, p: int, seed: int):
+        rng = np.random.default_rng([n, p, seed])
+        if p == 5:  # a one-hot block beside a numeric column, as a sweep's one-hot matrix
+            x = np.column_stack([np.eye(4)[rng.integers(0, 4, n)], rng.uniform(-2, 3, n)])
+        else:  # a code column beside a numeric one, as a sweep's truth matrix
+            x = np.column_stack([rng.choice([-1.0, 1.0], n), rng.uniform(-2, 3, n)])
+        y = (x @ np.linspace(1.0, -1.0, p) + rng.normal(size=n) > 0).astype(float)
+        return x, (y if task == "classification" else x[:, -1] + rng.normal(size=n)), seed
+
+    @staticmethod
+    def batches(monkeypatch) -> list[int]:
+        """The tree count of each batch the grower is handed."""
+        grown, grow = [], models._grow_trees
+
+        def spy(*args):
+            grown.append(args[2].shape[0])
+            return grow(*args)
+
+        monkeypatch.setattr(models, "_grow_trees", spy)
+        return grown
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_mixed_widths_equal_solo_fits(self, monkeypatch, task, n):
+        # p = 5 draws 3 candidate features a node (max_features < p), p = 2 both
+        jobs = [self.job(task, n, p, s) for s, p in enumerate([5, 5, 2, 2, 2, 5])]
+        grown = self.batches(monkeypatch)
+        got = list(fit_forests(jobs, task, n_trees=20))
+        assert grown == [40, 60, 20]  # one batch per run of equal widths
+        monkeypatch.undo()
+        assert len(got) == len(jobs)
+        for (x, y, seed), forest in zip(jobs, got):
+            assert_same_forest(forest, fit_forest(x, y, task, n_trees=20, seed=seed), x)
+
+    def test_a_batch_holds_as_many_whole_forests_as_fit(self, monkeypatch):
+        # 60 cells a tree of 20 rows and 2 columns: 25 trees, two forests of 10, a batch
+        monkeypatch.setattr(models, "_BATCH_CELLS", 25 * 60)
+        jobs = [self.job("classification", 20, 2, s) for s in range(5)]
+        grown = self.batches(monkeypatch)
+        got = list(fit_forests(jobs, "classification", n_trees=10, max_depth=3, bootstrap=False))
+        assert grown == [20, 20, 10]
+        for (x, y, seed), forest in zip(jobs, got):
+            want = fit_forest(x, y, "classification", n_trees=10, seed=seed, max_depth=3, bootstrap=False)
+            assert_same_forest(forest, want, x)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_forest_larger_than_a_batch_is_grown_alone(self, monkeypatch, task):
+        small = [self.job(task, 40, 2, s) for s in range(2)]
+        x, y, _ = self.job(task, 3000, 2, 7)
+        jobs = [small[0], (x, y, 7), small[1], small[1]]
+        grown = self.batches(monkeypatch)
+        got = list(fit_forests(jobs, task, n_trees=60, max_depth=6))
+        assert 3000 * (2 + 1) * 60 > models._BATCH_CELLS
+        assert grown == [60, 58, 2, 120]
+        monkeypatch.undo()
+        assert len(got[1].trees) == 2
+        for (x, y, seed), forest in zip(jobs, got):
+            assert_same_forest(forest, fit_forest(x, y, task, n_trees=60, seed=seed, max_depth=6), x[:500])
+
+    def test_jobs_are_checked_as_fit_forest_checks_them(self):
+        x, y, _ = self.job("classification", 20, 2, 0)
+        with pytest.raises(ValueError, match="unknown task"):
+            next(fit_forests([(x, y, 0)], "ranking"))
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            list(fit_forests([(x, y, 0), (x, y + 2.0, 1)], "classification", n_trees=2))
+
+    def test_keyword_defaults_are_fit_forests(self):
+        def defaults(fn):
+            return {
+                p.name: (p.default, p.annotation)
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty and p.name != "seed"
+            }
+
+        assert defaults(fit_forest) == defaults(fit_forests)
+
+    @pytest.mark.parametrize("name, task", [("tree", "regression"), ("ridge", "regression"), ("logistic", "classification")])
+    def test_fit_models_fits_other_learners_one_job_at_a_time(self, name, task):
+        jobs = [self.job(task, 30, p, s) for s, p in enumerate([5, 2])]
+        for (x, y, seed), model in zip(jobs, models.fit_models(name, task, jobs), strict=True):
+            want = models.fit_model(name, task, x, y, seed)
+            assert predict(model, x).tobytes() == predict(want, x).tobytes()
 
 
 def large_table(seed: int, n: int = 3000) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from catenc import synth
+from catenc import models, synth
+from catenc.data import apply_pipeline, fit_pipeline
 from catenc.encoders import EncoderSpec
 from catenc.synth import (
     CLASSIFICATION_TRUTH,
@@ -17,7 +18,7 @@ from catenc.synth import (
     run_aspl_sweep,
     summarize_sweep,
 )
-from catenc.metrics import write_records_csv
+from catenc.metrics import accuracy, write_records_csv
 
 
 class TestRegressionGenerator:
@@ -208,15 +209,17 @@ class TestSweep:
 
 
 def counting_fits(monkeypatch) -> list[str]:
-    """Record the learner name of every models.fit_model call the sweep makes."""
+    """Record the learner name of every model the sweep fits: one per job it
+    hands models.fit_models."""
     calls: list[str] = []
-    real = synth.mod.fit_model
+    real = synth.mod.fit_models
 
-    def counting(name, *args, **kwargs):
-        calls.append(name)
-        return real(name, *args, **kwargs)
+    def counting(name, task, jobs, **kwargs):
+        for model in real(name, task, jobs, **kwargs):
+            calls.append(name)
+            yield model
 
-    monkeypatch.setattr(synth.mod, "fit_model", counting)
+    monkeypatch.setattr(synth.mod, "fit_models", counting)
     return calls
 
 
@@ -263,3 +266,47 @@ class TestTruthMemo:
         cold, cold_summary = run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
         assert [(c, float(c.value).hex()) for c in warm] == [(c, float(c.value).hex()) for c in cold]
         assert warm_summary == cold_summary
+
+
+class TestBatchedSweep:
+    """run_aspl_sweep grows an ASPL value's forests of equal widths in shared
+    batches; every cell is the one a fit of its own scores."""
+
+    CFG = SynthConfig(problem="classification", aspl_values=(5, 20), seeds_per_aspl=3, test_size=200, base_seed=4)
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        synth._truth_slot.cache_clear()
+
+    def per_cell(self, spec: EncoderSpec) -> list[tuple]:
+        """Each cell from one fit_model call on its own pipeline's matrix."""
+        cfg = self.CFG
+        test = generate_classification(cfg.test_size, np.random.default_rng([cfg.base_seed, synth._TEST_STREAM_SALT]))
+        truth = {"season": synth._truth_encoder(CLASSIFICATION_TRUTH)}
+        out = []
+        for a in cfg.aspl_values:
+            for s in range(cfg.seeds_per_aspl):
+                train = generate_classification(4 * a, np.random.default_rng([cfg.base_seed, a, s]))
+                for name, encoder in ((spec.variant, spec), ("truth", truth)):
+                    pipeline, x = fit_pipeline(train, encoder)
+                    model = models.fit_model("forest", "classification", x, train.target_values(), s)
+                    pred = models.predict(model, apply_pipeline(pipeline, test))
+                    out.append((name, a, s, "accuracy", float(accuracy(test.target_values(), pred)).hex()))
+        return out
+
+    # sshrink's one code column is as wide as the truth code, so an ASPL
+    # value's six forests share a batch; the one-hot block is wider
+    @pytest.mark.parametrize("variant, batches", [("sshrink", [600] * 2), ("onehot", [300] * 4)])
+    def test_cells_equal_per_cell_fits(self, monkeypatch, variant, batches):
+        grown, grow = [], models._grow_trees
+
+        def spy(*args):
+            grown.append(args[2].shape[0])
+            return grow(*args)
+
+        monkeypatch.setattr(models, "_grow_trees", spy)
+        cells, _ = run_aspl_sweep(self.CFG, "forest", EncoderSpec(variant))
+        monkeypatch.undo()
+        assert grown == batches  # trees per batch
+        got = [(c.encoder, c.aspl, c.seed, c.metric, float(c.value).hex()) for c in cells]
+        assert got == self.per_cell(EncoderSpec(variant))
