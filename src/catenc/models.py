@@ -17,9 +17,11 @@ intp. Split positions between equal values are found on the value ranks, so
 a level reads x only where a split is chosen, and a node's rows go left up to
 the winning position in the winning feature's order. A node is pure when its
 targets are all equal, and its value is their mean. The trees are flat node
-arrays that prediction walks in lock step, one row per group of rows that no
-threshold separates; a leaf loops to itself, so a step has no leaf test, and
-the pairs at a leaf drop out every few steps. A forest's tree t draws from
+arrays that prediction walks in lock step, one range of row groups (rows that
+no threshold separates) per tree at a time: a range moves whole, and is cut
+only where a threshold of the column with the most cuts falls inside it; a
+leaf loops to itself, so a step has no leaf test, and the ranges at a leaf
+drop out every few steps. A forest's tree t draws from
 np.random.default_rng([seed, t])'s generator, built from memoized seed words.
 fit_forests grows the forests of several equal-shape fits in one batch, as
 one forest's trees are grown, and cuts the batch into its forests.
@@ -842,7 +844,7 @@ def fit_tree(
     )[0]
 
 
-#: Walk steps between two compactions of the (tree, group) pairs in
+#: Walk steps between two compactions of the (tree, range of groups) pairs in
 #: predict_tree; a pair at a leaf loops there meanwhile (2 and 3 measured best).
 _COMPACT_EVERY = 2
 
@@ -851,11 +853,21 @@ def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
     """(trees, rows) leaf values (target mean / class-1 fraction) of x's rows.
 
     Rows in the same gap between the sorted thresholds of every feature take
-    the same path, so one row per group walks all trees in lock step, and the
-    table is gathered from each (tree, group) pair's leaf and back to rows.
-    A step is node = left[node] + (x > threshold[node]), with no leaf test:
-    each leaf loops to itself (feature 0, threshold +inf, left its own id),
-    and the pairs at a leaf drop out every _COMPACT_EVERY steps. A NaN cell
+    the same path, so they form one group, walked once. The groups are sorted
+    by their bins of the other features, then by their bin of the inner
+    feature, the one with the most cuts (the lowest index on a tie); a block
+    is a run of groups whose other bins are all equal. One pair per tree and
+    block walks, carrying a range of groups: a step moves the range the way
+    its first group goes, node = left[node] + (x > threshold[node]), and where
+    its last group goes the other way the range is cut at the first group
+    right of the threshold, found by one searchsorted on the sorted group
+    keys, and that part walks on from left[node] + 1. This is exact: the
+    groups of a block share a gap at every split on another feature, and at
+    a split on the inner feature the groups going right are a suffix of the
+    range, as they are sorted by their inner bin. Each leaf loops to itself
+    (feature 0, threshold +inf, left its own id), and the pairs at a leaf
+    drop out every _COMPACT_EVERY steps; each finished range fills its cells
+    of the (trees, groups) table, which is gathered back to rows. A NaN cell
     reads +inf, so it goes right at every split, as it fails <=. That is
     exact because every split threshold is finite: fit refuses non-finite x,
     and a midpoint that is not below the upper value falls back to the lower.
@@ -863,35 +875,64 @@ def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != tree.n_features:
         raise ValueError(f"model was fit on {tree.n_features} columns, got x of shape {x.shape}")
-    key = np.zeros(x.shape[0], dtype=np.intp)
-    for f in range(x.shape[1]):
-        cuts = np.sort(tree.threshold[tree.feature == f])
-        if cuts.size:  # renumbered after each column, so the key stays below the row count
-            _, key = np.unique(key * (cuts.size + 1) + np.searchsorted(cuts, x[:, f]), return_inverse=True)
-    _, rep, key = np.unique(key, return_index=True, return_inverse=True)  # rep: a row per group
+    if x.shape[1] == 0:  # no column to split on, so every root is a leaf
+        x = np.zeros((x.shape[0], 1))
+    cuts = [np.sort(tree.threshold[tree.feature == f]) for f in range(x.shape[1])]
+    spans = [c.shape[0] + 1 for c in cuts]  # bins per column
+    inner = spans.index(max(spans))
+    key, bound = np.zeros(x.shape[0], dtype=np.intp), 1  # the keys lie in [0, bound)
+    for f in [f for f in range(x.shape[1]) if f != inner and spans[f] > 1] + [inner]:
+        if bound * spans[f] > np.iinfo(np.intp).max:  # renumbered, so the next column's keys cannot overflow
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = uniq.shape[0]
+        key = key * spans[f] + np.searchsorted(cuts[f], x[:, f])
+        bound *= spans[f]
+    gkey, rep, key = np.unique(key, return_index=True, return_inverse=True)  # rep: a row per group
+    block = gkey - gkey % spans[inner]  # a group's key with its inner bin zeroed: equal within a block
     leaf = tree.feature < 0
     feature = np.where(leaf, 0, tree.feature)
     threshold = np.where(leaf, np.inf, tree.threshold)
     left = np.where(leaf, np.arange(leaf.shape[0]), tree.left)
+    rcut = np.searchsorted(cuts[inner], threshold, side="right")  # x > threshold iff inner bin >= rcut
     xg = x[rep]  # the groups' rows, a copy
     xg[np.isnan(xg)] = np.inf
     xg = xg.ravel()
-    n_trees, n_groups = tree.roots.shape[0], rep.shape[0]
-    node = np.repeat(tree.roots, n_groups)
-    start = np.tile(np.arange(n_groups) * x.shape[1], n_trees)  # each pair's row in xg
-    at = np.arange(node.shape[0])  # the pairs still walking, as flat indices into the table
-    final = np.empty(node.shape[0], dtype=np.intp)  # each pair's leaf
+    n_trees, n_groups, p = tree.roots.shape[0], rep.shape[0], x.shape[1]
+    edges = np.flatnonzero(np.diff(block, prepend=-1, append=-1)) * p  # each block's first row in xg, then the end
+    first, last = edges[:-1], edges[1:] - p
+    wide = first < last
+    first, last = np.concatenate((first[wide], first[~wide])), last[wide]  # blocks of several groups first
+    node = np.tile(tree.roots, first.shape[0])  # a pair per block and tree
+    start = np.repeat(first, n_trees)  # its first row in xg
+    stop = np.repeat(last, n_trees)  # the last row of the leading pairs, which may hold several groups
+    base = np.tile(np.arange(n_trees) * xg.shape[0], first.shape[0])  # its tree, in rows of xg
+    pos, final = [], []  # each finished range's first cell in the (trees, groups) table, times p, and its leaf
     while True:
         done = leaf[node]
-        final[at[done]] = node[done]
+        pos.append(base[done] + start[done])
+        final.append(node[done])
         walk = ~done
         if not walk.any():
             break
-        at, node, start = at[walk], node[walk], start[walk]
+        node, start, stop, base = node[walk], start[walk], stop[walk[: stop.shape[0]]], base[walk]
         for _ in range(_COMPACT_EVERY):
-            node = left[node] + (xg[start + feature[node]] > threshold[node])
+            at, thr = feature[node], threshold[node]
+            right = xg[start + at] > thr
+            n = stop.shape[0]  # the ranges whose last group goes the other way than their first are cut
+            w = np.flatnonzero((xg[stop + at[:n]] > thr[:n]) != right[:n])
+            child = left[node] + right
+            if w.shape[0]:  # the right parts join the leading pairs, from left[node] + 1
+                s = np.searchsorted(gkey, block[start[w] // p] + rcut[node[w]]) * p
+                cut_off = (child[w] + 1, s, stop[w], base[w])
+                stop[w] = s - p
+                child, start, stop, base = (np.concatenate(a) for a in zip(cut_off, (child, start, stop, base)))
+            node = child
+    del xg  # free before the table is built
+    pos, final = np.concatenate(pos) // p, np.concatenate(final)
+    order = np.argsort(pos)  # the finished ranges tile each tree's row of the table
+    table = np.repeat(tree.value[final[order]], np.diff(pos[order], append=n_trees * n_groups))
     # np.take keeps the table C-ordered, so a mean over trees adds them in order
-    return np.take(tree.value[final].reshape(n_trees, n_groups), key, axis=1)
+    return np.take(table.reshape(n_trees, n_groups), key, axis=1)
 
 
 @dataclass

@@ -72,7 +72,8 @@ def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
 @dataclass(frozen=True)
 class SynthConfig:
     """Sweep shape: which problem, which ASPL grid, how many seeds, test size,
-    and the regression noise scale sigma (finite and >= 0)."""
+    the regression noise scale sigma (finite and >= 0), and the base seed
+    (>= 0)."""
 
     problem: str = "regression"
     aspl_values: tuple[int, ...] = tuple(range(5, 101, 5))
@@ -93,6 +94,8 @@ class SynthConfig:
             raise ValueError("seeds_per_aspl and test_size must be positive")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):  # before any draw, NaN too
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if self.base_seed < 0:  # numpy's own refusal names no option
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,19 @@ class CheckRow:
     ok: bool
 
 
+def _require_seed(seed: int) -> None:
+    """Refuse a negative seed by name: numpy's own refusal names no option."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def verify_onehot_equivalence(trials: int = 100, seed: int = 0, tol: float = 1e-10) -> list[CheckRow]:
     """Trial t fits encoder ENCODER_VARIANTS[t % 14] and one-hot on one random
     training column (2-10 levels, 10-100 rows, a normal target), then draws a
     map w (1-8 outputs). On every row, one-hot with the constructed weights and
     the encoder under w must give the same contribution, and both must be the
     constructed weights' column for the row's level, to within tol."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(trials):
@@ -215,6 +222,7 @@ def verify_contiguity(instances: int = 200, seed: int = 0, tol: float = 1e-12) -
     mean codes by CART must reach the exhaustive optimum. Half the instances use
     MSE on real targets, half entropy on binary targets; a binary instance is
     checked under gini as well."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(instances):

@@ -215,6 +215,24 @@ def test_sweep_repeated_aspl_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--problem", "classification", "--model", "forest", "--encoder", "mean",
+          "--aspl", "5", "--seeds", "1", "--seed", "-1"], "base_seed must be non-negative, got -1"),
+        (["verify", "--suite", "contiguity", "--seed", "-3"], "seed must be non-negative, got -3"),
+        (["verify", "--suite", "onehot-equivalence", "--seed", "-3"], "seed must be non-negative, got -3"),
+    ],
+    ids=["sweep", "contiguity", "onehot-equivalence"],
+)
+def test_negative_seed_is_one_error_line_and_no_output(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_verify_all_suites_pass(tmp_path, capsys):
     rc = main(["verify", "--suite", "all", "--trials", "10", "--out", str(tmp_path)])
     out = capsys.readouterr().out

@@ -1432,6 +1432,104 @@ class TestFlatPrediction:
         assert np.array_equal(got, [[10.0, 20.0, 20.0, 20.0, 10.0, 10.0]])
         assert np.array_equal(got, walk_reference(tree, x))
 
+    @staticmethod
+    def hand(p, *roots) -> Tree:
+        """One tree per root spec: a (feature, threshold, left, right) tuple at a
+        split, the leaf value at a leaf; nodes are numbered breadth first."""
+        feature, threshold, left, value = [], [], [], []
+
+        def node():
+            feature.append(-1), threshold.append(np.nan), left.append(-1), value.append(0.0)
+            return len(feature) - 1
+
+        queue = [(node(), spec) for spec in roots]
+        for at, spec in queue:  # grows as it is read
+            if isinstance(spec, tuple):
+                f, t, lo, hi = spec
+                feature[at], threshold[at], left[at] = f, t, node()
+                node()
+                queue += [(left[at], lo), (left[at] + 1, hi)]
+            else:
+                value[at] = float(spec)
+        size = len(feature)
+        return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(value), np.ones(size, int),
+                    np.arange(len(roots)), p)
+
+    #: column 1 has three cuts and column 0 two, so column 1 is the inner one:
+    #: the groups of one column-0 bin form a block, walked as one range until
+    #: the cuts at 0.5, 1.0 and 1.5 fall inside it
+    INNER_CUT_TREE = (
+        (1, 0.5, (0, 0.0, 1, 2), (1, 1.5, 3, 4)),
+        (1, 1.0, 5, (0, 0.0, 6, 7)),
+    )
+
+    def test_an_inner_cut_inside_a_block_cuts_its_range(self):
+        tree = self.hand(2, *self.INNER_CUT_TREE)
+        x = np.array([[a, b] for a in (-1.0, 1.0) for b in (0.0, 0.5, 1.0, 1.5, 2.0)])
+        got = predict_tree(tree, x)
+        assert np.array_equal(got, walk_reference(tree, x))
+        assert np.array_equal(got, [[1, 1, 3, 3, 4, 2, 2, 3, 3, 4], [5, 5, 5, 6, 6, 5, 5, 5, 7, 7]])
+
+    def test_nan_and_infinite_cells_in_the_inner_and_an_outer_column(self):
+        tree = self.hand(2, *self.INNER_CUT_TREE)
+        values = [-np.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, np.inf, np.nan]
+        x = np.array([[a, b] for a in values for b in values])
+        got = predict_tree(tree, x)
+        assert np.array_equal(got, walk_reference(tree, x))
+        assert np.array_equal(got[:, -9:], [[2, 2, 2, 2, 3, 3, 4, 4, 4], [5, 5, 5, 5, 5, 7, 7, 7, 7]])  # column 0 NaN
+
+    def test_one_feature_is_one_block(self):
+        tree = self.hand(1, (0, 0.0, (0, -1.0, 1, 2), (0, 1.0, 3, (0, 2.0, 4, 5))), (0, 0.5, 6, 7))
+        x = np.array([[-2.0], [-1.0], [-0.5], [0.0], [0.5], [1.0], [1.5], [2.0], [3.0], [np.nan], [np.inf], [-np.inf]])
+        got = predict_tree(tree, x)
+        assert np.array_equal(got, walk_reference(tree, x))
+        assert np.array_equal(got[0], [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 1])
+        rng = np.random.default_rng(8)
+        z = np.round(rng.normal(size=(200, 1)), 1)
+        self.check(fit_forest(z, z[:, 0] + rng.normal(size=200), "regression", n_trees=20, seed=4), z)
+
+    def test_equal_cut_counts_make_the_lower_column_inner(self):
+        # two cuts on each column: column 0 is inner, so the ranges run along it
+        tree = self.hand(2, (0, 0.0, (1, 0.0, 1, 2), (1, 1.0, 3, 4)), (0, 1.0, 5, 6))
+        values = [-1.0, 0.0, 0.5, 1.0, 2.0, np.nan]
+        x = np.array([[a, b] for a in values for b in values])
+        assert np.array_equal(predict_tree(tree, x), walk_reference(tree, x))
+
+    def test_zero_rows_and_zero_columns(self):
+        tree = self.hand(2, *self.INNER_CUT_TREE)
+        assert predict_tree(tree, np.empty((0, 2))).shape == (2, 0)
+        stumps = self.hand(0, 1.0, 2.0)
+        assert np.array_equal(predict_tree(stumps, np.empty((3, 0))), [[1.0] * 3, [2.0] * 3])
+        assert predict_tree(stumps, np.empty((0, 0))).shape == (2, 0)
+
+    def test_forest_grown_in_several_batches(self, monkeypatch):
+        monkeypatch.setattr(models, "_BATCH_CELLS", 2000)
+        rng = np.random.default_rng(6)
+        x = np.column_stack([rng.integers(0, 4, 150).astype(float), rng.random(150)])
+        y = (x[:, 0] % 2 == 1) != (x[:, 1] < 0.3)
+        forest = fit_forest(x, y.astype(float), "classification", n_trees=12, seed=3)
+        assert len(forest.trees) > 1
+        self.check(forest, np.vstack([x, [[np.nan, 0.5], [1.0, np.nan], [-np.inf, np.inf]]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.integers(1, 6),
+        n=st.integers(2, 80),
+        task=st.sampled_from(["classification", "regression"]),
+    )
+    def test_run_walk_matches_the_reference_beside_a_low_cardinality_column(self, seed, levels, n, task):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.integers(0, levels, n).astype(float), np.round(rng.normal(size=n), 2)])
+        y = x[:, 0] * x[:, 1] + rng.normal(size=n)
+        forest = fit_forest(x, (y > 0).astype(float) if task == "classification" else y, task,
+                            n_trees=int(rng.integers(1, 12)), seed=seed % 1000)
+        test = np.column_stack([rng.integers(-1, levels + 1, 60).astype(float), np.round(rng.normal(size=60), 2)])
+        odd = rng.random(test.shape) < 0.1
+        test[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+        for batch in forest.trees:
+            assert np.array_equal(predict_tree(batch, test), walk_reference(batch, test))
+
     def test_read_only_x_with_nan_is_not_written(self, fitted):
         forest, x = fitted
         odd = x[:40].copy()

@@ -146,6 +146,12 @@ class TestSweep:
         with pytest.raises(ValueError, match=msg):
             generate_regression(10, np.random.default_rng(0), sigma=sigma)
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_base_seed_is_refused_by_name(self, seed):
+        # numpy's own refusal, "expected non-negative integer", names no option
+        with pytest.raises(ValueError, match=f"^base_seed must be non-negative, got {seed}$"):
+            SynthConfig(base_seed=seed)
+
     def test_truth_rows_have_zero_gap(self):
         cfg = self.small_config("regression")
         _, summaries = run_aspl_sweep(cfg, "ridge", EncoderSpec("ordinal"))

@@ -177,6 +177,12 @@ class TestVerifySuites:
         b = verify_onehot_equivalence(trials=5, seed=9)
         assert [(r.params, r.deviation) for r in a] == [(r.params, r.deviation) for r in b]
 
+    @pytest.mark.parametrize("check", [verify_onehot_equivalence, verify_contiguity])
+    def test_negative_seed_is_refused_by_name(self, check):
+        # numpy's own refusal, "expected non-negative integer", names no option
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+            check(1, seed=-3)
+
 
 @given(c=st.integers(min_value=2, max_value=12))
 @settings(max_examples=11, deadline=None)
