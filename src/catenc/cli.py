@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--out", default=".", help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="samples-per-level sweep on a synthetic task")
-    p_sweep.add_argument("--problem", required=True, choices=("regression", "classification"))
+    p_sweep.add_argument("--problem", required=True, choices=models_mod.TASKS)
     p_sweep.add_argument("--encoder", required=True, choices=enc_mod.ENCODER_VARIANTS)
     p_sweep.add_argument("--model", required=True, choices=models_mod.MODEL_NAMES)
     synth = synth_mod.SynthConfig()  # the sweep's defaults
@@ -89,6 +89,8 @@ def _cmd_encode(args) -> int:
         raise ValueError(f"no column {args.column!r} in {args.input}")
     if kinds[args.column] is not ColumnKind.CATEGORICAL:
         raise ValueError(f"column {args.column!r} is numeric, nothing to encode")
+    if args.column == target:
+        raise ValueError(f"column {args.column!r} is the target, nothing to encode")
     # read only the column and the target, so a blank other column cannot fail the fill;
     # missing cells take the column's mode, the fill every bench cell uses
     table = load_csv(args.input, {args.column: kinds[args.column], target: kinds[target]}, target)

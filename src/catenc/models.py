@@ -1,41 +1,44 @@
 """In-repo learners: ridge, logistic regression, a small MLP, CART, and a forest.
 
 All five are deterministic functions of (data, hyperparameters, seed), and
-each fitted model carries its task, which is all predict needs. The
-gradient-based ones expose their loss/gradient so tests can finite-difference
-them. The trees search exact midpoint thresholds: one level-wise grower
-scores every node of a level, across all the trees of a forest, in a few
-vectorized prefix scans per presorted feature, skipping the nodes (and whole
-features) where a feature has no split point; on an mse level, a feature with
-few split points, as an encoded column has, is scored at those alone. It then
-moves each presorted array into the level's children with one stable sort on
-each sample's child rank (a radix sort on 8- or 16-bit ranks). Each feature
-is presorted by a radix sort on its per-sample value ranks. The sample-id
-arrays are stored in the smallest unsigned dtype that holds every id and cast
-to intp, one at a time, to gather: numpy indexes about twice as fast with
-intp. Split positions between equal values are found on the value ranks, so
-a level reads x only where a split is chosen, and a node's rows go left up to
-the winning position in the winning feature's order. A node is pure when its
-targets are all equal, and its value is their mean. The trees are flat node
-arrays that prediction walks in lock step, one range of row groups (rows that
-no threshold separates) per tree at a time: a range moves whole, and is cut
-only where a threshold of the column with the most cuts falls inside it; a
-leaf loops to itself, so a step has no leaf test, and the ranges at a leaf
-drop out every few steps. A forest's tree t draws from
+each fitted model carries its task, one of TASKS, which is all predict needs.
+fit_model fits a learner by name and fit_models one per (x, y, seed) job; both
+refuse an unknown learner or task, or a task the learner is not fit for, when
+called. fit_forests alone declares the forest's options: it grows the forests
+of several equal-shape jobs in one batch, as one forest's trees are grown, and
+cuts the batch into its forests. The gradient-based learners expose their
+loss/gradient so tests can finite-difference them. The trees search exact
+midpoint thresholds: one level-wise grower scores every node of a level,
+across all the trees of a forest, in a few vectorized prefix scans per
+presorted feature, skipping the nodes (and whole features) where a feature has
+no split point; on an mse level, a feature with few split points, as an
+encoded column has, is scored at those alone. It then moves each presorted
+array into the level's children with one stable sort on each sample's child
+rank (a radix sort on 8- or 16-bit ranks). Each feature is presorted by a
+radix sort on its per-sample value ranks. The sample-id arrays are stored in
+the smallest unsigned dtype that holds every id and cast to intp, one at a
+time, to gather: numpy indexes about twice as fast with intp. Split positions
+between equal values are found on the value ranks, so a level reads x only
+where a split is chosen, and a node's rows go left up to the winning position
+in the winning feature's order. A node is pure when its targets are all equal,
+and its value is their mean. The trees are flat node arrays that predict_tree
+walks in lock step. A forest's tree t draws from
 np.random.default_rng([seed, t])'s generator, built from memoized seed words.
-fit_forests grows the forests of several equal-shape fits in one batch, as
-one forest's trees are grown, and cuts the batch into its forests.
 """
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
 RIDGE_ALPHAS = (0.1, 1.0, 10.0)
+#: the tasks a learner is fit for, and a tree's split impurity on each
+TASKS = ("regression", "classification")
+_IMPURITY = {"regression": "mse", "classification": "gini"}
 
 
 def _require(ok: bool, name: str, value, rule: str) -> None:
@@ -245,7 +248,7 @@ class MLPModel:
 
 def init_mlp(n_features: int, task: str, seed: int, hidden: int) -> MLPModel:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
-    if task not in ("regression", "classification"):
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     _require(hidden >= 1, "hidden", hidden, ">= 1")
     rng = np.random.default_rng(seed)
@@ -972,36 +975,9 @@ class _TreeSeed(np.random.bit_generator.ISeedSequence):
         return _tree_seed_words(self.seed, self.t, n_words, dtype)
 
 
-def fit_forest(
-    x: np.ndarray,
-    y: np.ndarray,
-    task: str,
-    n_trees: int = 100,
-    seed: int = 0,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    bootstrap: bool = True,
-    subsample_features: bool = True,
-) -> ForestModel:
-    """Bagged CART forest; each node draws ceil(sqrt(p)) candidate features.
-
-    Tree t uses its own generator seeded from (seed, t): it draws the bootstrap
-    sample, then, level by level, the candidate features of the tree's nodes
-    (see _feature_candidates), so cells are reproducible regardless of
-    execution order. The generator is np.random.default_rng([seed, t])'s,
-    built from _tree_seed_words, a bounded memo of the seed words: a sweep or
-    grid refits the same few seeds, and hashing them anew took about a sixth
-    of a forest sweep on 20-80-row tables. The trees are grown together,
-    level by level, in as few batches as memory allows; each batch is one
-    flat Tree. max_depth must be None or >= 0 and min_samples_split >= 1. A
-    regression target needs n * max|y| below 2**510 (about 3.4e153), so the
-    squared sums over a bootstrap sample stay finite: rescale a larger one.
-    This is fit_forests on the one job (x, y, seed).
-    """
-    return next(fit_forests(
-        [(x, y, seed)], task, n_trees=n_trees, max_depth=max_depth, min_samples_split=min_samples_split,
-        bootstrap=bootstrap, subsample_features=subsample_features,
-    ))
+def fit_forest(x: np.ndarray, y: np.ndarray, task: str, *, seed: int = 0, **params) -> ForestModel:
+    """The forest fit_forests grows on the one job (x, y, seed), with its options."""
+    return next(fit_forests([(x, y, seed)], task, **params))
 
 
 def fit_forests(
@@ -1013,84 +989,74 @@ def fit_forests(
     bootstrap: bool = True,
     subsample_features: bool = True,
 ) -> Iterator[ForestModel]:
-    """fit_forest(x, y, task, seed=seed, **params) of each (x, y, seed) job,
-    yielded in job order, the forests of several jobs grown in one batch.
+    """A bagged CART forest for each (x, y, seed) job, yielded in job order;
+    each node draws ceil(sqrt(p)) candidate features.
 
-    Consecutive jobs with equal x shapes share a batch while all their trees
-    fit in one (_BATCH_CELLS); their x and y are stacked and each tree's
-    bootstrap rows are offset to its job's rows. Every tree keeps its own
-    generator, and the grower splits nowhere across trees, so each forest,
-    cut from the batch with its nodes renumbered, is the one fit_forest grows
-    alone, array for array. A forest larger than one batch is grown alone in
-    batches. One batch of forests is held at a time: a caller that drops each
-    forest after use holds no more.
+    Tree t of a job uses its own generator seeded from (seed, t): it draws the
+    bootstrap sample, then, level by level, the candidate features of the
+    tree's nodes (see _feature_candidates), so cells are reproducible
+    regardless of execution order. The generator is
+    np.random.default_rng([seed, t])'s, built from _tree_seed_words, a bounded
+    memo of the seed words: a sweep or grid refits the same few seeds, and
+    hashing them anew took about a sixth of a forest sweep on 20-80-row
+    tables. n_trees must be >= 1, max_depth None or >= 0 and min_samples_split
+    >= 1. A regression target needs n * max|y| below 2**510 (about 3.4e153),
+    so the squared sums over a bootstrap sample stay finite: rescale a larger
+    one.
+
+    The trees are grown together, level by level, in as few batches as memory
+    allows (_BATCH_CELLS); each batch is one flat Tree. Consecutive jobs with
+    equal x shapes share a batch while all their trees fit in one; their x and
+    y are stacked and each tree's bootstrap rows are offset to its job's rows.
+    Every tree keeps its own generator, and the grower splits nowhere across
+    trees, so each forest, cut from the batch with its nodes renumbered, is
+    the one its job grows alone, array for array. A forest larger than one
+    batch is grown alone in batches. One batch of forests is held at a time: a
+    caller that drops each forest after use holds no more.
     """
-    if task not in ("regression", "classification"):
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     _require(n_trees >= 1, "n_trees", n_trees, ">= 1")
-    impurity = "gini" if task == "classification" else "mse"
-    group: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for x, y, seed in jobs:
-        x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, 1)
-        if group and (x.shape != group[0][0].shape or (len(group) + 1) * n_trees > _batch_trees(x.shape)):
-            yield from _grow_forests(group, task, impurity, n_trees, max_depth, min_samples_split, bootstrap, subsample_features)
-            group = []
-        group.append((x, y, seed))
-    if group:
-        yield from _grow_forests(group, task, impurity, n_trees, max_depth, min_samples_split, bootstrap, subsample_features)
-
-
-def _batch_trees(shape: tuple[int, int]) -> int:
-    """The trees on an (n, p) x that one batch grows (at least one)."""
-    n, p = shape
-    return max(1, _BATCH_CELLS // (n * (p + 1)))
-
-
-def _grow_forests(
-    group: list[tuple[np.ndarray, np.ndarray, int]],
-    task: str,
-    impurity: str,
-    n_trees: int,
-    max_depth: int | None,
-    min_samples_split: int,
-    bootstrap: bool,
-    subsample_features: bool,
-) -> list[ForestModel]:
-    """The forests of jobs whose x share a shape: all in one batch, or one
-    forest in as many batches as it needs. Tree i of the group is tree
-    i % n_trees of job i // n_trees."""
-    n, p = group[0][0].shape
-    # a lone job's x is used as it is: a forest larger than a batch can have a large x
-    x = group[0][0] if len(group) == 1 else np.concatenate([job[0] for job in group])
-    y = group[0][1] if len(group) == 1 else np.concatenate([job[1] for job in group])
-    max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
-    per_batch, total = _batch_trees((n, p)), len(group) * n_trees
-    forests: list[list[Tree]] = [[] for _ in group]
-    for first in range(0, total, per_batch):
-        batch = range(first, min(first + per_batch, total))
-        rngs = [np.random.Generator(np.random.PCG64(_TreeSeed(group[i // n_trees][2], i % n_trees))) for i in batch]
-        samples = np.array([
-            (rng.integers(0, n, size=n) if bootstrap else np.arange(n)) + i // n_trees * n
-            for i, rng in zip(batch, rngs)
-        ])
-        grown = _grow_trees(
-            x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, min(n_trees, len(batch))
-        )
-        for j, tree in enumerate(grown, start=first // n_trees):
-            forests[j].append(tree)
-    return [ForestModel(trees=trees, task=task) for trees in forests]
+    impurity = _IMPURITY[task]
+    checked = ((*_tree_inputs(x, y, impurity, max_depth, min_samples_split, 1), seed) for x, y, seed in jobs)
+    for (n, p), run in itertools.groupby(checked, key=lambda job: job[0].shape):
+        per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))  # the trees one batch grows on an (n, p) x
+        max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
+        # a group is as many whole forests as one batch holds, or one forest in
+        # as many batches as it needs; tree i of it is tree i % n_trees of job i // n_trees
+        while group := list(itertools.islice(run, max(1, per_batch // n_trees))):
+            # a lone job's x is used as it is: a forest larger than a batch can have a large x
+            x = group[0][0] if len(group) == 1 else np.concatenate([job[0] for job in group])
+            y = group[0][1] if len(group) == 1 else np.concatenate([job[1] for job in group])
+            total = len(group) * n_trees
+            forests: list[list[Tree]] = [[] for _ in group]
+            for first in range(0, total, per_batch):
+                batch = range(first, min(first + per_batch, total))
+                rngs = [np.random.Generator(np.random.PCG64(_TreeSeed(group[i // n_trees][2], i % n_trees))) for i in batch]
+                samples = np.array([
+                    (rng.integers(0, n, size=n) if bootstrap else np.arange(n)) + i // n_trees * n
+                    for i, rng in zip(batch, rngs)
+                ])
+                grown = _grow_trees(
+                    x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, min(n_trees, len(batch))
+                )
+                for j, tree in enumerate(grown, start=first // n_trees):
+                    forests[j].append(tree)
+            del x, y, rngs, samples, grown  # spent: only the forests stay while they are yielded
+            yield from (ForestModel(trees=trees, task=task) for trees in forests)
 
 
 # ---------------------------------------------------------------------------
 # shared fit and prediction front doors
 
-#: each learner's fitters, whose keyword defaults fit_model lets a caller override
+#: each learner's tasks, then its fitters, whose keyword defaults fit_model
+#: lets a caller override
 _FITTERS = {
-    "ridge": (fit_ridge,),
-    "logistic": (fit_logistic,),
-    "mlp": (fit_mlp, train_mlp),
-    "tree": (fit_tree,),
-    "forest": (fit_forest,),
+    "ridge": (("regression",), fit_ridge),
+    "logistic": (("classification",), fit_logistic),
+    "mlp": (TASKS, fit_mlp, train_mlp),
+    "tree": (TASKS, fit_tree),
+    "forest": (TASKS, fit_forests),
 }
 MODEL_NAMES = tuple(_FITTERS)
 
@@ -1101,10 +1067,20 @@ def model_options(name: str) -> dict[str, object]:
     fit_model passes itself."""
     return {
         p.name: get_type_hints(fn)[p.name]
-        for fn in _FITTERS[name]
+        for fn in _FITTERS[name][1:]
         for p in inspect.signature(fn).parameters.values()
         if p.default is not p.empty and p.name != "seed"
     }
+
+
+def _check_learner(name: str, task: str) -> None:
+    """Refuse an unknown task or learner, or a task the learner is not fit for."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if name not in _FITTERS:
+        raise ValueError(f"unknown model {name!r}")
+    if task not in (tasks := _FITTERS[name][0]):
+        raise ValueError(f"{name} is {tasks[0]}-only")
 
 
 def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **params):
@@ -1115,29 +1091,24 @@ def fit_model(name: str, task: str, x: np.ndarray, y: np.ndarray, seed: int, **p
     one, so it knows its task like every other model. The seed drives the MLP
     and the forest.
     """
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task {task!r}")
+    _check_learner(name, task)
     if name == "ridge":
-        if task != "regression":
-            raise ValueError("ridge is regression-only")
         return fit_ridge(x, y, **params)
     if name == "logistic":
-        if task != "classification":
-            raise ValueError("logistic is classification-only")
         return fit_logistic(x, y, **params)
     if name == "mlp":
         return fit_mlp(x, y, task=task, seed=seed, **params)
     if name == "tree":
-        params.setdefault("impurity", "gini" if task == "classification" else "mse")
+        params.setdefault("impurity", _IMPURITY[task])
         return ForestModel([fit_tree(x, y, **params)], task)
-    if name == "forest":
-        return fit_forest(x, y, task=task, seed=seed, **params)
-    raise ValueError(f"unknown model {name!r}")
+    return fit_forest(x, y, task, seed=seed, **params)
 
 
 def fit_models(name: str, task: str, jobs: Iterable[tuple[np.ndarray, np.ndarray, int]], **params) -> Iterator:
     """fit_model(name, task, x, y, seed, **params) of each (x, y, seed) job,
-    yielded in job order; forests are grown several to a batch (fit_forests)."""
+    yielded in job order; forests are grown several to a batch (fit_forests).
+    The learner and task are checked when it is called, before any job."""
+    _check_learner(name, task)
     if name == "forest":
         return fit_forests(jobs, task, **params)
     return (fit_model(name, task, x, y, seed, **params) for x, y, seed in jobs)

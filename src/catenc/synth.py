@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class SynthConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.problem not in ("regression", "classification"):
+        if self.problem not in mod.TASKS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if not self.aspl_values or any(a < 1 for a in self.aspl_values):
             raise ValueError("aspl_values must be positive")
@@ -176,55 +177,39 @@ def run_aspl_sweep(
     if config.problem == "regression":
         truth = REGRESSION_TRUTH
         generate = lambda n, rng: generate_regression(n, rng, sigma=config.sigma)
-        task = "regression"
     else:
         truth = CLASSIFICATION_TRUTH
         generate = generate_classification
-        task = "classification"
     test = generate(config.test_size, np.random.default_rng([config.base_seed, _TEST_STREAM_SALT]))
     y_test = test.target_values()
     truth_encoders = {"season": _truth_encoder(truth)}
 
     cells: list[SweepCell] = []
+    seeds = range(config.seeds_per_aspl)
     for a in config.aspl_values:
         slots = [
             _truth_slot(config.problem, config.sigma, config.base_seed, config.test_size, model_kind, a, s)
-            for s in range(config.seeds_per_aspl)
+            for s in seeds
         ]
-        # every seed's encoder job, then the truth jobs the memo misses, so
+        trains = [generate(4 * a, np.random.default_rng([config.base_seed, a, s])) for s in seeds]
+        # every seed's encoder run, then the truth runs the memo misses, so
         # that runs of equal widths share forest batches
-        encoded: list[tuple[tuple, np.ndarray]] = []
-        truths: list[tuple[tuple, np.ndarray]] = []
-        for s, slot in enumerate(slots):
-            train = generate(4 * a, np.random.default_rng([config.base_seed, a, s]))
-            y_train = train.target_values()
-            for spec, out in ((encoder_spec, encoded), (truth_encoders, truths)):
-                if out is truths and slot:
-                    continue
-                pipeline, x_train = fit_pipeline(train, spec)
-                out.append(((x_train, y_train, s), apply_pipeline(pipeline, test)))
-        jobs = encoded + truths
-        scores = []
-        for model, (_, x_test) in zip(mod.fit_models(model_kind, task, [job for job, _ in jobs]), jobs):
-            scores.append(_score(model, x_test, y_test))
-            del model  # scored: at most one batch of forests is alive
-        missed = iter(scores[len(encoded):])
-        for slot in slots:
-            if not slot:
-                slot.append(next(missed))
-        for s, slot in enumerate(slots):
-            for enc_name, (metric, value) in ((encoder_spec.variant, scores[s]), ("truth", slot[0])):
-                cells.append(
-                    SweepCell(
-                        problem=config.problem,
-                        encoder=enc_name,
-                        model=model_kind,
-                        aspl=a,
-                        seed=s,
-                        metric=metric,
-                        value=value,
-                    )
-                )
+        runs = [(s, encoder_spec) for s in seeds] + [(s, truth_encoders) for s in seeds if not slots[s]]
+        jobs, x_tests = [], []
+        for s, spec in runs:
+            pipeline, x_train = fit_pipeline(trains[s], spec)
+            jobs.append((x_train, trains[s].target_values(), s))
+            x_tests.append(apply_pipeline(pipeline, test))
+        # map keeps no model once it is scored: at most one batch of forests is alive
+        scores = list(map(_score, mod.fit_models(model_kind, config.problem, jobs), x_tests, repeat(y_test)))
+        for (s, spec), score in zip(runs, scores):
+            if spec is truth_encoders:
+                slots[s].append(score)
+        cells += [
+            SweepCell(problem=config.problem, encoder=enc_name, model=model_kind, aspl=a, seed=s, metric=metric, value=value)
+            for s in seeds
+            for enc_name, (metric, value) in ((encoder_spec.variant, scores[s]), ("truth", slots[s][0]))
+        ]
     return cells, summarize_sweep(cells)
 
 

@@ -131,6 +131,20 @@ def test_encode_rejects_numeric_column(tmp_path, city_csv, capsys):
     assert capsys.readouterr().err == "error: column 'y' is numeric, nothing to encode\n"
 
 
+def test_encode_refuses_the_target_column(tmp_path, capsys):
+    # a categorical target used to be encoded by its own level means, and written out
+    (tmp_path / "t.csv").write_text("city,y\nparis,1\nrome,0\nparis,1\nkyoto,0\n")
+    (tmp_path / "t.schema").write_text("city = categorical\ny = categorical\ntarget = y\n")
+    out = tmp_path / "enc"
+    rc = main(
+        ["encode", "--encoder", "mean", "--input", str(tmp_path / "t.csv"), "--schema", str(tmp_path / "t.schema"),
+         "--column", "y", "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: column 'y' is the target, nothing to encode\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["encode", "guide"])
 def test_missing_target_without_schema_is_an_error_line(city_csv, capsys, command):
     # this used to raise SystemExit, whose message had no "error:" prefix

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import tracemalloc
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -1078,22 +1079,69 @@ class TestBatchedForests:
         with pytest.raises(ValueError, match="labels must be 0/1"):
             list(fit_forests([(x, y, 0), (x, y + 2.0, 1)], "classification", n_trees=2))
 
-    def test_keyword_defaults_are_fit_forests(self):
-        def defaults(fn):
-            return {
-                p.name: (p.default, p.annotation)
-                for p in inspect.signature(fn).parameters.values()
-                if p.default is not p.empty and p.name != "seed"
-            }
-
-        assert defaults(fit_forest) == defaults(fit_forests)
-
     @pytest.mark.parametrize("name, task", [("tree", "regression"), ("ridge", "regression"), ("logistic", "classification")])
     def test_fit_models_fits_other_learners_one_job_at_a_time(self, name, task):
         jobs = [self.job(task, 30, p, s) for s, p in enumerate([5, 2])]
         for (x, y, seed), model in zip(jobs, models.fit_models(name, task, jobs), strict=True):
             want = models.fit_model(name, task, x, y, seed)
             assert predict(model, x).tobytes() == predict(want, x).tobytes()
+
+
+class TestFrontDoor:
+    """fit_model and fit_models: the one way a grid or sweep cell reaches a learner."""
+
+    def test_model_options_are_frozen(self):
+        # bench.parse_grid_config types a grid's overrides by these annotations
+        # and lists them in this order when it refuses one
+        assert {name: list(models.model_options(name).items()) for name in models.MODEL_NAMES} == {
+            "ridge": [("alphas", Sequence[float])],
+            "logistic": [("c", float), ("max_iter", int), ("tol", float)],
+            "mlp": [
+                ("hidden", int), ("epochs", int), ("lr", float), ("beta1", float), ("beta2", float),
+                ("eps", float), ("l2", float), ("batch_size", int | None),
+            ],
+            "tree": [("impurity", str), ("max_depth", int | None), ("min_samples_split", int), ("min_samples_leaf", int)],
+            "forest": [
+                ("n_trees", int), ("max_depth", int | None), ("min_samples_split", int), ("bootstrap", bool),
+                ("subsample_features", bool),
+            ],
+        }
+
+    def test_forest_options_after_the_task_are_keyword_only(self):
+        # a positional n_trees would otherwise become the seed
+        x, y, _ = linear_data(n=20, p=2)
+        with pytest.raises(TypeError):
+            fit_forest(x, y, "regression", 5)
+
+    @pytest.mark.parametrize(
+        "name, task, error",
+        [
+            ("bogus", "regression", "unknown model 'bogus'"),
+            ("ridge", "classification", "ridge is regression-only"),
+            ("logistic", "regression", "logistic is classification-only"),
+            ("forest", "ranking", "unknown task 'ranking'"),
+        ],
+    )
+    def test_fit_models_checks_the_learner_and_task_when_called(self, name, task, error):
+        # before, an empty job list yielded nothing, and any other the error at its first model
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            models.fit_models(name, task, [])
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            models.fit_model(name, task, np.zeros((4, 1)), np.zeros(4), 0)
+
+    @pytest.mark.parametrize("name, fitter", [("ridge", "fit_ridge"), ("tree", "fit_tree"), ("forest", "fit_forest")])
+    def test_fit_model_calls_its_fitter_through_the_module_attribute(self, monkeypatch, name, fitter):
+        # a tracer wraps these attributes, so a bench cell's fit must look them up at call time
+        calls, real = [], getattr(models, fitter)
+
+        def counting(*args, **kwargs):
+            calls.append(fitter)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, fitter, counting)
+        x, y, _ = linear_data(n=30, p=2, noise=0.5, seed=3)
+        models.fit_model(name, "regression", x, y, 0, **({"n_trees": 3} if name == "forest" else {}))
+        assert calls == [fitter]
 
 
 def large_table(seed: int, n: int = 3000) -> tuple[np.ndarray, np.ndarray]:
