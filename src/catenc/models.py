@@ -2,6 +2,9 @@
 
 All five are deterministic functions of (data, hyperparameters, seed), and
 each fitted model carries its task, one of TASKS, which is all predict needs.
+Ridge leaves only its Gram matrix x'x to BLAS, so a narrow ridge fit (measured
+up to 60 columns) has the same bits at any BLAS thread count; wide ridge (120
+and 342 columns measured), logistic and the MLP change in the last bits with it.
 fit_model fits a learner by name and fit_models one per (x, y, seed) job; both
 refuse an unknown learner or task, or a task the learner is not fit for, when
 called. fit_forests alone declares the forest's options: it grows the forests
@@ -68,7 +71,7 @@ class RidgeModel:
     task: ClassVar[str] = "regression"
 
     def _output(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weights + self.intercept
+        return np.einsum("ij,j->i", x, self.weights) + self.intercept
 
 
 def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -79,7 +82,7 @@ def _ridge_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.
     x_mean, y_mean = x.mean(axis=0), y.mean()
     x -= x_mean
     yc = y - y_mean
-    return x_mean, y_mean, x.T @ x, x.T @ yc
+    return x_mean, y_mean, x.T @ x, np.einsum("ij,i->j", x, yc)
 
 
 def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, float]:
@@ -87,7 +90,7 @@ def _ridge_solve(x_mean, y_mean, xtx, xty, alpha: float) -> tuple[np.ndarray, fl
         w = np.linalg.solve(xtx + alpha * np.eye(xtx.shape[0]), xty)
     except np.linalg.LinAlgError:
         raise ValueError(f"alpha {alpha} leaves a singular system: give a positive alpha") from None
-    return w, float(y_mean - x_mean @ w)
+    return w, float(y_mean - np.einsum("j,j->", x_mean, w))
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPHAS) -> RidgeModel:
@@ -101,6 +104,13 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
     used without CV, and refused, naming it, when its system is singular. Each
     fold's centered moments and held-out rows are taken once and shared by the
     candidates, and each candidate's fold errors are added in fold order.
+
+    Every matrix-vector and dot product, here and in predict, is an np.einsum
+    without optimize: numpy's own single-threaded loops, never BLAS, whose
+    threaded gemv and ddot stall a call and sum in an order set by the thread
+    count. Only x'x goes to BLAS, which computes it unsplit up to 60 columns
+    (measured): there the fit and its predictions have the same bits at any
+    BLAS thread count; at 120 and 342 columns x'x, and so the fit, differs.
     """
     x, y = _learner_inputs(x, y, labels01=False)
     n = x.shape[0]
@@ -125,8 +135,8 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
                 except ValueError:  # singular on this fold
                     errs[i] = np.inf
                     continue
-                resid = y_out - (x_out @ w + b)
-                errs[i] += float(resid @ resid)
+                resid = y_out - (np.einsum("ij,j->i", x_out, w) + b)
+                errs[i] += float(np.einsum("i,i->", resid, resid))
             del x_out  # free before the next fold's training copy
         finite = [(err, i) for i, err in enumerate(errs) if err < np.inf]  # drops inf and NaN
         if not finite:

@@ -172,8 +172,10 @@ def run_aspl_sweep(
     to a batch; each model is scored as it is yielded and then dropped.
     Returns per-seed cells plus per-ASPL aggregates with a normal-approximation
     95% interval and the signed gap to the truth run (positive means the
-    requested encoder does worse).
+    requested encoder does worse). A learner not fit for the problem is refused
+    before any table is drawn.
     """
+    mod._check_learner(model_kind, config.problem)
     if config.problem == "regression":
         truth = REGRESSION_TRUTH
         generate = lambda n, rng: generate_regression(n, rng, sigma=config.sigma)

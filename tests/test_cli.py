@@ -214,11 +214,13 @@ def test_sweep_model_mismatch_exits_1(tmp_path, capsys):
             "--model", "ridge",
             "--aspl", "5",
             "--seeds", "1",
-            "--out", str(tmp_path),
+            "--out", str(tmp_path / "out"),
         ]
     )
     assert rc == 1
-    assert "regression-only" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ridge is regression-only\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_repeated_aspl_exits_1(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 from typing import Sequence
 
@@ -75,11 +78,13 @@ class TestRidge:
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
 
     def test_cv_matches_a_solve_per_alpha_and_fold(self):
+        # the matrix-vector and dot products are the same single-threaded
+        # np.einsum loops fit_ridge runs, so the bits match; x'x stays on BLAS
         def solve(x, y, alpha):
             x_mean, y_mean = x.mean(axis=0), y.mean()
             xc, yc = x - x_mean, y - y_mean
-            w = np.linalg.solve(xc.T @ xc + alpha * np.eye(x.shape[1]), xc.T @ yc)
-            return w, float(y_mean - x_mean @ w)
+            w = np.linalg.solve(xc.T @ xc + alpha * np.eye(x.shape[1]), np.einsum("ij,i->j", xc, yc))
+            return w, float(y_mean - np.einsum("j,j->", x_mean, w))
 
         rng = np.random.default_rng(11)
         alphas = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -94,8 +99,8 @@ class TestRidge:
                 for f in range(min(5, n)):
                     mask = folds == f
                     w, b = solve(x[~mask], y[~mask], alpha)
-                    resid = y[mask] - (x[mask] @ w + b)
-                    err += float(resid @ resid)
+                    resid = y[mask] - (np.einsum("ij,j->i", x[mask], w) + b)
+                    err += float(np.einsum("i,i->", resid, resid))
                 if err < best_err:
                     best, best_err = alpha, err
             w, b = solve(x, y, best)
@@ -149,6 +154,29 @@ class TestRidge:
             tracemalloc.stop()
         # the full-data centered copy; each fold's row subset is centered in place
         assert peak < 1.2 * x.nbytes
+
+    @pytest.mark.parametrize("p", [17, 60])
+    def test_fit_and_predict_are_byte_identical_at_one_and_two_blas_threads(self, p):
+        # the matrix-vector and dot products run numpy's own single-threaded
+        # loops; BLAS computes only x'x, which it does not split at these widths
+        script = (
+            "import hashlib, numpy as np\n"
+            "from catenc.models import fit_ridge, predict\n"
+            f"rng = np.random.default_rng([26, {p}])\n"
+            f"x = rng.normal(size=(40_000, {p}))\n"
+            "y = np.einsum('ij,j->i', x, rng.normal(size=x.shape[1])) + rng.normal(size=x.shape[0])\n"
+            "m = fit_ridge(x, y)\n"
+            "parts = m.weights, np.float64(m.intercept), np.float64(m.alpha), predict(m, x)\n"
+            "print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in parts))\n"
+        )
+        path = os.path.dirname(os.path.dirname(models.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+            digests.append(dict(zip(("weights", "intercept", "alpha", "predictions"), out.stdout.split())))
+        assert digests[0] == digests[1]
 
 
 class TestLogistic:

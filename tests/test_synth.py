@@ -185,10 +185,16 @@ class TestSweep:
         truth = [s for s in summaries if s.encoder == "truth"][0]
         assert truth.mean == pytest.approx(1.0, abs=0.3)
 
-    def test_model_task_mismatch_rejected(self):
-        cfg = self.small_config("classification")
-        with pytest.raises(ValueError):
-            run_aspl_sweep(cfg, "ridge", EncoderSpec("onehot"))
+    def test_model_task_mismatch_rejected(self, monkeypatch):
+        # before any table is drawn or pipeline fit: the refusal used to come
+        # from fit_models, after a table per seed was drawn and its pipelines fit
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep drew a table or fit a pipeline")
+
+        monkeypatch.setattr(synth, "generate_classification", refuse)
+        monkeypatch.setattr(synth, "fit_pipeline", refuse)
+        with pytest.raises(ValueError, match="^ridge is regression-only$"):
+            run_aspl_sweep(self.small_config("classification"), "ridge", EncoderSpec("onehot"))
 
     def test_csv_headers(self, tmp_path):
         cfg = self.small_config("regression")
