@@ -9,6 +9,10 @@ when the config is read, naming its line, as does a repeated dataset, encoder,
 model or seed).
 A failing cell is recorded and skipped, not fatal; timing can be disabled so two
 runs of the same grid produce byte-identical records.
+
+Of the catenc commands, only bench and report import this module, and
+run_grid imports the process pool (concurrent.futures, which loads
+multiprocessing) only when it runs more than one worker.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import os
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -359,6 +362,8 @@ def run_grid(
     if workers == 1:
         per_unit = list(map(_run_unit, *args))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_unit = list(pool.map(_run_unit, *args))
     results = [r for unit in per_unit for r in unit]

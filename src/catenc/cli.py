@@ -1,4 +1,10 @@
-"""Command line front door: encode, sweep, verify, bench, guide, report."""
+"""Command line front door: encode, sweep, verify, bench, guide, report.
+
+A command loads only the modules it runs: importing this module loads data,
+encoders, models, synth, metrics and guide, which encode, sweep and guide
+need; verify loads theory, and bench and report load bench, in their handlers.
+bench --workers N > 1 loads the process pool on first use (see bench.run_grid).
+"""
 from __future__ import annotations
 
 import argparse
@@ -6,12 +12,10 @@ import dataclasses
 import os
 import sys
 
-from . import bench as bench_mod
 from . import encoders as enc_mod
 from . import guide as guide_mod
 from . import models as models_mod
 from . import synth as synth_mod
-from . import theory as theory_mod
 from .data import ColumnKind, fit_preprocessor, impute, infer_schema, load_csv, read_schema
 from .metrics import MetricRecord, read_records_csv, write_records_csv
 
@@ -129,6 +133,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import theory as theory_mod
+
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
@@ -152,6 +158,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     grid = bench_mod.parse_grid_config(args.config)
     if args.out:
         grid = dataclasses.replace(grid, out_dir=args.out)
@@ -183,6 +191,8 @@ def _cmd_guide(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import bench as bench_mod
+
     records = read_records_csv(args.records, MetricRecord)
     sufficiency = bench_mod.read_dataset_info_csv(args.dataset_info) if args.dataset_info else None
     os.makedirs(args.out, exist_ok=True)

@@ -128,7 +128,7 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
         errs = [0.0] * len(alphas)
         for f in range(k):
             moments = _ridge_moments(x[folds != f], y[folds != f])  # frees its (n, p) copy
-            x_out, y_out = x[folds == f], y[folds == f]
+            x_out, y_out = x[f::k], y[f::k]  # the rows of folds == f, as views
             for i, alpha in enumerate(alphas):
                 try:
                     w, b = _ridge_solve(*moments, alpha)
@@ -137,7 +137,6 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, alphas: Sequence[float] = RIDGE_ALPH
                     continue
                 resid = y_out - (np.einsum("ij,j->i", x_out, w) + b)
                 errs[i] += float(np.einsum("i,i->", resid, resid))
-            del x_out  # free before the next fold's training copy
         finite = [(err, i) for i, err in enumerate(errs) if err < np.inf]  # drops inf and NaN
         if not finite:
             raise ValueError("no alpha candidate has a finite cross-validation error")
@@ -1043,10 +1042,8 @@ def fit_forests(
             for first in range(0, total, per_batch):
                 batch = range(first, min(first + per_batch, total))
                 rngs = [np.random.Generator(np.random.PCG64(_TreeSeed(group[i // n_trees][2], i % n_trees))) for i in batch]
-                samples = np.array([
-                    (rng.integers(0, n, size=n) if bootstrap else np.arange(n)) + i // n_trees * n
-                    for i, rng in zip(batch, rngs)
-                ])
+                samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
+                samples += (np.arange(batch.start, batch.stop) // n_trees * n)[:, None]  # each job's rows
                 grown = _grow_trees(
                     x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, min(n_trees, len(batch))
                 )

@@ -1,6 +1,9 @@
 """End-to-end runs of the console entry point through main(argv)."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +290,31 @@ def test_bench_out_override(tmp_path, bench_config):
     rc = main(["bench", "--config", str(bench_config), "--out", str(tmp_path / "elsewhere")])
     assert rc == 0
     assert (tmp_path / "elsewhere" / "records.csv").exists()
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, bench_config):
+    # a sweep loads neither the grid runner nor the checks, and a one-worker bench
+    # loads the grid runner but not its process pool: each is a cold-start cost
+    script = (
+        "import sys\n"
+        "from catenc.cli import main\n"
+        "lazy = ('catenc.bench', 'catenc.theory', 'concurrent.futures.process', 'multiprocessing')\n"
+        "def loaded():\n"
+        "    print('loaded:', *[m for m in lazy if m in sys.modules])\n"
+        "loaded()\n"
+        "assert main(['sweep', '--problem', 'classification', '--model', 'tree', '--encoder', 'mean',\n"
+        "             '--aspl', '5', '--seeds', '1', '--test-size', '20', '--out', sys.argv[1]]) == 0\n"
+        "loaded()\n"
+        "assert main(['bench', '--config', sys.argv[2], '--workers', '1', '--no-timing']) == 0\n"
+        "loaded()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bench_mod.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "sweep"), str(bench_config)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    lines = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert lines == ["loaded:", "loaded:", "loaded: catenc.bench"]
 
 
 @pytest.mark.parametrize("models,scored,failed,want_rc", [("logistic", 0, 4, 1), ("tree\nlogistic", 4, 4, 0)])
