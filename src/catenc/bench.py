@@ -417,8 +417,7 @@ def rank_encoders(
             bucket = (
                 "sufficient" if minaspl_by_dataset[dataset] >= SUFFICIENT_MINASPL else "insufficient"
             )
-        row = relative_perf_diff(rows)
-        for enc_name, diff in row.diffs.items():
+        for enc_name, diff in relative_perf_diff(rows).items():
             if np.isnan(diff):
                 continue
             diffs.setdefault((model, bucket, enc_name), []).append(diff)

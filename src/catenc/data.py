@@ -315,8 +315,6 @@ def infer_schema(path: str, target: str) -> dict[str, ColumnKind]:
 class SplitPair:
     train: DataTable
     test: DataTable
-    ratio: float
-    seed: int
 
 
 def split_train_test(table: DataTable, ratio: float, seed: int) -> SplitPair:
@@ -335,8 +333,6 @@ def split_train_test(table: DataTable, ratio: float, seed: int) -> SplitPair:
     return SplitPair(
         train=table.subset(perm[:n_train]),
         test=table.subset(perm[n_train:]),
-        ratio=ratio,
-        seed=seed,
     )
 
 
@@ -391,28 +387,20 @@ def impute(fills: Mapping[str, float | str], table: DataTable) -> DataTable:
     return DataTable(schema=table.schema, columns=cols, target=table.target)
 
 
-def fit_pipeline(
-    train: DataTable,
-    spec: "enc_mod.EncoderSpec | Mapping[str, enc_mod.FittedEncoder]",
-) -> tuple[FittedPipeline, np.ndarray]:
-    """Fit the pipeline on train rows in one pass: fills, imputation, one encoder
-    per categorical feature, standardization statistics.
+def fit_pipeline(train: DataTable, spec: enc_mod.EncoderSpec) -> tuple[FittedPipeline, np.ndarray]:
+    """Fit the pipeline on train rows in one pass: fills, imputation, `spec`'s
+    encoder on every categorical feature, standardization statistics.
 
-    `spec` is an EncoderSpec to fit on every categorical feature, or a mapping
-    from each categorical feature to an already-fitted encoder. Returns the
-    pipeline and the standardized train matrix, which equals
+    Returns the pipeline and the standardized train matrix, which equals
     `apply_pipeline(pipeline, train)` bit for bit.
     """
     fills = fit_preprocessor(train)
     filled = impute(fills, train)
-    if isinstance(spec, enc_mod.EncoderSpec):
-        target = filled.target_values() if spec.variant in enc_mod.TARGET_VARIANTS else None
-        encoders = {
-            name: enc_mod.fit(spec, filled.column(name), target)
-            for name in train.categorical_names()
-        }
-    else:
-        encoders = dict(spec)
+    target = filled.target_values() if spec.variant in enc_mod.TARGET_VARIANTS else None
+    encoders = {
+        name: enc_mod.fit(spec, filled.column(name), target)
+        for name in train.categorical_names()
+    }
     matrix = _encode_features(encoders, filled)
     pipeline = FittedPipeline(
         schema=train.schema,
@@ -432,8 +420,6 @@ def _encode_features(encoders: Mapping[str, enc_mod.FittedEncoder], table: DataT
             continue
         col = table.column(name)
         if kind is ColumnKind.CATEGORICAL:
-            if name not in encoders:
-                raise ValueError(f"no fitted encoder for categorical column {name!r}")
             block = enc_mod.transform(encoders[name], col)
         else:
             block = col.reshape(-1, 1)

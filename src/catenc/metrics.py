@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -16,13 +16,19 @@ HIGHER_BETTER = frozenset({"f1", "accuracy"})
 LOWER_BETTER = frozenset({"rmse", "mse"})
 
 
-def f1_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    """Binary F1 with the zero conventions: empty precision or recall counts as 0,
-    and P + R = 0 gives F1 = 0."""
+def _pair(y_true: Sequence[float], y_pred: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrays as floats; unequal shapes are a length mismatch."""
     t = np.asarray(y_true, dtype=float)
     p = np.asarray(y_pred, dtype=float)
     if t.shape != p.shape:
         raise ValueError("length mismatch")
+    return t, p
+
+
+def f1_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
+    """Binary F1 with the zero conventions: empty precision or recall counts as 0,
+    and P + R = 0 gives F1 = 0."""
+    t, p = _pair(y_true, y_pred)
     both = np.concatenate([t, p])
     bad = set(both[(both != 0) & (both != 1)].tolist())
     if bad:
@@ -38,10 +44,7 @@ def f1_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
 
 
 def mse(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if t.shape != p.shape:
-        raise ValueError("length mismatch")
+    t, p = _pair(y_true, y_pred)
     return float(np.mean((t - p) ** 2))
 
 
@@ -50,10 +53,7 @@ def rmse(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
 
 
 def accuracy(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if t.shape != p.shape:
-        raise ValueError("length mismatch")
+    t, p = _pair(y_true, y_pred)
     return float(np.mean(t == p))
 
 
@@ -134,25 +134,12 @@ def read_records_csv(path: str, cls: type) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class RelPerfRow:
-    """Relative performance differences for one dataset x model slice."""
-
-    dataset: str
-    model: str
-    metric: str
-    best_encoder: str
-    best_mean: float
-    diffs: Mapping[str, float]
-    flagged: tuple[str, ...] = ()
-
-
-def relative_perf_diff(records: Sequence[MetricRecord]) -> RelPerfRow:
+def relative_perf_diff(records: Sequence[MetricRecord]) -> dict[str, float]:
     """|mean_e - mean_best| / |mean_best| per encoder, within one dataset x model.
 
     The reference is the best per-encoder mean across seeds: max for f1/accuracy,
-    min for rmse/mse. A zero best mean leaves the other encoders' entries NaN and
-    flags them instead of dividing by zero.
+    min for rmse/mse, so the best encoder reads 0. A zero best mean leaves every
+    encoder whose own mean is not 0 reading NaN instead of dividing by zero.
     """
     if not records:
         raise ValueError("no records")
@@ -176,24 +163,6 @@ def relative_perf_diff(records: Sequence[MetricRecord]) -> RelPerfRow:
         by_encoder.setdefault(r.encoder, []).append(r.value)
     means = {e: float(np.mean(vals)) for e, vals in by_encoder.items()}
     best_mean = better(means.values())
-    best_encoder = better(means, key=means.get)
-    diffs = {}
-    flagged = []
-    for e, m in means.items():
-        if best_mean == 0.0:
-            if m == 0.0:
-                diffs[e] = 0.0
-            else:
-                diffs[e] = float("nan")
-                flagged.append(e)
-        else:
-            diffs[e] = abs(m - best_mean) / abs(best_mean)
-    return RelPerfRow(
-        dataset=datasets.pop(),
-        model=model_names.pop(),
-        metric=metric,
-        best_encoder=best_encoder,
-        best_mean=best_mean,
-        diffs=diffs,
-        flagged=tuple(flagged),
-    )
+    if best_mean == 0.0:
+        return {e: 0.0 if m == 0.0 else float("nan") for e, m in means.items()}
+    return {e: abs(m - best_mean) / abs(best_mean) for e, m in means.items()}

@@ -1,9 +1,10 @@
 """Seasonal synthetic tasks and the samples-per-level sweep harness.
 
 Both generators draw a four-level "season" feature whose ground-truth numeric
-code is known, so every sweep can compare a learned encoder against an oracle
-encoder that substitutes the true values. Training sets scale as 4 * ASPL; the
-test set is drawn once per sweep from its own stream and shared by every cell.
+code is known, so every sweep can compare a learned encoder against the truth
+run: the same pipeline on the table with `season` swapped for each row's true
+effect. Training sets scale as 4 * ASPL; the test set is drawn once per sweep
+from its own stream and shared by every cell.
 """
 from __future__ import annotations
 
@@ -124,14 +125,13 @@ class SweepSummary:
     gap_to_best: float
 
 
-def _truth_encoder(truth: Mapping[str, float]) -> enc_mod.FittedEncoder:
-    prior = float(np.mean(list(truth.values())))
-    return enc_mod.FittedEncoder(
-        variant="truth",
-        levels=tuple(truth),
-        codes=np.array(list(truth.values()), dtype=float)[:, None],
-        unseen_policy=np.array([prior]),
-    )
+def _oracle(table: DataTable, truth: Mapping[str, float]) -> DataTable:
+    """The table with `season` swapped, in its schema position, for a numeric
+    column holding each row's true effect."""
+    season = table.column("season")
+    effect = np.array([truth[level] for level in season.levels])[season.codes]
+    schema = tuple((name, ColumnKind.NUMERIC if name == "season" else kind) for name, kind in table.schema)
+    return DataTable(schema=schema, columns={**table.columns, "season": effect}, target=table.target)
 
 
 def _score(model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
@@ -159,7 +159,7 @@ def run_aspl_sweep(
     model_kind: str,
     encoder_spec: enc_mod.EncoderSpec,
 ) -> tuple[list[SweepCell], list[SweepSummary]]:
-    """Grid over aspl_values x seeds, always paired with the truth-encoder run.
+    """Grid over aspl_values x seeds, always paired with the truth run (`_oracle`).
 
     Train cell (a, s) draws from default_rng([base_seed, a, s]); the shared test
     table comes from its own salted stream, so results do not depend on the order
@@ -183,8 +183,8 @@ def run_aspl_sweep(
         truth = CLASSIFICATION_TRUTH
         generate = generate_classification
     test = generate(config.test_size, np.random.default_rng([config.base_seed, _TEST_STREAM_SALT]))
+    truth_test = _oracle(test, truth)
     y_test = test.target_values()
-    truth_encoders = {"season": _truth_encoder(truth)}
 
     cells: list[SweepCell] = []
     seeds = range(config.seeds_per_aspl)
@@ -196,16 +196,17 @@ def run_aspl_sweep(
         trains = [generate(4 * a, np.random.default_rng([config.base_seed, a, s])) for s in seeds]
         # every seed's encoder run, then the truth runs the memo misses, so
         # that runs of equal widths share forest batches
-        runs = [(s, encoder_spec) for s in seeds] + [(s, truth_encoders) for s in seeds if not slots[s]]
+        runs = [(s, trains[s], test) for s in seeds]
+        runs += [(s, _oracle(trains[s], truth), truth_test) for s in seeds if not slots[s]]
         jobs, x_tests = [], []
-        for s, spec in runs:
-            pipeline, x_train = fit_pipeline(trains[s], spec)
-            jobs.append((x_train, trains[s].target_values(), s))
-            x_tests.append(apply_pipeline(pipeline, test))
+        for s, train, run_test in runs:
+            pipeline, x_train = fit_pipeline(train, encoder_spec)
+            jobs.append((x_train, train.target_values(), s))
+            x_tests.append(apply_pipeline(pipeline, run_test))
         # map keeps no model once it is scored: at most one batch of forests is alive
         scores = list(map(_score, mod.fit_models(model_kind, config.problem, jobs), x_tests, repeat(y_test)))
-        for (s, spec), score in zip(runs, scores):
-            if spec is truth_encoders:
+        for (s, _, run_test), score in zip(runs, scores):
+            if run_test is truth_test:
                 slots[s].append(score)
         cells += [
             SweepCell(problem=config.problem, encoder=enc_name, model=model_kind, aspl=a, seed=s, metric=metric, value=value)

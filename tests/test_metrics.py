@@ -76,6 +76,11 @@ class TestScalarMetrics:
     def test_accuracy(self):
         assert accuracy([1, 0, 1, 1], [1, 1, 1, 0]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scorer", [f1_score, mse, rmse, accuracy])
+    def test_scorers_refuse_unequal_lengths(self, scorer):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            scorer([0.0, 1.0, 1.0], [0.0, 1.0])
+
     def test_aspl(self):
         assert aspl(200, 4) == 50.0
         with pytest.raises(ValueError):
@@ -221,28 +226,25 @@ class TestRelativePerf:
         return out
 
     def test_lower_better_metric(self):
-        rows = relative_perf_diff(
+        diffs = relative_perf_diff(
             self.recs("rmse", {"onehot": [1.0, 1.2], "mean": [0.8, 1.0]})
         )
-        assert rows.best_encoder == "mean"
-        # best mean 0.9; onehot mean 1.1 -> |1.1-0.9|/0.9
-        assert rows.diffs["onehot"] == pytest.approx(0.2 / 0.9)
-        assert rows.diffs["mean"] == 0.0
+        # best mean 0.9 (mean); onehot mean 1.1 -> |1.1-0.9|/0.9
+        assert diffs == {"onehot": pytest.approx(0.2 / 0.9), "mean": 0.0}
 
     def test_higher_better_metric(self):
-        rows = relative_perf_diff(
+        diffs = relative_perf_diff(
             self.recs("f1", {"onehot": [0.9], "mean": [0.6]})
         )
-        assert rows.best_encoder == "onehot"
-        assert rows.diffs["mean"] == pytest.approx(0.3 / 0.9)
+        assert diffs == {"onehot": 0.0, "mean": pytest.approx(0.3 / 0.9)}
 
     def test_zero_best_flagged_not_crashed(self):
-        rows = relative_perf_diff(
-            self.recs("rmse", {"truth": [0.0], "mean": [0.5]})
+        diffs = relative_perf_diff(
+            self.recs("rmse", {"truth": [0.0], "mean": [0.5], "zero": [0.0, 0.0]})
         )
-        assert rows.flagged == ("mean",)
-        assert math.isnan(rows.diffs["mean"])
-        assert rows.diffs["truth"] == 0.0
+        assert list(diffs) == ["truth", "mean", "zero"]
+        assert diffs["truth"] == diffs["zero"] == 0.0
+        assert math.isnan(diffs["mean"])
 
     def test_mixed_slices_rejected(self):
         mixed = self.recs("rmse", {"a": [1.0]}) + self.recs("f1", {"a": [1.0]})

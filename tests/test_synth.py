@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catenc import models, synth
-from catenc.data import apply_pipeline, fit_pipeline
+from catenc.data import ColumnKind, apply_pipeline, fit_pipeline
 from catenc.encoders import EncoderSpec
 from catenc.synth import (
     CLASSIFICATION_TRUTH,
@@ -108,6 +108,38 @@ class TestSweep:
         assert {c.encoder for c in cells} == {"onehot", "truth"}
         assert len(summaries) == 2 * 2
         assert all(c.metric == "mse" for c in cells)
+
+    def test_oracle_swaps_season_for_its_true_effect_in_place(self):
+        table = generate_classification(50, np.random.default_rng(2))
+        oracle = synth._oracle(table, CLASSIFICATION_TRUTH)
+        assert oracle.schema == (
+            ("season", ColumnKind.NUMERIC),
+            ("phase", ColumnKind.NUMERIC),
+            ("label", ColumnKind.NUMERIC),
+        )
+        want = [CLASSIFICATION_TRUTH[season] for season in table.column("season")]
+        assert oracle.column("season").tolist() == want
+        assert oracle.column("phase") is table.column("phase")
+        assert oracle.column("label") is table.column("label")
+
+    # the truth cells the hand-built truth encoder scored before the truth run
+    # became a pipeline run on the oracle table: same bits
+    @pytest.mark.parametrize(
+        "problem, model, encoder, want",
+        [
+            ("regression", "ridge", "onehot",
+             ["0x1.a3e0ac228f972p-1", "0x1.aabf2f794e280p-1", "0x1.37d6798330346p+0", "0x1.b377838f87640p-1"]),
+            ("classification", "tree", "mean",
+             ["0x1.4000000000000p-1", "0x1.3333333333333p-1", "0x1.999999999999ap-2", "0x1.599999999999ap-1"]),
+        ],
+    )
+    def test_truth_cells_keep_their_bits(self, problem, model, encoder, want):
+        synth._truth_slot.cache_clear()
+        cfg = SynthConfig(problem=problem, aspl_values=(5, 10), seeds_per_aspl=2, test_size=40)
+        cells, _ = run_aspl_sweep(cfg, model, EncoderSpec(encoder))
+        truth = [c for c in cells if c.encoder == "truth"]
+        assert [(c.aspl, c.seed) for c in truth] == [(5, 0), (5, 1), (10, 0), (10, 1)]
+        assert [float(c.value).hex() for c in truth] == want
 
     def test_sweep_deterministic(self):
         cfg = self.small_config("classification")
@@ -294,15 +326,16 @@ class TestBatchedSweep:
         """Each cell from one fit_model call on its own pipeline's matrix."""
         cfg = self.CFG
         test = generate_classification(cfg.test_size, np.random.default_rng([cfg.base_seed, synth._TEST_STREAM_SALT]))
-        truth = {"season": synth._truth_encoder(CLASSIFICATION_TRUTH)}
+        truth_test = synth._oracle(test, CLASSIFICATION_TRUTH)
         out = []
         for a in cfg.aspl_values:
             for s in range(cfg.seeds_per_aspl):
                 train = generate_classification(4 * a, np.random.default_rng([cfg.base_seed, a, s]))
-                for name, encoder in ((spec.variant, spec), ("truth", truth)):
-                    pipeline, x = fit_pipeline(train, encoder)
+                runs = {spec.variant: (train, test), "truth": (synth._oracle(train, CLASSIFICATION_TRUTH), truth_test)}
+                for name, (run_train, run_test) in runs.items():
+                    pipeline, x = fit_pipeline(run_train, spec)
                     model = models.fit_model("forest", "classification", x, train.target_values(), s)
-                    pred = models.predict(model, apply_pipeline(pipeline, test))
+                    pred = models.predict(model, apply_pipeline(pipeline, run_test))
                     out.append((name, a, s, "accuracy", float(accuracy(test.target_values(), pred)).hex()))
         return out
 
