@@ -397,17 +397,20 @@ class RankEntry:
 def rank_encoders(
     records: Sequence[MetricRecord],
     minaspl_by_dataset: Mapping[str, float] | None = None,
-) -> list[RankEntry]:
+) -> tuple[list[RankEntry], list[tuple[str, str, str]]]:
     """Mean relative performance difference per encoder, per model, bucketed by
     dataset sufficiency (minASPL >= 100 vs < 100; boundary counts as sufficient).
 
     Without the minASPL map every dataset lands in one "all" bucket. Entries are
     sorted ascending within (model, bucket): smaller is closer to the best.
+    An encoder with a NaN difference (its slice's best mean is 0, its own is not)
+    is not ranked but returned as (dataset, model, encoder) in the second list.
     """
     slices: dict[tuple[str, str], list[MetricRecord]] = {}
     for r in records:
         slices.setdefault((r.dataset, r.model), []).append(r)
     diffs: dict[tuple[str, str, str], list[float]] = {}
+    unranked: list[tuple[str, str, str]] = []
     for (dataset, model), rows in sorted(slices.items()):
         if minaspl_by_dataset is None:
             bucket = "all"
@@ -419,8 +422,9 @@ def rank_encoders(
             )
         for enc_name, diff in relative_perf_diff(rows).items():
             if np.isnan(diff):
-                continue
-            diffs.setdefault((model, bucket, enc_name), []).append(diff)
+                unranked.append((dataset, model, enc_name))
+            else:
+                diffs.setdefault((model, bucket, enc_name), []).append(diff)
     entries = [
         RankEntry(
             model=model,
@@ -433,7 +437,7 @@ def rank_encoders(
         for (model, bucket, enc_name), vals in diffs.items()
     ]
     entries.sort(key=lambda e: (e.model, e.bucket, e.mean_diff, e.encoder))
-    return entries
+    return entries, unranked
 
 
 #: encoded width per categorical column as a function of cardinality; evaluated
@@ -516,6 +520,7 @@ def summarize(
     records: Sequence[MetricRecord],
     failures: Sequence[CellFailure],
     rank: Sequence[RankEntry],
+    unranked: Sequence[tuple[str, str, str]],
     times: Sequence[TimeEntry],
 ) -> str:
     lines = [
@@ -530,6 +535,8 @@ def summarize(
         lines.append(
             f"  {e.model:<9} {e.bucket:<12} {e.encoder:<12} {e.mean_diff:.4f} +- {e.sd_diff:.4f} ({e.n_slices} slices)"
         )
+    for dataset, model, enc_name in unranked:
+        lines.append(f"  UNRANKED {dataset}/{enc_name}/{model}: the slice's best mean is 0")
     lines.append("")
     lines.append("timing by post-encoding dimensionality:")
     for t in times:
@@ -543,11 +550,11 @@ def write_reports(
     records: Sequence[MetricRecord], failures: Sequence[CellFailure], sufficiency: Mapping[str, float] | None, out_dir: str
 ) -> str:
     """Write rank_report.csv, time_report.csv and summary.txt into out_dir; returns the summary."""
-    rank = rank_encoders(records, sufficiency)
+    rank, unranked = rank_encoders(records, sufficiency)
     times = time_report(records)
     write_rank_csv(rank, os.path.join(out_dir, "rank_report.csv"))
     write_time_csv(times, os.path.join(out_dir, "time_report.csv"))
-    text = summarize(records, failures, rank, times)
+    text = summarize(records, failures, rank, unranked, times)
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     return text

@@ -1,9 +1,10 @@
 """Column-major tables, CSV ingestion, splitting, and the preprocessing pipeline.
 
-Columns are arrays: float64 with NaN for a missing cell, or an `encoders.Categorical`
-(levels plus int codes, -1 for a missing cell). `load_csv` builds them from a
-CSV a chunk of rows at a time, column by column, so memory beyond the columns
-stays bounded by the chunk. Splitting gathers rows.
+Columns are arrays, and a column's kind is its type: an `encoders.Categorical`
+(levels plus int codes, -1 for a missing cell) is categorical, a float64 array
+(NaN for a missing cell) numeric. `load_csv` builds them from a CSV a chunk of
+rows at a time, column by column, so memory beyond the columns stays bounded
+by the chunk. Splitting gathers rows.
 
 The pipeline order is fixed: impute on train statistics, encode categoricals,
 standardize every encoded column with train statistics. `fit_pipeline` does all
@@ -27,7 +28,7 @@ from .encoders import Categorical
 
 
 class SchemaError(ValueError):
-    """Raised when a table does not match its declared schema."""
+    """Raised on a malformed table, CSV file or schema file."""
 
 
 #: Cell spellings treated as missing on ingestion, for both column kinds.
@@ -41,56 +42,46 @@ class ColumnKind(enum.Enum):
 
 @dataclass
 class DataTable:
-    """A column-major table with a declared schema and target column.
+    """A column-major table: its columns, in table order, and its target's name.
 
-    schema: ordered (name, kind) pairs covering every stored column.
-    columns: name -> column. A numeric column is a float64 array, NaN for a
-        missing cell; a categorical column is a Categorical, code -1 for a
-        missing cell. Construction converts plain cell lists: numbers (None or
-        NaN when missing) and strings (None when missing).
-    target: name of the target column (must appear in the schema).
+    columns: name -> column. A `Categorical` column is categorical, code -1 for
+        a missing cell. Any other column is numeric: construction converts it to
+        a float64 array, NaN for a missing cell (None reads NaN), and refuses a
+        column that does not convert. A column's kind is its type.
+    target: name of the target column.
     """
 
-    schema: tuple[tuple[str, ColumnKind], ...]
     columns: dict[str, np.ndarray | Categorical]
     target: str
 
     def __post_init__(self) -> None:
-        names = [name for name, _ in self.schema]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate column names in schema")
-        if set(names) != set(self.columns):
-            raise SchemaError("schema names and stored columns disagree")
         if self.target not in self.columns:
             raise SchemaError(f"target column {self.target!r} not in table")
-        kinds = dict(self.schema)
-        self.columns = {
-            name: Categorical.of(col) if kinds[name] is ColumnKind.CATEGORICAL else np.asarray(col, dtype=float)
-            for name, col in self.columns.items()
-        }
+        self.columns = {name: _as_column(name, col) for name, col in self.columns.items()}
         lengths = {len(col) for col in self.columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
 
     @property
+    def schema(self) -> tuple[tuple[str, ColumnKind], ...]:
+        """(name, kind) pairs in table order, each kind read from its column's type."""
+        return tuple(
+            (name, ColumnKind.CATEGORICAL if isinstance(col, Categorical) else ColumnKind.NUMERIC)
+            for name, col in self.columns.items()
+        )
+
+    @property
     def row_count(self) -> int:
         return len(self.columns[self.target])
-
-    def kind(self, name: str) -> ColumnKind:
-        return dict(self.schema)[name]
 
     def column(self, name: str) -> np.ndarray | Categorical:
         return self.columns[name]
 
     def feature_names(self) -> list[str]:
-        return [name for name, _ in self.schema if name != self.target]
+        return [name for name in self.columns if name != self.target]
 
     def categorical_names(self) -> list[str]:
-        return [
-            name
-            for name, kind in self.schema
-            if kind is ColumnKind.CATEGORICAL and name != self.target
-        ]
+        return [name for name, col in self.columns.items() if isinstance(col, Categorical) and name != self.target]
 
     def target_values(self) -> np.ndarray:
         """The target as finite floats; a missing value, or a categorical level
@@ -118,12 +109,21 @@ class DataTable:
 
     def subset(self, rows: Sequence[int]) -> "DataTable":
         rows = np.asarray(rows, dtype=np.intp)
-        cols = {name: col[rows] for name, col in self.columns.items()}
-        return DataTable(schema=self.schema, columns=cols, target=self.target)
+        return DataTable({name: col[rows] for name, col in self.columns.items()}, self.target)
 
     def rows(self) -> Iterable[tuple]:
-        """Cells row by row, in schema order; a missing cell reads NaN or None."""
-        return zip(*(self.columns[name] for name, _ in self.schema))
+        """Cells row by row, in table order; a missing cell reads NaN or None."""
+        return zip(*self.columns.values())
+
+
+def _as_column(name: str, col) -> np.ndarray | Categorical:
+    """A Categorical as it is, any other column as float64 or a SchemaError naming it."""
+    if isinstance(col, Categorical):
+        return col
+    try:
+        return np.asarray(col, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"column {name!r} is neither a Categorical nor numeric: {exc}") from None
 
 
 def read_schema(path: str) -> tuple[dict[str, ColumnKind], str]:
@@ -291,8 +291,7 @@ def load_csv(path: str, schema: Mapping[str, ColumnKind], target: str) -> DataTa
     for name in schema:
         data = np.concatenate(chunks.pop(name))  # pop: free each column's chunks as it is joined
         columns[name] = Categorical(tuple(lookups[name])[len(MISSING_TOKENS):], data) if name in lookups else data
-    table_schema = tuple((name, schema[name]) for name in schema)
-    return DataTable(schema=table_schema, columns=columns, target=target)
+    return DataTable(columns, target)
 
 
 def infer_schema(path: str, target: str) -> dict[str, ColumnKind]:
@@ -341,7 +340,7 @@ class FittedPipeline:
     """Everything fitted on a train table: imputation fills, one encoder per
     categorical feature, and the per-column mean and population std of the
     imputed, encoded train matrix (float64 arrays aligned with its columns).
-    The matrix has one block per feature in schema order: a categorical
+    The matrix has one block per feature in table order: a categorical
     feature's is `encoders[name].output_dim` wide, a numeric one's 1.
     """
 
@@ -357,11 +356,9 @@ def fit_preprocessor(train: DataTable) -> dict[str, float | str]:
     """Imputation fills learned from train rows only: numeric mean, categorical
     mode with first-appearance tie-break."""
     fills: dict[str, float | str] = {}
-    for name, kind in train.schema:
-        if name == train.target:
-            continue
+    for name in train.feature_names():
         col = train.column(name)
-        numeric = kind is ColumnKind.NUMERIC
+        numeric = not isinstance(col, Categorical)
         present = col[~np.isnan(col)] if numeric else col.codes[col.codes >= 0]
         if not present.size:
             raise SchemaError(f"column {name!r} is entirely missing; cannot impute")
@@ -384,7 +381,7 @@ def impute(fills: Mapping[str, float | str], table: DataTable) -> DataTable:
             cols[name] = Categorical(levels, np.where(col.codes < 0, levels.index(fill), col.codes))
         else:
             cols[name] = np.where(np.isnan(col), fill, col)
-    return DataTable(schema=table.schema, columns=cols, target=table.target)
+    return DataTable(cols, table.target)
 
 
 def fit_pipeline(train: DataTable, spec: enc_mod.EncoderSpec) -> tuple[FittedPipeline, np.ndarray]:
@@ -415,15 +412,9 @@ def fit_pipeline(train: DataTable, spec: enc_mod.EncoderSpec) -> tuple[FittedPip
 
 def _encode_features(encoders: Mapping[str, enc_mod.FittedEncoder], table: DataTable) -> np.ndarray:
     blocks = [np.empty((table.row_count, 0))]
-    for name, kind in table.schema:
-        if name == table.target:
-            continue
+    for name in table.feature_names():
         col = table.column(name)
-        if kind is ColumnKind.CATEGORICAL:
-            block = enc_mod.transform(encoders[name], col)
-        else:
-            block = col.reshape(-1, 1)
-        blocks.append(block)
+        blocks.append(enc_mod.transform(encoders[name], col) if isinstance(col, Categorical) else col.reshape(-1, 1))
     return np.hstack(blocks)
 
 

@@ -2,9 +2,11 @@
 
 Both generators draw a four-level "season" feature whose ground-truth numeric
 code is known, so every sweep can compare a learned encoder against the truth
-run: the same pipeline on the table with `season` swapped for each row's true
-effect. Training sets scale as 4 * ASPL; the test set is drawn once per sweep
-from its own stream and shared by every cell.
+run: the same pipeline on the table with `season` swapped, in place, for a
+float column of each row's true effect. A generated `season` is a `Categorical`
+and every other column a float array, so the swap alone makes `season` numeric.
+Training sets scale as 4 * ASPL; the test set is drawn once per sweep from its
+own stream and shared by every cell.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import encoders as enc_mod
 from . import models as mod
-from .data import ColumnKind, DataTable, apply_pipeline, fit_pipeline
+from .data import DataTable, apply_pipeline, fit_pipeline
 from .metrics import LOWER_BETTER, accuracy, mse
 
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -39,11 +41,7 @@ def generate_regression(n: int, rng: np.random.Generator, sigma: float = 1.0) ->
     idx = rng.integers(0, 4, size=n)
     noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     y = np.array([REGRESSION_TRUTH[s] for s in SEASONS])[idx] + noise
-    return DataTable(
-        schema=(("season", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-        columns={"season": enc_mod.Categorical(SEASONS, idx), "y": y},
-        target="y",
-    )
+    return DataTable({"season": enc_mod.Categorical(SEASONS, idx), "y": y}, "y")
 
 
 def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
@@ -60,15 +58,7 @@ def generate_classification(n: int, rng: np.random.Generator) -> DataTable:
     sign = np.where(np.sin(np.pi * phase) > 0.0, 1.0, -1.0)
     truth = np.array([CLASSIFICATION_TRUTH[s] for s in SEASONS])[idx]
     label = (truth * sign + 1.0) / 2.0
-    return DataTable(
-        schema=(
-            ("season", ColumnKind.CATEGORICAL),
-            ("phase", ColumnKind.NUMERIC),
-            ("label", ColumnKind.NUMERIC),
-        ),
-        columns={"season": enc_mod.Categorical(SEASONS, idx), "phase": phase, "label": label},
-        target="label",
-    )
+    return DataTable({"season": enc_mod.Categorical(SEASONS, idx), "phase": phase, "label": label}, "label")
 
 
 @dataclass(frozen=True)
@@ -126,12 +116,11 @@ class SweepSummary:
 
 
 def _oracle(table: DataTable, truth: Mapping[str, float]) -> DataTable:
-    """The table with `season` swapped, in its schema position, for a numeric
+    """The table with `season` swapped, in its table position, for a numeric
     column holding each row's true effect."""
     season = table.column("season")
     effect = np.array([truth[level] for level in season.levels])[season.codes]
-    schema = tuple((name, ColumnKind.NUMERIC if name == "season" else kind) for name, kind in table.schema)
-    return DataTable(schema=schema, columns={**table.columns, "season": effect}, target=table.target)
+    return DataTable({**table.columns, "season": effect}, table.target)
 
 
 def _score(model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:

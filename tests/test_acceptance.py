@@ -9,9 +9,10 @@ import numpy as np
 from conftest import record_criterion
 
 from catenc.bench import DatasetSpec, ExperimentGrid, ModelSpec, run_and_report
-from catenc.data import ColumnKind, DataTable
+from catenc.data import DataTable
 from catenc.encoders import (
     ENCODER_VARIANTS,
+    Categorical,
     EncoderSpec,
     compute_group_stats,
     contrast_matrix,
@@ -322,11 +323,7 @@ def test_metric_brute_force_oracles():
         worst = max(worst, abs(rmse(a, b) - float(np.sqrt(np.mean((a - b) ** 2)))))
 
     def stand_in(n, c):
-        return DataTable(
-            schema=(("var", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"var": [f"l{i % c}" for i in range(n)], "y": [0.0] * n},
-            target="y",
-        )
+        return DataTable({"var": Categorical.of([f"l{i % c}" for i in range(n)]), "y": [0.0] * n}, "y")
 
     got_a = minaspl(stand_in(12960, 5))
     got_b = minaspl(stand_in(1728, 4))

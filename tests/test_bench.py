@@ -20,6 +20,7 @@ from catenc.bench import (
     run_grid,
     time_report,
     write_dataset_info_csv,
+    write_reports,
 )
 from catenc.data import SchemaError
 from catenc.encoders import EncoderSpec
@@ -532,7 +533,7 @@ class TestRankEncoders:
             self.rec("small", "onehot", 4.0),
             self.rec("small", "mean", 1.0),
         ]
-        entries = rank_encoders(records, {"big": 150.0, "small": 12.0})
+        entries, _ = rank_encoders(records, {"big": 150.0, "small": 12.0})
         by_key = {(e.bucket, e.encoder): e for e in entries}
         assert by_key[("sufficient", "onehot")].mean_diff == 0.0
         assert by_key[("sufficient", "mean")].mean_diff == pytest.approx(1.0)
@@ -541,17 +542,17 @@ class TestRankEncoders:
 
     def test_boundary_counts_as_sufficient(self):
         records = [self.rec("edge", "onehot", 1.0), self.rec("edge", "mean", 1.5)]
-        entries = rank_encoders(records, {"edge": 100.0})
+        entries, _ = rank_encoders(records, {"edge": 100.0})
         assert {e.bucket for e in entries} == {"sufficient"}
 
     def test_no_map_gives_single_bucket(self):
         records = [self.rec("d", "onehot", 1.0), self.rec("d", "mean", 2.0)]
-        entries = rank_encoders(records)
+        entries, _ = rank_encoders(records)
         assert {e.bucket for e in entries} == {"all"}
 
     def test_missing_dataset_goes_to_unknown(self):
         records = [self.rec("mystery", "onehot", 1.0), self.rec("mystery", "mean", 2.0)]
-        entries = rank_encoders(records, {})
+        entries, _ = rank_encoders(records, {})
         assert {e.bucket for e in entries} == {"unknown"}
 
     def test_sorted_ascending_within_group(self):
@@ -560,9 +561,19 @@ class TestRankEncoders:
             self.rec("d", "mean", 3.0),
             self.rec("d", "ordinal", 2.0),
         ]
-        entries = rank_encoders(records)
+        entries, _ = rank_encoders(records)
         assert [e.encoder for e in entries] == ["onehot", "ordinal", "mean"]
         assert entries[0].mean_diff <= entries[1].mean_diff <= entries[2].mean_diff
+
+    def test_zero_best_slice_names_its_unranked_encoders(self, tmp_path):
+        # onehot's rmse 0 leaves mean's difference NaN; before, mean left the report without a note
+        records = [self.rec("d", "onehot", 0.0), self.rec("d", "mean", 0.5)]
+        entries, unranked = rank_encoders(records)
+        assert [e.encoder for e in entries] == ["onehot"] and unranked == [("d", "tree", "mean")]
+        summary = write_reports(records, [], None, str(tmp_path))
+        ranking = summary.split("encoder ranking", 1)[1].split("timing", 1)[0]
+        assert "  UNRANKED d/mean/tree: the slice's best mean is 0\n" in ranking
+        assert (tmp_path / "summary.txt").read_text() == summary
 
 
 class TestTimeReport:

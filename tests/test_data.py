@@ -42,11 +42,7 @@ def make_table(n=10, seed=0):
     seasons = ["spring", "summer", "autumn", "winter"]
     col = [seasons[i] for i in rng.integers(0, 4, n)]
     y = rng.normal(size=n).tolist()
-    return DataTable(
-        schema=(("season", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-        columns={"season": col, "y": y},
-        target="y",
-    )
+    return DataTable({"season": Categorical.of(col), "y": y}, "y")
 
 
 class TestLoadCsv:
@@ -55,11 +51,26 @@ class TestLoadCsv:
         kinds, target = read_schema(schema_path)
         table = load_csv(csv_path, kinds, target)
         assert table.row_count == 5
-        assert table.kind("season") is ColumnKind.CATEGORICAL
+        assert isinstance(table.column("season"), Categorical)
         assert np.isnan(table.column("temp")[1])
         assert np.isnan(table.column("temp")[3])
         assert table.column("temp")[0] == 10.0
         assert table.target == "y"
+
+    def test_kinds_and_positions_survive_split_impute_and_fit(self, season_csv):
+        csv_path, schema_path = season_csv
+        kinds, target = read_schema(schema_path)
+        table = load_csv(csv_path, kinds, target)
+        want = (("season", ColumnKind.CATEGORICAL), ("temp", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC))
+        assert table.schema == want
+        pair = split_train_test(table, 0.8, seed=0)
+        pipeline, x_train = fit_pipeline(pair.train, EncoderSpec("onehot"))
+        filled = impute(pipeline.fills, pair.test)
+        assert pair.train.schema == pair.test.schema == filled.schema == pipeline.schema == want
+        # the layout follows table order: the season block, then temp
+        assert x_train.shape[1] == pipeline.encoders["season"].output_dim + 1
+        temp = impute(pipeline.fills, pair.train).column("temp")
+        np.testing.assert_allclose(x_train[:, -1], (temp - temp.mean()) / temp.std())
 
     def test_header_only_gives_empty_table(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -164,23 +175,35 @@ class TestReadSchema:
 
 class TestDataTableRefusals:
     @pytest.mark.parametrize(
-        "schema, columns, target, error",
+        "columns, target, error",
         [
-            ((("a", ColumnKind.NUMERIC), ("a", ColumnKind.NUMERIC)), {"a": [1.0]}, "a", "duplicate column names"),
-            ((("a", ColumnKind.NUMERIC),), {"a": [1.0], "b": [2.0]}, "a", "schema names and stored columns disagree"),
-            ((("a", ColumnKind.NUMERIC),), {"a": [1.0]}, "y", "target column 'y' not in table"),
+            ({"a": [1.0]}, "y", "target column 'y' not in table"),
             (
-                (("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-                {"a": ["u", "v", "u"], "y": [1.0, 2.0]},
+                {"a": Categorical.of(["u", "v", "u"]), "y": [1.0, 2.0]},
                 "y",
                 r"ragged columns: lengths \[2, 3\]",
             ),
         ],
-        ids=["duplicate", "disagree", "target", "ragged"],
+        ids=["target", "ragged"],
     )
-    def test_refusals(self, schema, columns, target, error):
+    def test_refusals(self, columns, target, error):
         with pytest.raises(SchemaError, match=error):
-            DataTable(schema=schema, columns=columns, target=target)
+            DataTable(columns, target)
+
+    def test_unwrapped_string_column_is_refused_by_name(self):
+        # a categorical column is a Categorical; before, numpy's ValueError named no column
+        with pytest.raises(SchemaError, match=r"^column 'a' is neither a Categorical nor numeric: .*'u'"):
+            DataTable({"a": ["u", "v"], "y": [0.0, 1.0]}, "y")
+
+    def test_schema_reads_each_kind_from_the_column_type(self):
+        table = DataTable({"x": [1.0, None], "a": Categorical.of(["u", None]), "y": [0.0, 1.0]}, "y")
+        assert table.schema == (
+            ("x", ColumnKind.NUMERIC),
+            ("a", ColumnKind.CATEGORICAL),
+            ("y", ColumnKind.NUMERIC),
+        )
+        assert table.feature_names() == ["x", "a"] and table.categorical_names() == ["a"]
+        assert table.column("x").dtype == np.float64 and np.isnan(table.column("x")[1])
 
 
 class TestSplit:
@@ -222,13 +245,12 @@ class TestSplit:
 class TestPreprocessor:
     def test_numeric_mean_and_categorical_mode_fill(self):
         table = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
-            columns={
-                "a": ["u", "v", None, "u", "w"],
+            {
+                "a": Categorical.of(["u", "v", None, "u", "w"]),
                 "x": [1.0, None, 3.0, None, 8.0],
                 "y": [0.0, 1.0, 0.0, 1.0, 0.0],
             },
-            target="y",
+            "y",
         )
         fills = fit_preprocessor(table)
         assert fills["x"] == pytest.approx(4.0)
@@ -238,38 +260,25 @@ class TestPreprocessor:
         assert filled.column("x")[1] == pytest.approx(4.0)
 
     def test_fill_absent_from_test_levels_becomes_a_level(self):
-        schema = (("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC))
-        train = DataTable(schema=schema, columns={"a": ["u", "u", "v"], "y": [0.0] * 3}, target="y")
-        test = DataTable(schema=schema, columns={"a": ["v", None, "w"], "y": [0.0] * 3}, target="y")
+        train = DataTable({"a": Categorical.of(["u", "u", "v"]), "y": [0.0] * 3}, "y")
+        test = DataTable({"a": Categorical.of(["v", None, "w"]), "y": [0.0] * 3}, "y")
         col = impute(fit_preprocessor(train), test).column("a")
         assert list(col) == ["v", "u", "w"]
         assert col.levels == ("v", "u", "w")
 
     def test_fill_already_present_adds_no_level(self):
-        table = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": [None, "v", "u", "u"], "y": [0.0] * 4},
-            target="y",
-        )
+        table = DataTable({"a": Categorical.of([None, "v", "u", "u"]), "y": [0.0] * 4}, "y")
         filled = impute(fit_preprocessor(table), table)
         assert list(filled.column("a")) == ["u", "v", "u", "u"]
         assert filled.column("a").levels == ("u", "v")
         assert minaspl(filled) == minaspl(table) == 2.0
 
     def test_mode_tie_breaks_by_first_appearance(self):
-        table = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": ["v", "u", "u", "v"], "y": [0.0, 0.0, 0.0, 0.0]},
-            target="y",
-        )
+        table = DataTable({"a": Categorical.of(["v", "u", "u", "v"]), "y": [0.0, 0.0, 0.0, 0.0]}, "y")
         assert fit_preprocessor(table)["a"] == "v"
 
     def test_entirely_missing_column_named_in_error(self):
-        table = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": [None, None], "y": [0.0, 1.0]},
-            target="y",
-        )
+        table = DataTable({"a": Categorical.of([None, None]), "y": [0.0, 1.0]}, "y")
         with pytest.raises(SchemaError, match="'a'"):
             fit_preprocessor(table)
 
@@ -283,26 +292,14 @@ class TestPreprocessor:
         np.testing.assert_allclose(x.std(axis=0), 1.0, atol=1e-12)
 
     def test_zero_spread_column_standardizes_to_zeros(self):
-        table = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
-            columns={"a": ["u", "v", "u"], "x": [7.0, 7.0, 7.0], "y": [1.0, 2.0, 3.0]},
-            target="y",
-        )
+        table = DataTable({"a": Categorical.of(["u", "v", "u"]), "x": [7.0, 7.0, 7.0], "y": [1.0, 2.0, 3.0]}, "y")
         pipeline, _ = fit_pipeline(table, EncoderSpec("ordinal"))
         x = apply_pipeline(pipeline, table)
         np.testing.assert_array_equal(x[:, 1], 0.0)
 
     def test_unseen_level_goes_through_policy_then_standardization(self):
-        train = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": ["u", "v", "u"], "y": [1.0, 2.0, 3.0]},
-            target="y",
-        )
-        test = DataTable(
-            schema=train.schema,
-            columns={"a": ["w"], "y": [0.0]},
-            target="y",
-        )
+        train = DataTable({"a": Categorical.of(["u", "v", "u"]), "y": [1.0, 2.0, 3.0]}, "y")
+        test = DataTable({"a": Categorical.of(["w"]), "y": [0.0]}, "y")
         pipeline, _ = fit_pipeline(train, EncoderSpec("ordinal"))
         x = apply_pipeline(pipeline, test)
         # train codes are [1, 2, 1]: mean 4/3, population std sqrt(2)/3
@@ -327,11 +324,7 @@ class TestPreprocessor:
 
     def test_schema_mismatch_rejected(self):
         train = make_table(n=10)
-        other = DataTable(
-            schema=(("other", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"other": ["a"] * 10, "y": [0.0] * 10},
-            target="y",
-        )
+        other = DataTable({"other": Categorical.of(["a"] * 10), "y": [0.0] * 10}, "y")
         pipeline, _ = fit_pipeline(train, EncoderSpec("onehot"))
         with pytest.raises(SchemaError):
             apply_pipeline(pipeline, other)
@@ -350,13 +343,12 @@ class TestPreprocessor:
         rng = np.random.default_rng(4)
         seasons = ["spring", "summer", "autumn", "winter"]
         table = DataTable(
-            schema=(("season", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
-            columns={
-                "season": [None if k == 4 else seasons[k] for k in rng.integers(0, 5, 40)],
+            {
+                "season": Categorical.of([None if k == 4 else seasons[k] for k in rng.integers(0, 5, 40)]),
                 "x": [None if v > 1.5 else v for v in rng.normal(size=40)],
                 "y": rng.normal(size=40).tolist(),
             },
-            target="y",
+            "y",
         )
         pipeline, x_train = fit_pipeline(table, EncoderSpec(variant))
         assert np.array_equal(x_train, apply_pipeline(pipeline, table))
@@ -365,11 +357,7 @@ class TestPreprocessor:
     def test_target_and_task_detection(self):
         t = make_table()
         assert t.task() == "regression"
-        binary = DataTable(
-            schema=(("a", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"a": ["u", "v"], "y": [0.0, 1.0]},
-            target="y",
-        )
+        binary = DataTable({"a": Categorical.of(["u", "v"]), "y": [0.0, 1.0]}, "y")
         assert binary.task() == "classification"
 
     @pytest.mark.parametrize(
@@ -386,7 +374,7 @@ class TestPreprocessor:
         ],
     )
     def test_target_is_binary_edge_cases(self, kind, y, binary):
-        table = DataTable(schema=(("y", kind),), columns={"y": y}, target="y")
+        table = DataTable({"y": Categorical.of(y) if kind is ColumnKind.CATEGORICAL else y}, "y")
         assert table.target_is_binary() is binary
 
     @pytest.mark.parametrize(
@@ -400,18 +388,18 @@ class TestPreprocessor:
     )
     def test_non_finite_target_is_refused(self, kind, y, bad):
         # before, target_is_binary read False and every learner refused the cell later
-        table = DataTable(schema=(("y", kind),), columns={"y": y}, target="y")
+        table = DataTable({"y": Categorical.of(y) if kind is ColumnKind.CATEGORICAL else y}, "y")
         for call in (table.target_values, table.target_is_binary):
             with pytest.raises(SchemaError, match=rf"^target column 'y' has non-finite values, such as {bad}$"):
                 call()
 
     def test_missing_target_is_refused_by_task_detection(self):
-        table = DataTable(schema=(("y", ColumnKind.NUMERIC),), columns={"y": [0.0, np.nan]}, target="y")
+        table = DataTable({"y": [0.0, np.nan]}, "y")
         with pytest.raises(SchemaError, match="missing values"):
             table.target_is_binary()
 
     def test_non_numeric_target_is_schema_error(self):
         # before, numpy's "could not convert string to float" never named the column
-        table = DataTable(schema=(("y", ColumnKind.CATEGORICAL),), columns={"y": ["yes", "no", "yes"]}, target="y")
+        table = DataTable({"y": Categorical.of(["yes", "no", "yes"])}, "y")
         with pytest.raises(SchemaError, match=r"^target column 'y' must be numeric: .*'yes'$"):
             table.target_values()

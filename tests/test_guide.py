@@ -1,6 +1,7 @@
 import pytest
 
-from catenc.data import ColumnKind, DataTable
+from catenc.data import DataTable
+from catenc.encoders import Categorical
 from catenc.guide import (
     MODEL_FAMILIES,
     SUFFICIENT_MINASPL,
@@ -66,11 +67,7 @@ def test_query_validation():
 
 
 def test_query_from_table_measures_minaspl():
-    table = DataTable(
-        schema=(("c", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-        columns={"c": ["a", "b", "a", "b"], "y": [0.0, 1.0, 0.0, 1.0]},
-        target="y",
-    )
+    table = DataTable({"c": Categorical.of(["a", "b", "a", "b"]), "y": [0.0, 1.0, 0.0, 1.0]}, "y")
     q = query_from_table(table, "tree", time_sensitive=True)
     assert q.min_aspl == 2.0
     assert recommend(q).encoders == ("ordinal",)

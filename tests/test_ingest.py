@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from catenc import data
 from catenc.data import MISSING_TOKENS, ColumnKind, DataTable, SchemaError, load_csv
+from catenc.encoders import Categorical
 
 NUM, CAT = ColumnKind.NUMERIC, ColumnKind.CATEGORICAL
 HEADER = ["n1", "c1", "junk", "n2", "y"]
@@ -47,7 +48,7 @@ def reference_load_csv(path, schema, target):
             raise SchemaError(
                 f"{path}: column {name!r} declared numeric but {bad_counts[name]}/{n_rows} cells do not parse"
             )
-    return DataTable(schema=tuple(schema.items()), columns=columns, target=target)
+    return DataTable({name: Categorical.of(columns[name]) if kind is CAT else columns[name] for name, kind in schema.items()}, target)
 
 
 def outcome(loader, path, schema):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catenc
-from catenc.data import ColumnKind, DataTable
+from catenc.data import DataTable
+from catenc.encoders import Categorical
 from catenc.metrics import (
     MetricRecord,
     accuracy,
@@ -88,43 +89,26 @@ class TestScalarMetrics:
 
     def test_minaspl_uses_largest_cardinality(self):
         table = DataTable(
-            schema=(
-                ("small", ColumnKind.CATEGORICAL),
-                ("big", ColumnKind.CATEGORICAL),
-                ("y", ColumnKind.NUMERIC),
-            ),
-            columns={
-                "small": ["a", "b"] * 6,
-                "big": ["a", "b", "c", "d", "e", "f"] * 2,
+            {
+                "small": Categorical.of(["a", "b"] * 6),
+                "big": Categorical.of(["a", "b", "c", "d", "e", "f"] * 2),
                 "y": [0.0] * 12,
             },
-            target="y",
+            "y",
         )
         assert minaspl(table) == pytest.approx(2.0)
 
     def test_minaspl_does_not_count_missing_as_a_level(self):
-        table = DataTable(
-            schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"g": ["x", "y", None, None], "y": [0.0] * 4},
-            target="y",
-        )
+        table = DataTable({"g": Categorical.of(["x", "y", None, None]), "y": [0.0] * 4}, "y")
         assert minaspl(table) == pytest.approx(2.0)
 
     def test_minaspl_rejects_a_column_with_no_present_cell(self):
-        table = DataTable(
-            schema=(("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.NUMERIC)),
-            columns={"g": [None, None], "y": [0.0, 1.0]},
-            target="y",
-        )
+        table = DataTable({"g": Categorical.of([None, None]), "y": [0.0, 1.0]}, "y")
         with pytest.raises(ValueError):
             minaspl(table)
 
     def test_minaspl_requires_a_categorical_column(self):
-        table = DataTable(
-            schema=(("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)),
-            columns={"x": [1.0, 2.0], "y": [0.0, 1.0]},
-            target="y",
-        )
+        table = DataTable({"x": [1.0, 2.0], "y": [0.0, 1.0]}, "y")
         with pytest.raises(ValueError):
             minaspl(table)
 
