@@ -217,7 +217,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early: no error line, and stdout points at
+        # devnull, so the flush at exit stays quiet (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

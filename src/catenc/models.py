@@ -23,10 +23,15 @@ the smallest unsigned dtype that holds every id and cast to intp, one at a
 time, to gather: numpy indexes about twice as fast with intp. Split positions
 between equal values are found on the value ranks, so a level reads x only
 where a split is chosen, and a node's rows go left up to the winning position
-in the winning feature's order. A node is pure when its targets are all equal,
-and its value is their mean. The trees are flat node arrays that predict_tree
-walks in lock step. A forest's tree t draws from
-np.random.default_rng([seed, t])'s generator, built from memoized seed words.
+in the winning feature's order. A feature with at most two distinct values,
+as a one-hot or base-2 column, is not presorted: each sample keeps only its
+side, one byte, and a level scores the feature's one split point per node
+from per-node sums in sample order (np.bincount), which are the prefix sums
+its presorted order gives, bit for bit; the node's low rows go left. A node
+is pure when its targets are all equal, and its value is their mean. The trees
+are flat node arrays that predict_tree walks in lock step. A forest's tree t
+draws from np.random.default_rng([seed, t])'s generator, built from memoized
+seed words.
 """
 from __future__ import annotations
 
@@ -396,10 +401,11 @@ class Tree:
 
 
 #: Sample rows times (features + 1) that the index arrays of one batch of
-#: forest trees may hold (per feature its presorted sample ids and value ranks,
-#: and one array in sample order; each level adds a few float64 arrays over its
-#: positions); a forest on a larger table is grown in batches, and the forests
-#: of several small equal-shape fits share one (fit_forests).
+#: forest trees may hold (per presorted feature its sample ids and value
+#: ranks, per two-valued feature one side flag a sample, and one array in
+#: sample order; each level adds a few float64 arrays over its positions); a
+#: forest on a larger table is grown in batches, and the forests of several
+#: small equal-shape fits share one (fit_forests).
 _BATCH_CELLS = 1 << 19
 
 #: An mse level scores a feature only at its split points when they are fewer
@@ -474,6 +480,62 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _impurity_scores(
+    impurity: str,
+    left: np.ndarray,
+    left_sq: np.ndarray | None,
+    total: np.ndarray,
+    total_sq: np.ndarray | None,
+    sizes: np.ndarray | int,
+    left_n: np.ndarray,
+    right_n: np.ndarray,
+    size_of: np.ndarray,
+) -> np.ndarray:
+    """Weighted child impurity of splits with left_n and right_n rows on their
+    sides in nodes of size_of rows, from the target sums of their left sides
+    (left; for mse also the sums of squares, left_sq) and their nodes' totals
+    (total and total_sq), one per run of sizes consecutive splits. This is the
+    one impurity formula; left and left_sq are overwritten.
+
+    For mse, sse_left = left_sq - left**2 / left_n and sse_right = (total_sq -
+    left_sq) - (total - left)**2 / right_n, computed in place, the right
+    side's terms in the spent rows of left and left_sq: the splits can be
+    many, and a fresh array of their size can cost more in page faults than
+    the pass filling it. For 0/1 labels the sums are exact counts, and the
+    shares and gini or entropy terms take three buffers, filled in place in
+    the order of the plain formula, so the scores are its bits.
+    """
+    if impurity == "mse":
+        out = np.square(left)
+        out /= left_n
+        np.subtract(left_sq, out, out=out)
+        rest = np.subtract(np.repeat(total, sizes), left, out=left)  # left is spent
+        np.square(rest, out=rest)
+        rest /= right_n
+        sse_right = np.subtract(np.repeat(total_sq, sizes), left_sq, out=left_sq)  # left_sq is spent
+        sse_right -= rest
+        out += sse_right
+    else:
+        p_left = left  # ones on the left
+        p_right = np.repeat(total, sizes)
+        p_right -= p_left  # ones on the right
+        p_left /= left_n
+        p_right /= right_n
+        if impurity == "gini":
+            out = np.multiply(left_n, 2.0)
+            out *= p_left
+            out *= np.subtract(1.0, p_left, out=p_left)
+            right = np.multiply(right_n, 2.0, out=p_left)
+            right *= p_right
+            right *= np.subtract(1.0, p_right, out=p_right)
+        else:
+            out = np.multiply(left_n, _entropy(p_left), out=p_left)
+            right = np.multiply(right_n, _entropy(p_right), out=p_right)
+        out += right
+    out /= size_of
+    return out
+
+
 def _split_scores(
     ys: np.ndarray,
     order: np.ndarray,
@@ -496,14 +558,12 @@ def _split_scores(
     scores of the other segments are meaningless. Scoring at a subset of
     positions gathers the sums, sizes and segment totals there and applies
     the same formula, so each of its scores is the full one's bit for bit.
+    For 0/1 labels a running count minus the count before the segment is
+    exact.
     """
     sizes, left_n, size_of = lev.sizes, lev.left_n, lev.size_of
     order = order.astype(np.intp)  # numpy gathers fastest with intp indices
     if impurity == "mse":
-        # sse_left = csq - csum**2 / left_n and sse_right = (total_sq - csq)
-        # - (total - csum)**2 / right_n, computed in place, the right side's
-        # terms in the spent rows of sums: the layout can be large, and a fresh
-        # array of its size can cost more in page faults than the pass filling it
         sums = np.empty((2, order.shape[0]))
         csum, csq = sums
         np.take(ys, order, out=csum, mode="clip")  # ids are in range; "raise" would buffer out
@@ -521,46 +581,65 @@ def _split_scores(
             csum, csq = sums[:, at]
             left_n, right_n, size_of, sizes = left_n[at], right_n[at], size_of[at], counts
         del sums  # the full sums are spent once gathered at the positions
-        out = np.square(csum)
-        out /= left_n
-        np.subtract(csq, out, out=out)
-        rest = np.subtract(np.repeat(total, sizes), csum, out=csum)  # csum is spent
-        np.square(rest, out=rest)
-        rest /= right_n
-        sse_right = np.subtract(np.repeat(total_sq, sizes), csq, out=csq)  # csq is spent
-        sse_right -= rest
-        out += sse_right
-        out /= size_of
-        return out
-    # 0/1 labels: a running count minus the count before the segment is exact.
-    # The counts, shares and gini terms take three position-sized buffers,
-    # filled in place in the order of the plain formula, so the scores are
-    # its bits
+        return _impurity_scores(impurity, csum, csq, total, total_sq, sizes, left_n, right_n, size_of)
     csum = np.take(ys, order, mode="clip")
     del order
     before = csum[lev.starts]
     np.add.accumulate(csum, out=csum)
     before = csum[lev.starts] - before
     ones = csum[lev.ends - 1] - before
-    p_left = csum
-    p_left -= np.repeat(before, sizes)  # ones_left
-    p_right = np.repeat(ones, sizes)
-    p_right -= p_left  # ones_right
-    p_left /= left_n
-    p_right /= right_n
-    if impurity == "gini":
-        out = np.multiply(left_n, 2.0)
-        out *= p_left
-        out *= np.subtract(1.0, p_left, out=p_left)
-        right = np.multiply(right_n, 2.0, out=p_left)
-        right *= p_right
-        right *= np.subtract(1.0, p_right, out=p_right)
-    else:
-        out = np.multiply(left_n, _entropy(p_left), out=p_left)
-        right = np.multiply(right_n, _entropy(p_right), out=p_right)
-    out += right
-    out /= size_of
-    return out
+    csum -= np.repeat(before, sizes)  # ones on the left
+    return _impurity_scores(impurity, csum, None, ones, None, sizes, left_n, right_n, size_of)
+
+
+def _two_valued_scores(
+    high: np.ndarray,
+    yrow: np.ndarray,
+    sqrow: np.ndarray | None,
+    lev: _Level,
+    impurity: str,
+    low_n: np.ndarray,
+    valid: np.ndarray,
+) -> np.ndarray:
+    """Scores of a two-valued column's one split point in each valid segment,
+    with its low_n low rows on the left, from the level's positions in sample
+    order: high flags each position's side, yrow holds its target (sqrow its
+    square, for mse).
+
+    The sums go to the bins 2 * segment + high. For 0/1 labels they are exact
+    counts of ones. For mse, the feature's order would hold each segment's
+    low rows and then its high rows, each in sample order, and np.bincount
+    adds its weights in input order, so a low bin holds the prefix sums that
+    _split_scores builds at the split point, bit for bit (up to the sign of a
+    zero sum, which only ever is squared). The node totals continue that
+    chain over the high rows: each segment's low sum is fed into its bin
+    ahead of them, and total_sq is the chain of squares up to the last high
+    row plus pow(y_last, 2), as _split_scores takes it.
+    """
+    n_seg = lev.starts.shape[0]
+    bins = np.repeat(np.arange(0, 2 * n_seg, 2), lev.sizes)
+    bins += high
+    sums = np.bincount(bins, yrow, 2 * n_seg)
+    left = sums[0::2]
+    left_n = low_n[valid].astype(float)
+    size_of = lev.sizes[valid].astype(float)
+    if impurity != "mse":
+        ones = left + sums[1::2]
+        return _impurity_scores(impurity, left[valid], None, ones[valid], None, 1, left_n, size_of - left_n, size_of)
+    left_sq = np.bincount(bins, sqrow, 2 * n_seg)[0::2]
+    up = np.flatnonzero(high)
+    seg = np.concatenate((np.arange(n_seg), bins[up] >> 1))
+    del bins
+    last = np.searchsorted(up, lev.ends[valid]) - 1  # each valid segment's last high row, in up
+    y_last = yrow[up[last]]
+    sq_up = sqrow[up]
+    sq_up[last] = 0.0  # adds nothing to a chain of squares, which is never -0.0
+    total = np.bincount(seg, np.concatenate((left, yrow[up])), n_seg)[valid]
+    total_sq = np.bincount(seg, np.concatenate((left_sq, sq_up)), n_seg)[valid]
+    total_sq += np.float_power(y_last, 2.0)
+    return _impurity_scores(
+        impurity, left[valid], left_sq[valid], total, total_sq, 1, left_n, size_of - left_n, size_of
+    )
 
 
 def _partition(order: np.ndarray, key: np.ndarray, size: int) -> np.ndarray:
@@ -613,85 +692,110 @@ def _presort(values: np.ndarray, base: np.ndarray, id_type: np.dtype) -> tuple[n
     return np.argsort(ranks, kind="stable").astype(id_type), ranks
 
 
+def _two_valued_sides(values: np.ndarray) -> np.ndarray | None:
+    """Each sample's side of a feature whose (trees, n) values hold at most
+    two distinct values, compared numerically (-0.0 == 0.0), flattened so
+    that sample ids index it: True where the sample holds the higher value.
+    None for a feature with more values."""
+    lo, hi = values.min(), values.max()
+    if ((values != lo) & (values != hi)).any():
+        return None
+    return (values > lo).ravel()
+
+
 def _best_splits(
-    x: np.ndarray,
-    rows: np.ndarray,
     ys: np.ndarray,
-    orders: list[np.ndarray],
-    ranks: list[np.ndarray],
+    orders: dict[int, np.ndarray],
+    ranks: dict[int, np.ndarray],
+    sides: dict[int, np.ndarray],
+    at: np.ndarray,
     lev: _Level,
     impurity: str,
     min_samples_leaf: int,
     candidate: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best feature, midpoint threshold and split position (the last position
-    that goes left, in the feature's order) of each segment; feature -1 where
-    no split is valid. Features are scanned in ascending order and a score
-    must be strictly lower to win, so ties keep the lowest feature, and within
-    a feature the first (lowest) threshold. A position is no split point when
-    the next one holds an equal value, which ranks[f] (indexed by sample id,
-    see _presort) tells from a small contiguous array; x is read only at each
-    segment's winning positions. A feature is scored only on the segments
-    where it has a split point, and not at all where it has none. On an mse
-    level a feature whose split points are fewer than _SPLIT_POINT_SHARE of
-    the positions is scored at its split points alone, and each segment's
-    first minimum is found among them; the full scores there are the same,
-    bit for bit. Gathering them costs more than it saves where most
-    positions are split points, as on a numeric column."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best feature and split position (the last position that goes left, in
+    the feature's order) of each segment; feature -1 where no split is valid.
+    Features are scanned in ascending order and a score must be strictly
+    lower to win, so ties keep the lowest feature, and within a feature the
+    first (lowest) threshold.
+
+    A presorted feature (in orders) has no split point at a position whose
+    next one holds an equal value, which ranks[f] (indexed by sample id, see
+    _presort) tells from a small contiguous array. It is scored only on the
+    segments where it has a split point, and not at all where it has none.
+    On an mse level a feature whose split points are fewer than
+    _SPLIT_POINT_SHARE of the positions is scored at its split points alone,
+    and each segment's first minimum is found among them; the full scores
+    there are the same, bit for bit. Gathering them costs more than it saves
+    where most positions are split points, as on a numeric column.
+
+    A two-valued feature (in sides) has one split point per segment, after
+    its low rows, and is scored there by _two_valued_scores from the level's
+    sample ids in sample order, at (intp)."""
     room = lev.left_n < lev.size_of
     right_n = np.maximum(lev.size_of - lev.left_n, 1.0)  # an empty right side counts 1: no 0/0
     if min_samples_leaf > 1:
         room &= (lev.left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-    best_score = np.full(lev.starts.shape[0], np.inf)
-    best_feat = np.full(lev.starts.shape[0], -1)
-    best_thr = np.zeros(lev.starts.shape[0])
-    best_at = np.zeros(lev.starts.shape[0], dtype=np.intp)
-    for f, order in enumerate(orders):
+    n_seg = lev.starts.shape[0]
+    best_score = np.full(n_seg, np.inf)
+    best_feat = np.full(n_seg, -1)
+    best_at = np.zeros(n_seg, dtype=np.intp)
+    if sides:  # the level's targets in sample order, shared by the two-valued features
+        yrow = ys[at]
+        sqrow = yrow * yrow if impurity == "mse" else None
+    for f in range(len(orders) + len(sides)):  # each feature is in one of them
         if candidate is not None and not candidate[:, f].any():
             continue
-        rs = np.take(ranks[f], order, mode="clip")  # ids are in range; "clip" gathers faster than "raise"
-        valid = room.copy()
-        valid[:-1] &= rs[1:] != rs[:-1]
-        del rs
-        if candidate is not None:
-            valid &= np.repeat(candidate[:, f], lev.sizes)
-        scored = np.logical_or.reduceat(valid, lev.starts)
-        if not scored.any():
-            continue
-        if impurity == "mse" and np.count_nonzero(valid) < _SPLIT_POINT_SHARE * valid.shape[0]:
-            # few split points (an encoded column): scores at those alone, in
-            # one group per segment that has any
-            points = np.flatnonzero(valid)
-            counts = np.add.reduceat(valid, lev.starts, dtype=np.intp)
-            scores = _split_scores(ys, order, lev, right_n, impurity, scored, points, counts)
-            groups, group_sizes = scored, counts[scored]
-            group_starts = np.cumsum(group_sizes) - group_sizes
-            seg_min = np.full(lev.starts.shape[0], np.inf)
-            seg_min[scored] = np.minimum.reduceat(scores, group_starts)
+        if f in sides:
+            high = sides[f][at]
+            low_n = lev.sizes - np.add.reduceat(high, lev.starts, dtype=np.intp)
+            valid = (low_n >= min_samples_leaf) & (lev.sizes - low_n >= min_samples_leaf)  # both sides nonempty
+            if candidate is not None:
+                valid &= candidate[:, f]
+            if not valid.any():
+                continue
+            seg_min = np.full(n_seg, np.inf)
+            seg_min[valid] = _two_valued_scores(high, yrow, sqrow, lev, impurity, low_n, valid)
+            del high
+            better = seg_min < best_score
+            best_at[better] = (lev.starts + low_n - 1)[better]  # its order's last low position
         else:
-            points = None
-            scores = _split_scores(ys, order, lev, right_n, impurity, scored)
-            scores[~valid] = np.inf
-            groups, group_sizes, group_starts = slice(None), lev.sizes, lev.starts
-            seg_min = np.minimum.reduceat(scores, lev.starts)
-        better = seg_min < best_score
-        if better.any():
-            hits = np.flatnonzero(scores == np.repeat(seg_min[groups], group_sizes))
-            at = hits[np.searchsorted(hits, group_starts[better[groups]])]  # first minimum of each segment
-            if points is not None:
-                at = points[at]
-            best_score[better] = seg_min[better]
-            best_feat[better] = f
-            best_at[better] = at
-            xcol = x[:, f]
-            lo, hi = xcol[rows[order[at]]], xcol[rows[order[at + 1]]]
-            with np.errstate(over="ignore"):
-                mid = (lo + hi) / 2.0
-            # a midpoint that rounds (or overflows) up to hi would send every row
-            # left, and one that overflows down to -inf every row right
-            best_thr[better] = np.where((lo <= mid) & (mid < hi), mid, lo)
-        del valid, scores  # free before the next feature's arrays are built
-    return best_feat, best_thr, best_at
+            order = orders[f]
+            rs = np.take(ranks[f], order, mode="clip")  # ids are in range; "clip" gathers faster than "raise"
+            valid = room.copy()
+            valid[:-1] &= rs[1:] != rs[:-1]
+            del rs
+            if candidate is not None:
+                valid &= np.repeat(candidate[:, f], lev.sizes)
+            scored = np.logical_or.reduceat(valid, lev.starts)
+            if not scored.any():
+                continue
+            if impurity == "mse" and np.count_nonzero(valid) < _SPLIT_POINT_SHARE * valid.shape[0]:
+                # few split points (an encoded column): scores at those alone, in
+                # one group per segment that has any
+                points = np.flatnonzero(valid)
+                counts = np.add.reduceat(valid, lev.starts, dtype=np.intp)
+                scores = _split_scores(ys, order, lev, right_n, impurity, scored, points, counts)
+                groups, group_sizes = scored, counts[scored]
+                group_starts = np.cumsum(group_sizes) - group_sizes
+                seg_min = np.full(n_seg, np.inf)
+                seg_min[scored] = np.minimum.reduceat(scores, group_starts)
+            else:
+                points = None
+                scores = _split_scores(ys, order, lev, right_n, impurity, scored)
+                scores[~valid] = np.inf
+                groups, group_sizes, group_starts = slice(None), lev.sizes, lev.starts
+                seg_min = np.minimum.reduceat(scores, lev.starts)
+            better = seg_min < best_score
+            if better.any():
+                hits = np.flatnonzero(scores == np.repeat(seg_min[groups], group_sizes))
+                first = hits[np.searchsorted(hits, group_starts[better[groups]])]  # first minimum of each segment
+                best_at[better] = first if points is None else points[first]
+            del valid, scores  # free before the next feature's arrays are built
+        best_score[better] = seg_min[better]
+        best_feat[better] = f
+    return best_feat, best_at
 
 
 def _grow_trees(
@@ -709,30 +813,33 @@ def _grow_trees(
     """Grow one CART tree per row of samples (row indices into x), level by
     level, and return them as one Tree per forest_trees consecutive trees.
 
-    The trees share one layout: per feature an array of sample ids in which
-    every node that may still split holds a contiguous segment, sorted by the
-    feature's value with ties in sample order (one stable presort per tree),
-    plus one such array in sample order. Beside each feature's ids sit its
-    value ranks, indexed by sample id, on which a level tests for ties. A
-    level scores every split position of every segment in a few numpy passes
-    per feature, except on the segments (or whole features) where the feature
-    has no split point. A split segment's rows up to its winning position, in
-    the winning feature's order, go to the left child. Then each array is
-    partitioned by one stable argsort on key, each sample's child rank in
-    level order (left child, then right), into the children that may split in
-    turn: the rank's smallest dtype is 8- or 16-bit, which numpy radix-sorts,
-    up to 32,767 splits a level. Leaves and unsplit segments take a rank past
-    every kept child's and drop out; when no child may split, nothing is
-    partitioned. The id arrays are stored in the smallest dtype that holds
-    n_trees * n - 1 (uint16 up to 65,536 samples), which keeps the grower's
-    peak below that of int32 ids without ranks, and each is cast to intp, one
-    at a time, where it indexes (numpy gathers and scatters about twice as
-    fast with intp indices); rows, which maps sample ids to rows of x, is
-    intp. A child is a leaf when it
-    is pure (all its targets equal), smaller than min_samples_split or at
-    max_depth. Each level appends its children's values, sizes and trees and
-    its split parents, features and thresholds to levels; the nodes are then
-    cut into their forests by each node's tree.
+    The trees share one layout: one array of sample ids in sample order, in
+    which every node that may still split holds a contiguous segment, and per
+    feature with more than two distinct values (over the batch's samples) an
+    array of the same ids with each segment sorted by the feature's value,
+    ties in sample order (one stable presort per tree). Beside each such
+    feature's ids sit its value ranks, indexed by sample id, on which a level
+    tests for ties. A two-valued feature keeps only each sample's side (see
+    _two_valued_sides) and is scored from the sample-order array. A level
+    scores every split position of every segment in a few numpy passes per
+    feature, except on the segments (or whole features) where the feature has
+    no split point. A split segment's rows up to its winning position, in the
+    winning feature's order, go to the left child: for a two-valued feature,
+    its low rows. Then each id array is partitioned by one stable argsort on
+    each sample's child rank in level order (left child, then right), into
+    the children that may split in turn: the rank's smallest dtype is 8- or
+    16-bit, which numpy radix-sorts, up to 32,767 splits a level. Leaves and
+    unsplit segments take a rank past every kept child's and drop out; when
+    no child may split, nothing is partitioned. The id arrays are stored in
+    the smallest dtype that holds n_trees * n - 1 (uint16 up to 65,536
+    samples), which keeps the grower's peak below that of int32 ids without
+    ranks, and each is cast to intp, one at a time, where it indexes (numpy
+    gathers and scatters about twice as fast with intp indices); rows, which
+    maps sample ids to rows of x, is intp. A child is a leaf when it is pure
+    (all its targets equal), smaller than min_samples_split or at max_depth.
+    Each level appends its children's values, sizes and trees and its split
+    parents, features and thresholds to levels; the nodes are then cut into
+    their forests by each node's tree.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -741,9 +848,14 @@ def _grow_trees(
     ys = y[rows]
     id_type = np.min_scalar_type(n_trees * n - 1)
     base = (np.arange(n_trees) * n)[:, None]  # intp: in id_type the product can overflow
-    presorted = [_presort(x[samples, f], base, id_type) for f in range(p)]
-    orders, ranks = [order for order, _ in presorted], [rank for _, rank in presorted]
-    del presorted
+    sides, orders, ranks = {}, {}, {}
+    for f in range(p):
+        values = x[samples, f]
+        if (side := _two_valued_sides(values)) is not None:
+            sides[f] = side
+        else:
+            orders[f], ranks[f] = _presort(values, base, id_type)
+        del values  # one column's values at a time
     row_order = np.arange(n_trees * n, dtype=id_type)
 
     sizes = np.full(n_trees, n)
@@ -753,7 +865,7 @@ def _grow_trees(
     keep = impure & check
     if not keep.all():
         kept = np.repeat(keep, sizes)
-        orders = [order[kept] for order in orders]
+        orders = {f: order[kept] for f, order in orders.items()}
         row_order = row_order[kept]
     nodes = trees = np.flatnonzero(keep)  # a root's node id is its tree's
     sizes = sizes[keep]
@@ -764,26 +876,43 @@ def _grow_trees(
         if max_features is not None and max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
         lev = _level(starts, sizes)
-        best_feat, best_thr, best_at = _best_splits(
-            x, rows, ys, orders, ranks, lev, impurity, min_samples_leaf, candidate
-        )
+        at = row_order.astype(np.intp)
+        best_feat, best_at = _best_splits(ys, orders, ranks, sides, at, lev, impurity, min_samples_leaf, candidate)
         split = best_feat >= 0
         if not split.any():
             break
         # a segment's rows up to its split position in the winning feature's
-        # order go left: the threshold lies at or above that position's value
-        # and below the next one's
+        # order go left, and its threshold is the midpoint of x there and at
+        # the next position; a two-valued feature's low rows go left, and x is
+        # read at the segment's last low row and first high row by sample id,
+        # the rows its presorted order would hold there
         goes_left = np.zeros(n_trees * n, dtype=bool)
+        threshold = np.zeros(lev.starts.shape[0])
         for f in sorted(set(best_feat[split].tolist())):  # np.unique would import numpy.ma: 1 MiB
-            n_left = np.repeat(np.where(best_feat == f, lev.left_n[best_at], 0.0), lev.sizes)
-            goes_left[orders[f][lev.left_n <= n_left].astype(np.intp)] = True
-        del n_left
+            won = best_feat == f
+            if f in sides:
+                high = sides[f][at]
+                up, down = np.flatnonzero(high), np.flatnonzero(~high)
+                lo_id = at[down[np.searchsorted(down, lev.ends[won]) - 1]]
+                hi_id = at[up[np.searchsorted(up, lev.starts[won])]]
+                goes_left[at[np.repeat(won, lev.sizes) & ~high]] = True
+                del high, up, down
+            else:
+                lo_id, hi_id = orders[f][best_at[won]], orders[f][best_at[won] + 1]
+                n_left = np.repeat(np.where(won, lev.left_n[best_at], 0.0), lev.sizes)
+                goes_left[orders[f][lev.left_n <= n_left].astype(np.intp)] = True
+                del n_left
+            lo, hi = x[rows[lo_id], f], x[rows[hi_id], f]
+            with np.errstate(over="ignore"):
+                mid = (lo + hi) / 2.0
+            # a midpoint that rounds (or overflows) up to hi would send every row
+            # left, and one that overflows down to -inf every row right
+            threshold[won] = np.where((lo <= mid) & (mid < hi), mid, lo)
 
         # each position's child rank, left then right in level order; the pair
         # after the last one stands for the segments that did not split
         n_split = int(split.sum())
         rank_type = np.min_scalar_type(2 * n_split + 1)
-        at = row_order.astype(np.intp)
         child = np.repeat(np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(rank_type), lev.sizes)
         child += ~goes_left[at]
         child_sizes = np.bincount(child, minlength=2 * n_split + 2)[: 2 * n_split]
@@ -794,7 +923,7 @@ def _grow_trees(
             check[:] = False
         values, impure = _node_stats(ys[row_order.astype(np.intp)], child_starts, child_sizes, binary)
         children = sum(len(level[0]) for level in levels) + np.arange(2 * n_split)  # after the nodes so far
-        levels.append((values, child_sizes, np.repeat(trees[split], 2), nodes[split], best_feat[split], best_thr[split]))
+        levels.append((values, child_sizes, np.repeat(trees[split], 2), nodes[split], best_feat[split], threshold[split]))
 
         keep = impure & check
         if not keep.any():
@@ -806,14 +935,14 @@ def _grow_trees(
         key = np.empty(n_trees * n, dtype=rank_type)
         key[at] = kept_rank.astype(rank_type)[child]
         m = int(sizes.sum())
-        for f in range(p):  # one array at a time, so the old one is freed as the next is built
+        for f in orders:  # one array at a time, so the old one is freed as the next is built
             orders[f] = _partition(orders[f], key, m)
         row_order = row_order[np.repeat(keep, child_sizes)]
         nodes = children[keep]
         trees = np.repeat(trees[split], 2)[keep]
         depth += 1
         del lev, at, child, key, goes_left  # free before the next scan
-    del orders, ranks, row_order, rows, ys  # spent: free before the node arrays are built
+    del orders, ranks, sides, row_order, rows, ys  # spent: free before the node arrays are built
     value, n_samples, tree_of, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
     del levels
     feature, threshold = np.full(value.shape, -1), np.full(value.shape, np.nan)

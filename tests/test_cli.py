@@ -498,3 +498,19 @@ def test_bench_nan_encoder_setting_names_its_line(tmp_path, bench_config, capsys
     assert main(["bench", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:5: s2 must be positive\n"
     assert not (tmp_path / "results").exists()
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_error_line():
+    # 1,500 verify lines are about 130 kB written in 8 kB chunks, more than a
+    # pipe holds, so verify is still writing when the reader closes its end
+    # after one line, and its next write finds the pipe broken
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bench_mod.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catenc.cli", "verify", "--suite", "onehot-equivalence", "--trials", "1500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"ok   onehot-equivalence")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    with proc.stderr:
+        assert proc.stderr.read() == b""

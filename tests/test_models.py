@@ -581,6 +581,83 @@ class TestSplitPointScoring:
             assert self.grow(-1.0, x, y, kind, seed) == self.grow(2.0, x, y, kind, seed)
 
 
+class TestTwoValuedColumns:
+    """A column with at most two distinct values is scored from per-node sums
+    in sample order, with no presort, ranks or partition, and grows the trees
+    its presorted order grows, byte for byte: each fit is compared with the
+    same fit whose two-valued detection finds nothing."""
+
+    @staticmethod
+    def digests(x, y_real, y_label, seed):
+        trees = [
+            fit_tree(x, y_real if impurity == "mse" else y_label, impurity, max_depth, 2, min_samples_leaf)
+            for impurity in ("gini", "entropy", "mse")
+            for min_samples_leaf in (1, 3)
+            for max_depth in (None, 3)
+        ]
+        # bootstrap samples and 3 candidate features of 8 per node
+        trees += fit_forest(x, y_real, "regression", n_trees=3, seed=seed).trees
+        trees += fit_forest(x, y_label, "classification", n_trees=3, seed=seed).trees
+        return [tree_digests(t) for t in trees]
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    def test_trees_equal_those_grown_on_presorted_columns(self, data, n, seed):
+        rng = np.random.default_rng(seed)
+        numeric = np.round(rng.normal(size=n), 1)
+        bits = rng.integers(0, 2, n).astype(float)
+        c = data.draw(st.sampled_from([0.5, 3.0, 5e-324, 1e300]), label="c")
+        pair = data.draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=2, max_size=2), label="edge pair")
+        columns = [
+            numeric,
+            bits,
+            bits.copy(),  # identical to the one before: an exact tie keeps the lower feature
+            np.where(rng.random(n) < 0.5, c, -c),
+            rng.choice([-0.0, 0.0, 1.0], size=n),
+            rng.choice([-0.0, 0.0], size=n),  # one value, numerically: never split
+            np.where(numeric > np.median(numeric), 4.0, -4.0),  # splits the rows a numeric split does
+            np.where(rng.random(n) < 0.5, *pair),
+        ]
+        order = data.draw(st.permutations(range(len(columns))), label="column order")
+        x = np.column_stack([columns[i] for i in order])
+        y_real = rng.choice([0.0, -0.0, 0.1, 1 / 3, -2.5, 7.0], size=n)  # signed-zero targets among them
+        y_label = rng.choice([0.0, -0.0, 1.0], size=n)
+        grown = self.digests(x, y_real, y_label, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_two_valued_sides", lambda values: None)
+            assert self.digests(x, y_real, y_label, seed) == grown
+
+    def test_one_hot_columns_are_neither_presorted_nor_partitioned(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(models, name)
+
+            def counting(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(models, name, counting)
+
+        spy("_presort")
+        spy("_partition")
+        code = np.random.default_rng(1).integers(0, 12, 300)
+        x = (code[:, None] == np.arange(12.0)).astype(float)
+        y = ((code % 3 == 0) != (np.arange(300) % 7 == 0)).astype(float)
+        tree = fit_tree(x, y, "gini", max_depth=None, min_samples_split=2)
+        forest = fit_forest(x, y, "classification", n_trees=5, seed=0)
+        assert tree.value.size > 7 and forest.trees[0].value.size > 35  # several levels deep
+        assert calls == []
+        # a numeric column beside them is presorted, and partitioned at each level
+        fit_tree(np.column_stack([x, np.arange(300.0) % 11]), y, "gini", max_depth=None, min_samples_split=2)
+        assert calls.count("_presort") == 1 and calls.count("_partition") > 1
+
+    def test_identical_columns_split_on_the_lower(self):
+        bits = np.r_[np.zeros(6), np.ones(6)]
+        tree = fit_tree(np.column_stack([np.arange(12.0) % 5, bits, bits]), bits, "gini", max_depth=1)
+        assert tree.feature[0] == 1 and tree.threshold[0] == 0.5
+
+
 class TestRouting:
     """Every training row walked through predict_tree reaches a leaf whose
     n_samples counts it: the grower sends rows to the children the thresholds
@@ -1188,6 +1265,19 @@ def large_table(seed: int, n: int = 3000) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def basen_table(seed: int, n: int = 4000) -> tuple[np.ndarray, np.ndarray]:
+    """n rows: a continuous column, the 10 base-2 digits of a 1,000-level code,
+    each as two values -c and c, and a rounded column with ties; a real
+    target from them plus uniform noise. Built from uniform draws with exactly
+    rounded arithmetic, as large_table is."""
+    u = np.random.default_rng(seed).random((n, 4))
+    code = np.floor(u[:, 0] * 1000.0)
+    bits = np.floor(code[:, None] / 2.0 ** np.arange(10.0)) % 2.0
+    x = np.column_stack([u[:, 1], (bits - 0.5) * np.arange(1.0, 11.0) / 4.0, np.floor(u[:, 2] * 50.0) / 10.0])
+    y = 2.0 * u[:, 1] - 0.5 * x[:, -1] + bits @ np.r_[3.0, -2.0, 1.5, 1.0, -1.0, 0.5, 0.5, -0.25, 0.25, 0.125] + u[:, 3]
+    return x, y
+
+
 def tree_digests(tree: Tree) -> dict[str, str]:
     """sha256 of each flat array's bytes (little-endian int64 or float64)."""
     return {
@@ -1255,6 +1345,22 @@ class TestLargeNodes:
             "value": "02d1c3bb572cb94cf5a7daf412e4ff1e24457699c85385aee985f9203cc58bc1",
             "n_samples": "491d5e9c395924d85bcf04e193fd6f004734ea03825325b10c80162ff9b5e6ed",
             "roots": "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
+        }
+
+    def test_basen_mse_tree(self):
+        # 10 two-valued columns (a base-2 code of 1,000 levels) beside 2
+        # numeric ones, as on a base-n grid cell; pinned from the grower that
+        # presorted and partitioned every column
+        x, y = basen_table(16)
+        tree = fit_tree(x, y, impurity="mse", max_depth=10, min_samples_split=10)
+        assert tree.value.size == 1197
+        assert tree_digests(tree) == {
+            "feature": "893028c097dd3c9a5785487b36f36a3824e602eefc21af07e8e5a6df3dcbe13d",
+            "threshold": "3a039a9d2349dd67655f3c81f4b616aeba6e6d2f303ee5c444a7ca49ba5eca3a",
+            "left": "a4a5a629524584b05f82ea2079465b4e69b876b565ae0194204eb8b8ffb5627d",
+            "value": "aa3ba0038b1aa9ed4c631c752b21342555cc32e5efa67cc4d363eab14f8c2ca2",
+            "n_samples": "2f3f9ecae630f1e572b8f6ee772b0bc31b08050314433998321234b5066ca076",
+            "roots": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         }
 
     def test_level_of_32768_splits(self):
