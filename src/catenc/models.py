@@ -31,7 +31,9 @@ its presorted order gives, bit for bit; the node's low rows go left. A node
 is pure when its targets are all equal, and its value is their mean. The trees
 are flat node arrays that predict_tree walks in lock step. A forest's tree t
 draws from np.random.default_rng([seed, t])'s generator, built from memoized
-seed words.
+seed words. A batch's bootstrap rows are drawn in one vectorized pass over the
+trees' raw words, by numpy's own multiply-shift, so each tree's rows and later
+draws are the ones that generator gives.
 """
 from __future__ import annotations
 
@@ -1113,6 +1115,42 @@ class _TreeSeed(np.random.bit_generator.ISeedSequence):
         return _tree_seed_words(self.seed, self.t, n_words, dtype)
 
 
+def _bootstrap_rows(seeds: Sequence[tuple[int, int]], n: int) -> tuple[list[np.random.PCG64], np.ndarray]:
+    """Each tree's bit generator, PCG64(_TreeSeed(seed, t)) for its (seed, t),
+    and the (trees, n) int64 rows np.random.default_rng([seed, t]).integers(0,
+    n, size=n) draws, byte for byte, drawn in one pass over the batch.
+
+    numpy draws each row by Lemire's multiply-shift on the next 32-bit word u
+    (Lemire 2019, "Fast Random Integer Generation in an Interval"): the row is
+    (u * n) >> 32, unless the product's low 32 bits fall below (2**32 - n) %
+    n, where it draws another u. PCG64 cuts each raw 64-bit word into two such
+    words, low half first. So each tree's first (n + 1) // 2 raw words are cut
+    into halves by an explicit little-endian view (any byte order) and written
+    into the tree's row of one (trees, n) array, which is multiplied at once;
+    that array is the only batch-sized one the draw allocates. A tree with a
+    rejected word, or any tree when n >= 2**32 (drawn by other methods), is
+    drawn again by Generator.integers on a fresh generator, which takes
+    numpy's own path. n == 1 draws no word, as numpy's does. Each generator is
+    left where numpy's is for every 64-bit draw (the trees draw only doubles
+    later); after an odd n numpy also keeps the last word's high half for a
+    32-bit draw, which nothing here reads.
+    """
+    bits = [np.random.PCG64(_TreeSeed(*seed)) for seed in seeds]
+    if n == 1:
+        return bits, np.zeros((len(bits), 1), dtype=np.int64)
+    product = np.empty((len(bits), n), dtype=np.uint64)
+    for row, bit in zip(product, bits):
+        row[:] = bit.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+    product *= n
+    low = product.astype("<u8", copy=False).view("<u4")[:, ::2]  # each product's low 32 bits
+    redraw = (low < (2**32 - n) % n).any(axis=1) | (n >= 2**32)
+    rows = np.right_shift(product, 32, out=product).view(np.int64)
+    for k in np.flatnonzero(redraw).tolist():
+        bits[k] = np.random.PCG64(_TreeSeed(*seeds[k]))
+        rows[k] = np.random.Generator(bits[k]).integers(0, n, size=n)
+    return bits, rows
+
+
 def fit_forest(x: np.ndarray, y: np.ndarray, task: str, *, seed: int = 0, **params) -> ForestModel:
     """The forest fit_forests grows on the one job (x, y, seed), with its options."""
     return next(fit_forests([(x, y, seed)], task, **params))
@@ -1135,12 +1173,18 @@ def fit_forests(
     tree's nodes (see _feature_candidates), so cells are reproducible
     regardless of execution order. The generator is
     np.random.default_rng([seed, t])'s, built from _tree_seed_words, a bounded
-    memo of the seed words: a sweep or grid refits the same few seeds, and
-    hashing them anew took about a sixth of a forest sweep on 20-80-row
-    tables. n_trees must be >= 1, max_depth None or >= 0 and min_samples_split
-    >= 1. A regression target needs n * max|y| below 2**510 (about 3.4e153),
-    so the squared sums over a bootstrap sample stay finite: rescale a larger
-    one.
+    memo of the seed words: a sweep or grid refits the same few seeds, and a
+    sweep-forest repetition (4,400 of its 4,800 trees hit the memo) would spend
+    about 40-50 ms of its 0.30 s hashing them anew. The bootstrap rows are
+    exactly what the generator's integers(0, n, size=n) gives, so the pinned
+    sweep values hold, but _bootstrap_rows draws a batch's rows in one pass:
+    about 2.3 us a tree on 20-80 rows, against 6.5 us for a Generator and its
+    integers call per tree (2-vCPU Xeon VM). Without bootstrap no word is
+    drawn, and a tree's generator is wrapped in a Generator only where it draws
+    candidate features. n_trees must be >= 1, max_depth None or >= 0 and
+    min_samples_split >= 1. A regression target needs n * max|y| below 2**510
+    (about 3.4e153), so the squared sums over a bootstrap sample stay finite:
+    rescale a larger one.
 
     The trees are grown together, level by level, in as few batches as memory
     allows (_BATCH_CELLS); each batch is one flat Tree. Consecutive jobs with
@@ -1159,7 +1203,7 @@ def fit_forests(
     checked = ((*_tree_inputs(x, y, impurity, max_depth, min_samples_split, 1), seed) for x, y, seed in jobs)
     for (n, p), run in itertools.groupby(checked, key=lambda job: job[0].shape):
         per_batch = max(1, _BATCH_CELLS // (n * (p + 1)))  # the trees one batch grows on an (n, p) x
-        max_features = int(np.ceil(np.sqrt(p))) if subsample_features else None
+        max_features = int(np.ceil(np.sqrt(p))) if subsample_features else p
         # a group is as many whole forests as one batch holds, or one forest in
         # as many batches as it needs; tree i of it is tree i % n_trees of job i // n_trees
         while group := list(itertools.islice(run, max(1, per_batch // n_trees))):
@@ -1170,15 +1214,21 @@ def fit_forests(
             forests: list[list[Tree]] = [[] for _ in group]
             for first in range(0, total, per_batch):
                 batch = range(first, min(first + per_batch, total))
-                rngs = [np.random.Generator(np.random.PCG64(_TreeSeed(group[i // n_trees][2], i % n_trees))) for i in batch]
-                samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
+                seeds = [(group[i // n_trees][2], i % n_trees) for i in batch]
+                if bootstrap:
+                    bits, samples = _bootstrap_rows(seeds, n)
+                else:  # no word is drawn before the candidate features
+                    bits = [np.random.PCG64(_TreeSeed(*seed)) for seed in seeds]
+                    samples = np.tile(np.arange(n), (len(batch), 1))
                 samples += (np.arange(batch.start, batch.stop) // n_trees * n)[:, None]  # each job's rows
+                # a tree's generator is needed only where it draws candidate features
+                rngs = [np.random.Generator(bit) if max_features < p else None for bit in bits]
                 grown = _grow_trees(
                     x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, min(n_trees, len(batch))
                 )
                 for j, tree in enumerate(grown, start=first // n_trees):
                     forests[j].append(tree)
-            del x, y, rngs, samples, grown  # spent: only the forests stay while they are yielded
+            del x, y, bits, rngs, samples, grown  # spent: only the forests stay while they are yielded
             yield from (ForestModel(trees=trees, task=task) for trees in forests)
 
 

@@ -1057,6 +1057,16 @@ class TestForest:
         assert forest_preorders(a) != forest_preorders(c)
 
 
+def takes_redraw(seed: int, t: int, n: int) -> bool:
+    """Whether np.random.default_rng([seed, t]).integers(0, n, size=n), n even,
+    rejects a 32-bit word: it then reads more than n // 2 raw words."""
+    want = np.random.default_rng([seed, t])
+    want.integers(0, n, size=n)
+    plain = np.random.PCG64(np.random.SeedSequence([seed, t]))
+    plain.random_raw(n // 2)
+    return plain.state["state"] != want.bit_generator.state["state"]
+
+
 class TestTreeSeeds:
     """Tree t's generator comes from memoized SeedSequence([seed, t]) words and
     draws what np.random.default_rng([seed, t]) draws."""
@@ -1093,6 +1103,29 @@ class TestTreeSeeds:
         with pytest.raises(TypeError):  # 1.0 does not hit the memo entry of the seed 1
             fit_forest(x, x[:, 0], "regression", n_trees=3, seed=1.0)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 80, 65_537])
+    def test_bootstrap_rows_are_numpys(self, n, seed):
+        seeds = [(seed, t) for t in range(4)]
+        bits, rows = models._bootstrap_rows(seeds, n)
+        assert (rows.dtype, rows.shape) == (np.int64, (4, n))
+        for (s, t), bit, got in zip(seeds, bits, rows):
+            want = np.random.default_rng([s, t])
+            assert got.tobytes() == want.integers(0, n, size=n).tobytes(), t
+            # the trees' later draws (candidate features) come out as numpy's
+            assert np.random.Generator(bit).random((6, 4)).tobytes() == want.random((6, 4)).tobytes(), t
+
+    def test_rejected_draws_take_numpys_redraw(self):
+        # at 32,000 rows one 32-bit word in about 184,000 is rejected, about one tree in six
+        n, seeds = 32_000, [(3, t) for t in range(100)]
+        bits, rows = models._bootstrap_rows(seeds, n)
+        for (s, t), bit, got in zip(seeds, bits, rows):
+            want = np.random.default_rng([s, t])
+            assert got.tobytes() == want.integers(0, n, size=n).tobytes(), t
+            assert bit.state["state"] == want.bit_generator.state["state"], t
+            assert np.random.Generator(bit).random((6, 4)).tobytes() == want.random((6, 4)).tobytes(), t
+        assert any(takes_redraw(s, t, n) for s, t in seeds)
+
     def test_memo_is_bounded_and_read_only(self):
         assert models._tree_seed_words.cache_info().maxsize is not None
         words = models._TreeSeed(3, 4).generate_state(4, np.uint64)
@@ -1111,6 +1144,61 @@ def assert_same_forest(got, want, x: np.ndarray) -> None:
             if isinstance(u, np.ndarray):
                 assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field.name
     assert predict(got, x).tobytes() == predict(want, x).tobytes()
+
+
+def per_tree_forest(x, y, task, seed, n_trees, max_depth=None, bootstrap=True):
+    """The reference forest: tree t's np.random.default_rng([seed, t]) draws
+    its bootstrap rows with integers (none without bootstrap), then its
+    ceil(sqrt(p)) candidate features a node, and the grower grows the trees
+    in one batch."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    n, p = x.shape
+    samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
+    max_features = int(np.ceil(np.sqrt(p)))
+    trees = models._grow_trees(x, y, samples, models._IMPURITY[task], max_depth, 2, 1, rngs, max_features, n_trees)
+    return models.ForestModel(trees, task)
+
+
+class TestForestDraws:
+    """Each forest fit_forests grows is the reference's, whose trees draw one
+    at a time from numpy's own generators, with its predictions."""
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_subsampled_features(self, task, n):
+        x, y, seed = TestBatchedForests.job(task, n, 5, 3)  # 3 candidate features of 5
+        got = fit_forest(x, y, task, n_trees=12, seed=seed)
+        assert_same_forest(got, per_tree_forest(x, y, task, seed, 12), x)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_redrawn_tree_draws_its_candidates_after_the_redraw(self, task):
+        x, y, seed = TestBatchedForests.job(task, 32_000, 5, 3)
+        assert takes_redraw(seed, 1, 32_000) and 2 * 32_000 * 6 <= models._BATCH_CELLS  # two trees, one batch
+        got = fit_forest(x, y, task, n_trees=2, seed=seed, max_depth=2)
+        assert_same_forest(got, per_tree_forest(x, y, task, seed, 2, max_depth=2), x[:500])
+
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_no_bootstrap_draws_no_word_before_the_candidates(self, monkeypatch, n):
+        x, y, seed = TestBatchedForests.job("regression", n, 5, 4)
+        states, grow = [], models._grow_trees
+
+        def spy(*args):
+            states.extend(rng.bit_generator.state for rng in args[7])
+            return grow(*args)
+
+        monkeypatch.setattr(models, "_grow_trees", spy)
+        got = fit_forest(x, y, "regression", n_trees=12, seed=seed, bootstrap=False)
+        assert states == [np.random.default_rng([seed, t]).bit_generator.state for t in range(12)]
+        assert_same_forest(got, per_tree_forest(x, y, "regression", seed, 12, bootstrap=False), x)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_batch_of_equal_shape_jobs(self, monkeypatch, task):
+        jobs = [TestBatchedForests.job(task, 33, 5, s) for s in (5, 6, 7, 6)]
+        grown = TestBatchedForests.batches(monkeypatch)
+        got = list(fit_forests(jobs, task, n_trees=15))
+        assert grown == [60]
+        for (x, y, seed), forest in zip(jobs, got, strict=True):
+            assert_same_forest(forest, per_tree_forest(x, y, task, seed, 15), x)
 
 
 class TestBatchedForests:
