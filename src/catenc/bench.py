@@ -338,13 +338,14 @@ def run_grid(
     """Evaluate every cell; returns (records, failures, minaspl per dataset).
 
     Work is done per (dataset, encoder, seed) unit, whose encoding every model
-    shares; `workers` processes run the units. Output order is sorted by
-    (dataset, encoder, model, seed) no matter how many workers ran, so runs are
-    reproducible modulo the timing columns. Each dataset is loaded here, and
-    only here, and its table handed to its units (pickled to a worker): one
-    that cannot be loaded (SchemaError, OSError), or whose target has a missing
-    or non-numeric value, stops the run before out_dir is made, and an out_dir
-    that cannot be made stops it before any cell.
+    shares; up to `workers` processes, never more than there are units, run
+    them. Output order is sorted by (dataset, encoder, model, seed) no matter
+    how many workers ran, so runs are reproducible modulo the timing columns.
+    Each dataset is loaded here, and only here, and its table handed to its
+    units (pickled to a worker): one that cannot be loaded (SchemaError,
+    OSError), or whose target has a missing or non-numeric value, stops the
+    run before out_dir is made, and an out_dir that cannot be made stops it
+    before any cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -359,7 +360,8 @@ def run_grid(
         for s in grid.seeds
     ]
     args = zip(*units)
-    if workers == 1:
+    workers = min(workers, len(units))  # a pool may start all its processes at once
+    if workers <= 1:
         per_unit = list(map(_run_unit, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor

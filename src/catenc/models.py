@@ -331,10 +331,14 @@ def train_mlp(
     """Adam with seeded epoch shuffling, fixed epoch count, no early stopping.
 
     Refuses what _learner_inputs refuses (0/1 labels for a classifier); epochs
-    and batch_size must be >= 1, lr finite and > 0, and l2 finite and >= 0.
+    and batch_size must be >= 1, lr and eps finite and > 0, beta1 and beta2 in
+    [0, 1), and l2 finite and >= 0.
     """
     _require(epochs >= 1, "epochs", epochs, ">= 1")
     _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")
+    _require(np.isfinite(eps) and eps > 0.0, "eps", eps, "finite and > 0")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        _require(0.0 <= beta < 1.0, name, beta, "in [0, 1)")
     _require(np.isfinite(l2) and l2 >= 0.0, "l2", l2, "finite and >= 0")
     _require(batch_size is None or batch_size >= 1, "batch_size", batch_size, ">= 1 or None")
     x, y = _learner_inputs(x, y, model.task == "classification")
@@ -816,32 +820,35 @@ def _grow_trees(
     level, and return them as one Tree per forest_trees consecutive trees.
 
     The trees share one layout: one array of sample ids in sample order, in
-    which every node that may still split holds a contiguous segment, and per
-    feature with more than two distinct values (over the batch's samples) an
-    array of the same ids with each segment sorted by the feature's value,
-    ties in sample order (one stable presort per tree). Beside each such
-    feature's ids sit its value ranks, indexed by sample id, on which a level
-    tests for ties. A two-valued feature keeps only each sample's side (see
-    _two_valued_sides) and is scored from the sample-order array. A level
-    scores every split position of every segment in a few numpy passes per
-    feature, except on the segments (or whole features) where the feature has
-    no split point. A split segment's rows up to its winning position, in the
-    winning feature's order, go to the left child: for a two-valued feature,
-    its low rows. Then each id array is partitioned by one stable argsort on
-    each sample's child rank in level order (left child, then right), into
-    the children that may split in turn: the rank's smallest dtype is 8- or
-    16-bit, which numpy radix-sorts, up to 32,767 splits a level. Leaves and
-    unsplit segments take a rank past every kept child's and drop out; when
-    no child may split, nothing is partitioned. The id arrays are stored in
-    the smallest dtype that holds n_trees * n - 1 (uint16 up to 65,536
-    samples), which keeps the grower's peak below that of int32 ids without
-    ranks, and each is cast to intp, one at a time, where it indexes (numpy
-    gathers and scatters about twice as fast with intp indices); rows, which
-    maps sample ids to rows of x, is intp. A child is a leaf when it is pure
-    (all its targets equal), smaller than min_samples_split or at max_depth.
-    Each level appends its children's values, sizes and trees and its split
-    parents, features and thresholds to levels; the nodes are then cut into
-    their forests by each node's tree.
+    which every node of a level holds a contiguous segment, and per feature
+    with more than two distinct values (over the batch's samples) an array of
+    the same ids with each segment sorted by the feature's value, ties in
+    sample order (one stable presort per tree). Beside each such feature's ids
+    sit its value ranks, indexed by sample id, on which a level tests for
+    ties. A two-valued feature keeps only each sample's side (see
+    _two_valued_sides) and is scored from the sample-order array.
+
+    The roots are the first level: one segment per tree, its ids in sample
+    order, as the presorted arrays hold them. Each level records its nodes (a
+    node's id is the count of nodes recorded before its level plus its place
+    in it) and keeps those that are impure (targets not all equal), have
+    min_samples_split rows and are above max_depth; the rest are leaves. Each
+    presorted array is compacted to the kept segments by one stable argsort
+    on a key, each sample's kept segment or a rank past every kept one's (the
+    roots skip this when all are kept). The level scores every split position
+    of every kept segment in a few numpy passes per feature, except where the
+    feature has no split point. A split segment's rows up to its winning
+    position, in the winning feature's order, go to the left child (for a
+    two-valued feature, its low rows), and the sample-order array is sorted
+    by each sample's child rank (left, then right, in level order) into the
+    next level. Keys and ranks take their smallest dtype, 8- or 16-bit up to
+    32,767 splits a level, which numpy radix-sorts. The id arrays take the
+    smallest dtype that holds n_trees * n - 1 (uint16 up to 65,536 samples),
+    which keeps the grower's peak below that of int32 ids without ranks, and
+    each is cast to intp, one at a time, where it indexes (numpy gathers and
+    scatters about twice as fast with intp indices); rows, which maps sample
+    ids to rows of x, is intp. The nodes are then cut into their forests by
+    each node's tree.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -860,24 +867,35 @@ def _grow_trees(
         del values  # one column's values at a time
     row_order = np.arange(n_trees * n, dtype=id_type)
 
-    sizes = np.full(n_trees, n)
-    check = np.full(n_trees, (max_depth is None or max_depth > 0) and n >= min_samples_split)
-    values, impure = _node_stats(ys, np.arange(n_trees) * n, sizes, binary)
-    levels = [(values, sizes, np.arange(n_trees), np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
-    keep = impure & check
-    if not keep.all():
-        kept = np.repeat(keep, sizes)
-        orders = {f: order[kept] for f, order in orders.items()}
-        row_order = row_order[kept]
-    nodes = trees = np.flatnonzero(keep)  # a root's node id is its tree's
-    sizes = sizes[keep]
-    starts = np.cumsum(sizes) - sizes
-    depth = 0
-    while nodes.size:
+    # the roots are the first level: one segment per tree, holding its ids in
+    # sample order, as every order array already does; they have no parents
+    sizes, trees = np.full(n_trees, n), np.arange(n_trees)
+    parents, feats, thrs = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+    levels, n_nodes, depth = [], 0, 0
+    while True:
+        values, impure = _node_stats(ys[row_order.astype(np.intp)], np.cumsum(sizes) - sizes, sizes, binary)
+        levels.append((values, sizes, trees, parents, feats, thrs))
+        nodes = n_nodes + np.arange(sizes.shape[0])  # after the nodes of the levels before
+        n_nodes += sizes.shape[0]
+        keep = impure & (sizes >= min_samples_split) & (max_depth is None or depth < max_depth)
+        if not keep.any():
+            break
+        if depth or not keep.all():  # the roots' order arrays already hold their segments
+            # each sample's kept segment, or a rank past every kept one's: the
+            # ids of a leaf, and of a segment that found no split, drop out
+            row_order = row_order[np.repeat(keep, sizes)]
+            sizes = sizes[keep]
+            rank_type = np.min_scalar_type(sizes.shape[0])
+            key = np.full(n_trees * n, sizes.shape[0], dtype=rank_type)
+            key[row_order.astype(np.intp)] = np.repeat(np.arange(sizes.shape[0], dtype=rank_type), sizes)
+            for f in orders:  # one array at a time, so the old one is freed as the next is built
+                orders[f] = _partition(orders[f], key, row_order.shape[0])
+            del key
+        nodes, trees = nodes[keep], trees[keep]
         candidate = None
         if max_features is not None and max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
-        lev = _level(starts, sizes)
+        lev = _level(np.cumsum(sizes) - sizes, sizes)
         at = row_order.astype(np.intp)
         best_feat, best_at = _best_splits(ys, orders, ranks, sides, at, lev, impurity, min_samples_leaf, candidate)
         split = best_feat >= 0
@@ -917,33 +935,11 @@ def _grow_trees(
         rank_type = np.min_scalar_type(2 * n_split + 1)
         child = np.repeat(np.where(split, 2 * (np.cumsum(split) - 1), 2 * n_split).astype(rank_type), lev.sizes)
         child += ~goes_left[at]
-        child_sizes = np.bincount(child, minlength=2 * n_split + 2)[: 2 * n_split]
-        child_starts = np.cumsum(child_sizes) - child_sizes
-        row_order = row_order[np.argsort(child, kind="stable")[: child_sizes.sum()]]
-        check = child_sizes >= min_samples_split
-        if max_depth is not None and depth + 1 >= max_depth:
-            check[:] = False
-        values, impure = _node_stats(ys[row_order.astype(np.intp)], child_starts, child_sizes, binary)
-        children = sum(len(level[0]) for level in levels) + np.arange(2 * n_split)  # after the nodes so far
-        levels.append((values, child_sizes, np.repeat(trees[split], 2), nodes[split], best_feat[split], threshold[split]))
-
-        keep = impure & check
-        if not keep.any():
-            break
-        sizes = child_sizes[keep]
-        starts = np.cumsum(sizes) - sizes
-        # each sample's kept child, or a rank past every kept child's
-        kept_rank = np.where(np.r_[keep, False, False], np.arange(2 * n_split + 2), 2 * n_split)
-        key = np.empty(n_trees * n, dtype=rank_type)
-        key[at] = kept_rank.astype(rank_type)[child]
-        m = int(sizes.sum())
-        for f in orders:  # one array at a time, so the old one is freed as the next is built
-            orders[f] = _partition(orders[f], key, m)
-        row_order = row_order[np.repeat(keep, child_sizes)]
-        nodes = children[keep]
-        trees = np.repeat(trees[split], 2)[keep]
+        sizes = np.bincount(child, minlength=2 * n_split + 2)[: 2 * n_split]
+        row_order = row_order[np.argsort(child, kind="stable")[: sizes.sum()]]
+        trees, parents, feats, thrs = np.repeat(trees[split], 2), nodes[split], best_feat[split], threshold[split]
         depth += 1
-        del lev, at, child, key, goes_left  # free before the next scan
+        del lev, at, child, goes_left  # free before the next level's arrays are built
     del orders, ranks, sides, row_order, rows, ys  # spent: free before the node arrays are built
     value, n_samples, tree_of, parents, feats, thrs = (np.concatenate(a) for a in zip(*levels))
     del levels

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import math
 import os
 import re
@@ -517,6 +519,33 @@ class TestRunGrid:
         serial, _, _ = run_grid(grid, workers=1, record_timing=False)
         parallel, _, _ = run_grid(grid, workers=2, record_timing=False)
         assert serial == parallel
+
+    @pytest.mark.parametrize("seeds, pools", [((0, 1), [2]), ((0,), [])])
+    def test_no_more_workers_than_units(self, tmp_path, monkeypatch, seeds, pools):
+        # before, a pool of all the workers asked for was built, whose processes
+        # a fork-started pool launches at its first submit
+        built = []
+
+        class RecordingPool:  # records its size and maps in-process: no process starts
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid(tmp_path, models=("tree",), encoders=("mean",), datasets=("reg",))
+        grid = dataclasses.replace(grid, seeds=seeds)
+        records, failures, _ = run_grid(grid, workers=8, record_timing=False)
+        assert built == pools
+        assert failures == [] and len(records) == len(seeds)
+        assert records == run_grid(grid, record_timing=False)[0]
 
 
 class TestRankEncoders:

@@ -1146,7 +1146,7 @@ def assert_same_forest(got, want, x: np.ndarray) -> None:
     assert predict(got, x).tobytes() == predict(want, x).tobytes()
 
 
-def per_tree_forest(x, y, task, seed, n_trees, max_depth=None, bootstrap=True):
+def per_tree_forest(x, y, task, seed, n_trees, max_depth=None, bootstrap=True, min_samples_split=2):
     """The reference forest: tree t's np.random.default_rng([seed, t]) draws
     its bootstrap rows with integers (none without bootstrap), then its
     ceil(sqrt(p)) candidate features a node, and the grower grows the trees
@@ -1155,7 +1155,8 @@ def per_tree_forest(x, y, task, seed, n_trees, max_depth=None, bootstrap=True):
     n, p = x.shape
     samples = np.array([rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs])
     max_features = int(np.ceil(np.sqrt(p)))
-    trees = models._grow_trees(x, y, samples, models._IMPURITY[task], max_depth, 2, 1, rngs, max_features, n_trees)
+    impurity = models._IMPURITY[task]
+    trees = models._grow_trees(x, y, samples, impurity, max_depth, min_samples_split, 1, rngs, max_features, n_trees)
     return models.ForestModel(trees, task)
 
 
@@ -1264,6 +1265,25 @@ class TestBatchedForests:
         assert len(got[1].trees) == 2
         for (x, y, seed), forest in zip(jobs, got):
             assert_same_forest(forest, fit_forest(x, y, task, n_trees=60, seed=seed, max_depth=6), x[:500])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("limits", [{}, {"max_depth": 0}, {"min_samples_split": 21}])
+    def test_a_batch_whose_roots_are_partly_pure(self, task, limits):
+        # one batch: every root of a constant target is pure, and a lone positive
+        # among 20 rows is missing from some bootstrap draws, whose roots are pure
+        lone = np.zeros(20)
+        lone[7] = 1.0
+        targets = [np.full(20, 1.0), lone, np.tile([0.0, 1.0], 10)]
+        jobs = [(self.job(task, 20, 2, s)[0], y, s) for s, y in enumerate(targets)]
+        got = list(fit_forests(jobs, task, n_trees=12, **limits))
+        leaf_roots = [sum(int(t.feature[r] < 0) for t in f.trees for r in t.roots) for f in got]
+        if limits:
+            assert leaf_roots == [12, 12, 12]
+        else:
+            assert leaf_roots[0] == 12 and 0 < leaf_roots[1] < 12 and leaf_roots[2] == 0
+        for (x, y, seed), forest in zip(jobs, got):
+            assert_same_forest(forest, fit_forest(x, y, task, n_trees=12, seed=seed, **limits), x)
+            assert_same_forest(forest, per_tree_forest(x, y, task, seed, 12, **limits), x)
 
     def test_jobs_are_checked_as_fit_forest_checks_them(self):
         x, y, _ = self.job("classification", 20, 2, 0)
@@ -1962,6 +1982,9 @@ class TestPredictionContract:
             ("tree", "min_samples_leaf", [0, -2], 1),
             ("tree", "min_samples_split", [0, -5], 1),
             ("forest", "min_samples_split", [0, -5], 1),
+            ("mlp", "beta1", [1.0, -0.1, np.nan], 0.0),
+            ("mlp", "beta2", [1.0, 2.0, np.nan], 0.0),
+            ("mlp", "eps", [0.0, -1e-8, np.nan, np.inf], 1e-300),
         ],
     )
     def test_out_of_range_hyperparameters_are_refused(self, name, key, refused, smallest):
