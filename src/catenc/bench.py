@@ -20,7 +20,7 @@ import os
 import time
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -144,7 +144,8 @@ def _parse_overrides(owner: str, options: Mapping[str, object], tokens: Sequence
             raise ConfigError(f"{owner} takes no option {key!r} (it takes {', '.join(options)})")
         hint = options[key]
         if not _accepts(hint, value):
-            hint = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            # type(), not isinstance(): Python 3.10 counts tuple[int, int] as a type
+            hint = hint.__name__ if type(hint) is type else str(hint).replace("typing.", "")
             raise ConfigError(f"{owner} option {key} must be {hint}, got {value!r}")
         out[key] = value
     return out
@@ -277,15 +278,15 @@ def _read_dataset(csv_path: str, schema_path: str, stamps: tuple) -> DataTable:
 def _run_unit(
     name: str,
     table: DataTable,
+    task: str,
     enc_spec: enc_mod.EncoderSpec,
     models: Sequence[ModelSpec],
     seed: int,
     split_ratio: float,
-    record_timing: bool,
 ) -> list[MetricRecord | CellFailure]:
     """Score every model on one (dataset, encoder, seed): split and fit the
-    pipeline once, then fit, predict and score each model on the shared matrices.
-    A failure before the model loop fails every model's cell with that error."""
+    pipeline once, then fit, predict, score and time each model on the shared
+    matrices. A failure before the model loop fails every model's cell with it."""
 
     def failure(model_spec: ModelSpec, exc: Exception) -> CellFailure:
         error = f"{type(exc).__name__}: {exc}"
@@ -293,7 +294,6 @@ def _run_unit(
 
     try:  # a bad cell must not sink the grid
         pair = split_train_test(table, split_ratio, seed)
-        task = table.task()
         y_train = pair.train.target_values()
         y_test = pair.test.target_values()
         t0 = time.perf_counter()
@@ -321,8 +321,8 @@ def _run_unit(
                     seed=seed,
                     metric=metric,
                     value=value,
-                    encode_time=encode_time if record_timing else 0.0,
-                    train_time=train_time if record_timing else 0.0,
+                    encode_time=encode_time,
+                    train_time=train_time,
                 )
             )
         except Exception as exc:
@@ -340,21 +340,21 @@ def run_grid(
     Work is done per (dataset, encoder, seed) unit, whose encoding every model
     shares; up to `workers` processes, never more than there are units, run
     them. Output order is sorted by (dataset, encoder, model, seed) no matter
-    how many workers ran, so runs are reproducible modulo the timing columns.
-    Each dataset is loaded here, and only here, and its table handed to its
-    units (pickled to a worker): one that cannot be loaded (SchemaError,
-    OSError), or whose target has a missing or non-numeric value, stops the
-    run before out_dir is made, and an out_dir that cannot be made stops it
-    before any cell.
+    how many workers ran, so runs are reproducible modulo the timing columns,
+    which are zero when `record_timing` is False. Each dataset is loaded here,
+    and only here, its task read from its target, and both handed to its units
+    (pickled to a worker): one that cannot be loaded (SchemaError, OSError), or
+    whose target has a missing or non-numeric value, stops the run before
+    out_dir is made, and an out_dir that cannot be made stops it before any cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tables = {d.name: _load_dataset(d.csv_path, d.schema_path) for d in grid.datasets}
-    for table in tables.values():
-        table.target_values()  # a missing or non-numeric target stops the run here
+    # task() reads the target: a missing or non-numeric one stops the run here
+    tasks = {name: table.task() for name, table in tables.items()}
     os.makedirs(grid.out_dir, exist_ok=True)
     units = [
-        (name, table, e, grid.models, s, grid.split_ratio, record_timing)
+        (name, table, tasks[name], e, grid.models, s, grid.split_ratio)
         for name, table in tables.items()
         for e in grid.encoders
         for s in grid.seeds
@@ -368,11 +368,11 @@ def run_grid(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_unit = list(pool.map(_run_unit, *args))
-    results = [r for unit in per_unit for r in unit]
+    results = sorted((r for unit in per_unit for r in unit), key=lambda r: (r.dataset, r.encoder, r.model, r.seed))
     records = [r for r in results if isinstance(r, MetricRecord)]
     failures = [r for r in results if isinstance(r, CellFailure)]
-    records.sort(key=lambda r: (r.dataset, r.encoder, r.model, r.seed))
-    failures.sort(key=lambda r: (r.dataset, r.encoder, r.model, r.seed))
+    if not record_timing:
+        records = [replace(r, encode_time=0.0, train_time=0.0) for r in records]
     sufficiency = {}
     for name, table in tables.items():
         try:

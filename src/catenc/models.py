@@ -286,7 +286,7 @@ def mlp_loss_and_grads(
 
     Regression: 0.5 * mean squared error. Classification: mean binary log-loss on
     the sigmoid output. Both add 0.5 * l2 * sum(||W||^2) / batch_size, biases
-    excluded from the penalty.
+    excluded from the penalty. A non-finite loss is a ValueError.
     """
     n = x.shape[0]
     y = y.reshape(-1, 1)
@@ -311,7 +311,7 @@ def mlp_loss_and_grads(
     gw1 = x.T @ dh + l2 * model.w1 / n
     gb1 = dh.sum(axis=0)
     if not np.isfinite(loss):
-        raise RuntimeError(f"non-finite MLP loss: {loss}")
+        raise ValueError(f"non-finite MLP loss: {loss}")
     return loss, [gw1, gb1, gw2, gb2]
 
 
@@ -332,7 +332,7 @@ def train_mlp(
 
     Refuses what _learner_inputs refuses (0/1 labels for a classifier); epochs
     and batch_size must be >= 1, lr and eps finite and > 0, beta1 and beta2 in
-    [0, 1), and l2 finite and >= 0.
+    [0, 1), and l2 finite and >= 0; a non-finite batch loss is a ValueError.
     """
     _require(epochs >= 1, "epochs", epochs, ">= 1")
     _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")

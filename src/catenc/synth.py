@@ -130,15 +130,15 @@ def _score(model, x: np.ndarray, y: np.ndarray) -> tuple[str, float]:
     return "mse", mse(y, pred)
 
 
-@lru_cache(maxsize=1 << 14)
-def _truth_slot(
-    problem: str, sigma: float, base_seed: int, test_size: int, model_kind: str, aspl: int, seed: int
+@lru_cache(maxsize=1 << 10)
+def _truth_cells(
+    problem: str, sigma: float, base_seed: int, test_size: int, seeds_per_aspl: int, model_kind: str, aspl: int
 ) -> list[tuple[str, float]]:
-    """The memo slot of one truth cell, keyed on everything the cell depends on.
+    """The memo slot of one ASPL value's truth cells, keyed on everything they depend on.
 
-    run_aspl_sweep stores the cell's (metric, value) in the returned list the
-    first time it computes it, so later sweeps in the process skip the truth
-    fit; ``_truth_slot.cache_clear()`` empties the memo.
+    run_aspl_sweep stores each seed's (metric, value) in the returned list the
+    first time it computes them, so later sweeps in the process skip the truth
+    fits; ``_truth_cells.cache_clear()`` empties the memo.
     """
     return []
 
@@ -152,13 +152,13 @@ def run_aspl_sweep(
 
     Train cell (a, s) draws from default_rng([base_seed, a, s]); the shared test
     table comes from its own salted stream, so results do not depend on the order
-    cells execute in. The truth cell does not depend on the encoder, so it is
-    computed at most once per process for each (problem, sigma, base_seed,
-    test_size, model_kind, a, s) and shared by every later sweep with that key.
-    Per ASPL value, every seed's table is drawn and its pipelines fit, and the
-    models of all its cells, the encoder's and then the truth fits the memo
-    misses, come from one models.fit_models call, which grows forests several
-    to a batch; each model is scored as it is yielded and then dropped.
+    cells execute in. The truth cells do not depend on the encoder, so those of
+    an ASPL value are computed at most once per process for each (problem, sigma,
+    base_seed, test_size, seeds_per_aspl, model_kind, a) and shared by every
+    later sweep with that key. Per ASPL value, every seed's table is drawn and its
+    pipelines fit, and the models of all its cells, the encoder's and then, unless
+    memoized, the truth runs, come from one models.fit_models call, which grows
+    forests several to a batch; each model is scored as it is yielded and dropped.
     Returns per-seed cells plus per-ASPL aggregates with a normal-approximation
     95% interval and the signed gap to the truth run (positive means the
     requested encoder does worse). A learner not fit for the problem is refused
@@ -178,15 +178,15 @@ def run_aspl_sweep(
     cells: list[SweepCell] = []
     seeds = range(config.seeds_per_aspl)
     for a in config.aspl_values:
-        slots = [
-            _truth_slot(config.problem, config.sigma, config.base_seed, config.test_size, model_kind, a, s)
-            for s in seeds
-        ]
+        truths = _truth_cells(
+            config.problem, config.sigma, config.base_seed, config.test_size, config.seeds_per_aspl, model_kind, a
+        )
         trains = [generate(4 * a, np.random.default_rng([config.base_seed, a, s])) for s in seeds]
-        # every seed's encoder run, then the truth runs the memo misses, so
-        # that runs of equal widths share forest batches
+        # every seed's encoder run, then, unless memoized, every seed's truth run,
+        # so that runs of equal widths share forest batches
         runs = [(s, trains[s], test) for s in seeds]
-        runs += [(s, _oracle(trains[s], truth), truth_test) for s in seeds if not slots[s]]
+        if not truths:
+            runs += [(s, _oracle(trains[s], truth), truth_test) for s in seeds]
         jobs, x_tests = [], []
         for s, train, run_test in runs:
             pipeline, x_train = fit_pipeline(train, encoder_spec)
@@ -194,13 +194,11 @@ def run_aspl_sweep(
             x_tests.append(apply_pipeline(pipeline, run_test))
         # map keeps no model once it is scored: at most one batch of forests is alive
         scores = list(map(_score, mod.fit_models(model_kind, config.problem, jobs), x_tests, repeat(y_test)))
-        for (s, _, run_test), score in zip(runs, scores):
-            if run_test is truth_test:
-                slots[s].append(score)
+        truths += scores[len(seeds) :]  # fills an empty slot; a memo hit scored no truth run
         cells += [
             SweepCell(problem=config.problem, encoder=enc_name, model=model_kind, aspl=a, seed=s, metric=metric, value=value)
             for s in seeds
-            for enc_name, (metric, value) in ((encoder_spec.variant, scores[s]), ("truth", slots[s][0]))
+            for enc_name, (metric, value) in ((encoder_spec.variant, scores[s]), ("truth", truths[s]))
         ]
     return cells, summarize_sweep(cells)
 

@@ -270,6 +270,22 @@ class TestConfigParsing:
             parse_grid_config(str(p))
 
     @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[encoders]\nmean foo\n", "2: expected key=value, got 'foo'"),
+            ("[datasets]\nd d.csv d.schema\n", "2: expected 'name = csv schema'"),
+            ("[datasets]\nd = d.csv\n", "2: expected two paths after '='"),
+            ("[run]\nspeed = 3\n", "2: unknown run key 'speed'"),
+            ("[encoders]\nsimilarity ngram_range=a:b\n", "2: similarity option ngram_range must be tuple[int, int], got 'a:b'"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, text, where):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:{re.escape(where)}$"):
+            parse_grid_config(str(p))
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             ("seeds = 0 -1 -3", r"seeds must be non-negative, got -1, -3"),
@@ -502,6 +518,17 @@ class TestRunGrid:
         # 3 levels: 60 rows, then 90
         assert before["reg"] == pytest.approx(20.0)
         assert after["reg"] == pytest.approx(30.0)
+
+    def test_timed_grid_records_its_times(self, tmp_path):
+        grid = small_grid(tmp_path, models=("tree", "forest"), datasets=("reg",))
+        records, _, _ = run_grid(grid, record_timing=True)
+        assert len(records) == 2 * 2 * 2
+        assert all(r.encode_time > 0.0 and r.train_time > 0.0 for r in records)
+        # both models of a (dataset, encoder, seed) unit share its one encoding and its time
+        encode_times = {}
+        for r in records:
+            encode_times.setdefault((r.dataset, r.encoder, r.seed), set()).add(r.encode_time)
+        assert len(encode_times) == 2 * 2 and all(len(t) == 1 for t in encode_times.values())
 
     def test_timing_mask_zeroes_time_columns(self, tmp_path):
         grid = small_grid(tmp_path, models=("tree",), datasets=("reg",))

@@ -12,6 +12,7 @@ from catenc import bench as bench_mod
 from catenc import encoders as enc_mod
 from catenc.cli import main
 from catenc.data import fit_preprocessor, impute, infer_schema, load_csv
+from catenc.metrics import MetricRecord, write_records_csv
 
 
 @pytest.fixture
@@ -132,6 +133,15 @@ def test_encode_rejects_numeric_column(tmp_path, city_csv, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err == "error: column 'y' is numeric, nothing to encode\n"
+
+
+def test_encode_unknown_column_is_one_error_line(tmp_path, city_csv, capsys):
+    out = tmp_path / "enc"
+    rc = main(["encode", "--encoder", "onehot", "--input", str(city_csv), "--column", "nosuch", "--target", "y",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: no column 'nosuch' in {city_csv}\n"
+    assert not out.exists()
 
 
 def test_encode_refuses_the_target_column(tmp_path, capsys):
@@ -429,6 +439,16 @@ def test_report_reaggregates(tmp_path, bench_config, capsys):
     assert "insufficient" in out
 
 
+def test_report_sorts_an_unknown_encoder_last(tmp_path, capsys):
+    # no width is known for an encoder catenc does not have, so it sorts after every known one
+    records = [MetricRecord("d", enc, "tree", 0, "rmse", 1.0, 0.1, 0.2) for enc in ("custom", "onehot", "mean")]
+    write_records_csv(str(tmp_path / "records.csv"), MetricRecord, records)
+    assert main(["report", "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "re")]) == 0
+    with open(tmp_path / "re" / "time_report.csv", newline="") as fh:
+        rows = [(row["encoder"], row["dimension_key"]) for row in csv.DictReader(fh)]
+    assert rows == [("mean", "1.0"), ("onehot", "100.0"), ("custom", "inf")]
+
+
 def test_report_without_a_value_column_exits_1(tmp_path, bench_config, capsys):
     main(["bench", "--config", str(bench_config), "--no-timing"])
     records = tmp_path / "results" / "records.csv"
@@ -480,6 +500,19 @@ def test_sweep_non_finite_sigma_is_one_error_line(tmp_path, capsys, sigma):
                "--aspl", "5", "--seeds", "1", "--sigma", sigma, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: sigma must be nonnegative and finite, got {sigma}\n"
+    assert not out.exists()
+
+
+def test_sweep_non_finite_mlp_loss_is_one_error_line(tmp_path, capsys):
+    # the MLP's refusal was a RuntimeError, which escaped main as a traceback
+    out = tmp_path / "sweep"
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow the refusal reports
+        rc = main(["sweep", "--problem", "regression", "--model", "mlp", "--encoder", "ordinal", "--aspl", "5",
+                   "--seeds", "1", "--test-size", "20", "--sigma", "1e200", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite MLP loss: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

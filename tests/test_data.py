@@ -139,6 +139,17 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=rf"huge\.csv:1: field larger than field limit"):
             infer_schema(str(p), "y")
 
+    def test_target_missing_from_schema_is_schema_error(self, season_csv):
+        csv_path, _ = season_csv
+        with pytest.raises(SchemaError, match="target 'y' missing from schema"):
+            load_csv(csv_path, {"season": ColumnKind.CATEGORICAL}, "y")
+
+    def test_empty_file_is_schema_error(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(SchemaError, match=r"empty\.csv: no header row"):
+            load_csv(str(p), {"a": ColumnKind.CATEGORICAL, "y": ColumnKind.NUMERIC}, "y")
+
     def test_infer_schema(self, season_csv):
         csv_path, _ = season_csv
         kinds = infer_schema(csv_path, "y")
@@ -240,6 +251,10 @@ class TestSplit:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
             split_train_test(make_table(), 1.0, seed=0)
+
+    def test_one_row_refused(self):
+        with pytest.raises(ValueError, match="need at least 2 rows to split"):
+            split_train_test(make_table(n=1), 0.5, seed=0)
 
 
 class TestPreprocessor:

@@ -171,6 +171,10 @@ class TestContrast:
                 mat[j:, j - 1] = j / c
         return mat
 
+    def test_zero_levels_refused(self):
+        with pytest.raises(ValueError, match="need at least one level"):
+            contrast_matrix(0, "sum")
+
     @pytest.mark.parametrize("scheme", ["sum", "helmert", "backdiff"])
     @pytest.mark.parametrize("c", range(1, 13))
     def test_matches_its_definition_bit_for_bit(self, scheme, c):
@@ -318,6 +322,18 @@ class TestTargetEncoders:
         np.testing.assert_array_equal(s.counts, [30, 10, 1])
         np.testing.assert_allclose(s.means, [2.0, 5.0, 11.0])
         assert s.prior_mean == pytest.approx(121.0 / 41.0)
+
+    @pytest.mark.parametrize(
+        "column, target, message",
+        [(["u", "v"], [1.0], "column and target lengths differ"), ([], [], "empty column")],
+    )
+    def test_group_stats_refusals(self, column, target, message):
+        with pytest.raises(ValueError, match=message):
+            compute_group_stats(column, target)
+
+    def test_unknown_shrinkage_scheme_refused(self):
+        with pytest.raises(ValueError, match="unknown shrinkage scheme 'median'"):
+            shrink_factors(self.stats(), "median", EncoderSpec("mean"))
 
     def test_mean_encoder_is_unshrunk(self):
         np.testing.assert_array_equal(shrink_factors(self.stats(), "mean", EncoderSpec("mean")), 1.0)

@@ -68,6 +68,10 @@ class TestScalarMetrics:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
+    def test_aspl_refuses_a_negative_row_count(self):
+        with pytest.raises(ValueError, match="negative row count"):
+            aspl(-1, 2)
+
     def test_mse_rmse(self):
         y = [1.0, 2.0, 3.0]
         p = [1.0, 4.0, 3.0]
@@ -208,6 +212,14 @@ class TestRelativePerf:
                     )
                 )
         return out
+
+    @pytest.mark.parametrize(
+        "metric, by_encoder, message",
+        [("rmse", {}, "no records"), ("r2", {"mean": [0.5]}, "no orientation known for metric 'r2'")],
+    )
+    def test_refusals(self, metric, by_encoder, message):
+        with pytest.raises(ValueError, match=message):
+            relative_perf_diff(self.recs(metric, by_encoder))
 
     def test_lower_better_metric(self):
         diffs = relative_perf_diff(

@@ -127,6 +127,12 @@ class TestRidge:
         with pytest.raises(ValueError, match="alphas must be finite and >= 0"):
             fit_ridge(x, y, alphas=alphas)
 
+    @pytest.mark.parametrize("n, alphas, message", [(1, RIDGE_ALPHAS, "need at least 2 rows"), (30, (), "no alpha candidates")])
+    def test_refuses_one_row_and_no_alphas(self, n, alphas, message):
+        x, y, _ = linear_data(n=n, p=2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            fit_ridge(x, y, alphas=alphas)
+
     def test_a_singular_candidate_scores_an_infinite_cv_error(self):
         # x = [a, b, a] has a singular x'x: alpha 0 used to abort the whole fit
         rng = np.random.default_rng(4)
@@ -277,6 +283,16 @@ class TestMLP:
         bound1 = np.sqrt(6.0 / (7 + 50))
         assert np.max(np.abs(model.w1)) <= bound1
         assert np.max(np.abs(model.w2)) <= np.sqrt(6.0 / (50 + 1))
+
+    def test_init_refuses_an_unknown_task(self):
+        with pytest.raises(ValueError, match="unknown task 'ranking'"):
+            init_mlp(2, "ranking", seed=0, hidden=4)
+
+    def test_non_finite_loss_is_a_value_error(self):
+        # it was a RuntimeError, which the command line let out as a traceback
+        x, y, _ = linear_data(n=20, p=2, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite MLP loss"):
+            models.fit_model("mlp", "regression", x, y, 0, lr=1e300, epochs=2)
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_finite_difference_gradients(self, task):

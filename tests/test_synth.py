@@ -60,6 +60,10 @@ class TestClassificationGenerator:
         assert table.feature_names() == ["season", "phase"]
         assert table.task() == "classification"
 
+    def test_zero_rows_refused(self):
+        with pytest.raises(ValueError, match="need at least one row"):
+            generate_classification(0, np.random.default_rng(0))
+
     def test_phase_range(self):
         table = generate_classification(5000, np.random.default_rng(4))
         phase = np.array(table.column("phase"))
@@ -134,7 +138,7 @@ class TestSweep:
         ],
     )
     def test_truth_cells_keep_their_bits(self, problem, model, encoder, want):
-        synth._truth_slot.cache_clear()
+        synth._truth_cells.cache_clear()
         cfg = SynthConfig(problem=problem, aspl_values=(5, 10), seeds_per_aspl=2, test_size=40)
         cells, _ = run_aspl_sweep(cfg, model, EncoderSpec(encoder))
         truth = [c for c in cells if c.encoder == "truth"]
@@ -144,9 +148,12 @@ class TestSweep:
     def test_sweep_deterministic(self):
         cfg = self.small_config("classification")
         a, _ = run_aspl_sweep(cfg, "tree", EncoderSpec("mean"))
-        synth._truth_slot.cache_clear()  # so the second run computes its truth cells too
+        synth._truth_cells.cache_clear()  # so the second run computes its truth cells too
         b, _ = run_aspl_sweep(cfg, "tree", EncoderSpec("mean"))
         assert a == b
+
+    def test_no_cells_summarize_to_no_rows(self):
+        assert summarize_sweep([]) == []
 
     def test_repeated_aspl_values_rejected(self):
         # a repeated value would score each of its cells twice and count the copies
@@ -272,7 +279,7 @@ class TestTruthMemo:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        synth._truth_slot.cache_clear()
+        synth._truth_cells.cache_clear()
 
     def test_second_encoder_sweep_skips_the_truth_fits(self, monkeypatch):
         cfg = dataclasses.replace(self.CFG, problem="classification")
@@ -306,7 +313,7 @@ class TestTruthMemo:
         cfg = dataclasses.replace(self.CFG, problem="classification")
         run_aspl_sweep(cfg, "forest", EncoderSpec("sshrink"))
         warm, warm_summary = run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
-        synth._truth_slot.cache_clear()
+        synth._truth_cells.cache_clear()
         cold, cold_summary = run_aspl_sweep(cfg, "forest", EncoderSpec("mean"))
         assert [(c, float(c.value).hex()) for c in warm] == [(c, float(c.value).hex()) for c in cold]
         assert warm_summary == cold_summary
@@ -320,7 +327,7 @@ class TestBatchedSweep:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        synth._truth_slot.cache_clear()
+        synth._truth_cells.cache_clear()
 
     def per_cell(self, spec: EncoderSpec) -> list[tuple]:
         """Each cell from one fit_model call on its own pipeline's matrix."""

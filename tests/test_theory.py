@@ -65,6 +65,10 @@ class TestSplitEnumeration:
 
 
 class TestBestSplit:
+    def test_unknown_impurity_refused(self):
+        with pytest.raises(ValueError, match="unknown impurity 'nosuch'"):
+            theory_mod._side_impurity(2.0, 1.0, 1.0, "nosuch")
+
     def test_exhaustive_finds_planted_partition(self):
         # levels {a, c} sit at y ~ 0 and {b, d} at y ~ 10: the optimal split is forced
         column = ["a", "b", "c", "d"] * 25
