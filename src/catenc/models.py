@@ -14,26 +14,27 @@ loss/gradient so tests can finite-difference them. The trees search exact
 midpoint thresholds: one level-wise grower scores every node of a level,
 across all the trees of a forest, in a few vectorized prefix scans per
 presorted feature, skipping the nodes (and whole features) where a feature has
-no split point; on an mse level, a feature with few split points, as an
-encoded column has, is scored at those alone. It then moves each presorted
-array into the level's children with one stable sort on each sample's child
-rank (a radix sort on 8- or 16-bit ranks). Each feature is presorted by a
-radix sort on its per-sample value ranks. The sample-id arrays are stored in
-the smallest unsigned dtype that holds every id and cast to intp, one at a
-time, to gather: numpy indexes about twice as fast with intp. Split positions
-between equal values are found on the value ranks, so a level reads x only
-where a split is chosen, and a node's rows go left up to the winning position
-in the winning feature's order. A feature with at most two distinct values,
-as a one-hot or base-2 column, is not presorted: each sample keeps only its
-side, one byte, and a level scores the feature's one split point per node
-from per-node sums in sample order (np.bincount), which are the prefix sums
-its presorted order gives, bit for bit; the node's low rows go left. A node
-is pure when its targets are all equal, and its value is their mean. The trees
-are flat node arrays that predict_tree walks in lock step. A forest's tree t
+no split point; a feature with few split points, as an encoded column has, is
+scored at those alone. It then moves each presorted array into the level's
+children with one stable sort on each sample's child rank (a radix sort on 8-
+or 16-bit ranks). Each feature is presorted by a radix sort on its per-sample
+value ranks. The sample-id arrays are stored in the smallest unsigned dtype
+that holds every id and cast to intp, one at a time, to gather: numpy indexes
+about twice as fast with intp. Split positions between equal values are found
+on the value ranks, so a level reads x only where a split is chosen, and a
+node's rows go left up to the winning position in the winning feature's
+order. A feature with at most two distinct values, as a one-hot or base-2
+column, is not presorted: each sample keeps only its side, one byte, and a
+level scores the feature's one split point per node from per-node sums in
+sample order (np.bincount), which are the prefix sums its presorted order
+gives, bit for bit; the node's low rows go left, at the midpoint of the
+feature's two values. A node is pure when its targets are all equal, and its
+value is their mean. The trees are flat node arrays that predict_tree walks
+in lock step. A forest's tree t
 draws from np.random.default_rng([seed, t])'s generator, built from memoized
 seed words. A batch's bootstrap rows are drawn in one vectorized pass over the
 trees' raw words, by numpy's own multiply-shift, so each tree's rows and later
-draws are the ones that generator gives.
+draws are the ones that generator gives; without bootstrap no word is drawn.
 """
 from __future__ import annotations
 
@@ -279,6 +280,7 @@ def init_mlp(n_features: int, task: str, seed: int, hidden: int) -> MLPModel:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, with no warning ahead of the error
 def mlp_loss_and_grads(
     model: MLPModel, x: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, list[np.ndarray]]:
@@ -286,7 +288,8 @@ def mlp_loss_and_grads(
 
     Regression: 0.5 * mean squared error. Classification: mean binary log-loss on
     the sigmoid output. Both add 0.5 * l2 * sum(||W||^2) / batch_size, biases
-    excluded from the penalty. A non-finite loss is a ValueError.
+    excluded from the penalty. A non-finite loss or gradient (an overflow,
+    whose warnings are silenced) is a ValueError.
     """
     n = x.shape[0]
     y = y.reshape(-1, 1)
@@ -312,6 +315,8 @@ def mlp_loss_and_grads(
     gb1 = dh.sum(axis=0)
     if not np.isfinite(loss):
         raise ValueError(f"non-finite MLP loss: {loss}")
+    if not all(np.isfinite(g).all() for g in (gw1, gb1, gw2, gb2)):  # or Adam steps to NaN weights
+        raise ValueError("non-finite MLP gradient")
     return loss, [gw1, gb1, gw2, gb2]
 
 
@@ -332,7 +337,7 @@ def train_mlp(
 
     Refuses what _learner_inputs refuses (0/1 labels for a classifier); epochs
     and batch_size must be >= 1, lr and eps finite and > 0, beta1 and beta2 in
-    [0, 1), and l2 finite and >= 0; a non-finite batch loss is a ValueError.
+    [0, 1), and l2 finite and >= 0; a non-finite loss or gradient is refused.
     """
     _require(epochs >= 1, "epochs", epochs, ">= 1")
     _require(np.isfinite(lr) and lr > 0.0, "lr", lr, "finite and > 0")
@@ -414,7 +419,7 @@ class Tree:
 #: small equal-shape fits share one (fit_forests).
 _BATCH_CELLS = 1 << 19
 
-#: An mse level scores a feature only at its split points when they are fewer
+#: A level scores a feature only at its split points when they are fewer
 #: than this share of the level's positions, as on a target-encoded or base-n
 #: column; a numeric column, split almost everywhere, is scored everywhere.
 _SPLIT_POINT_SHARE = 0.25
@@ -553,19 +558,19 @@ def _split_scores(
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted child impurity of a split after each position of every segment
-    of order, with lev.left_n and right_n rows on its sides; for mse, given
-    at, the ascending positions to score, and counts, how many of them each
-    segment holds, the scores at those positions only.
+    of order, with lev.left_n and right_n rows on its sides; given at, the
+    ascending positions to score, and counts, how many of them each segment
+    holds, the scores at those positions only.
 
     For mse, prefix sums run sequentially from each segment's first position,
     as np.cumsum does on the segment alone: np.add.accumulate is the loop
     np.cumsum runs, without its wrapper, which costs more than the sum on a
     small segment. They run only over the segments that scored marks; the
-    scores of the other segments are meaningless. Scoring at a subset of
+    scores of the other segments are meaningless. For 0/1 labels a running
+    count minus the count before the segment is exact. Scoring at a subset of
     positions gathers the sums, sizes and segment totals there and applies
-    the same formula, so each of its scores is the full one's bit for bit.
-    For 0/1 labels a running count minus the count before the segment is
-    exact.
+    the same elementwise formula, so each of its scores is the full one's bit
+    for bit.
     """
     sizes, left_n, size_of = lev.sizes, lev.left_n, lev.size_of
     order = order.astype(np.intp)  # numpy gathers fastest with intp indices
@@ -583,19 +588,19 @@ def _split_scores(
         for s, e in zip(lev.starts[scored].tolist(), lev.ends[scored].tolist()):
             np.add.accumulate(sums[:, s:e], axis=1, out=sums[:, s:e])
         total, total_sq = csum[last], csq[last - 1] + last_sq
-        if at is not None:
-            csum, csq = sums[:, at]
-            left_n, right_n, size_of, sizes = left_n[at], right_n[at], size_of[at], counts
-        del sums  # the full sums are spent once gathered at the positions
-        return _impurity_scores(impurity, csum, csq, total, total_sq, sizes, left_n, right_n, size_of)
-    csum = np.take(ys, order, mode="clip")
-    del order
-    before = csum[lev.starts]
-    np.add.accumulate(csum, out=csum)
-    before = csum[lev.starts] - before
-    ones = csum[lev.ends - 1] - before
-    csum -= np.repeat(before, sizes)  # ones on the left
-    return _impurity_scores(impurity, csum, None, ones, None, sizes, left_n, right_n, size_of)
+        del sums  # csum and csq hold it until they are gathered at the positions
+    else:
+        csum, csq, total_sq = np.take(ys, order, mode="clip"), None, None
+        del order
+        before = csum[lev.starts]
+        np.add.accumulate(csum, out=csum)
+        before = csum[lev.starts] - before
+        total = csum[lev.ends - 1] - before  # the segment's ones
+        csum -= np.repeat(before, sizes)  # ones on the left
+    if at is not None:
+        csum, csq = csum[at], None if csq is None else csq[at]
+        left_n, right_n, size_of, sizes = left_n[at], right_n[at], size_of[at], counts
+    return _impurity_scores(impurity, csum, csq, total, total_sq, sizes, left_n, right_n, size_of)
 
 
 def _two_valued_scores(
@@ -698,22 +703,22 @@ def _presort(values: np.ndarray, base: np.ndarray, id_type: np.dtype) -> tuple[n
     return np.argsort(ranks, kind="stable").astype(id_type), ranks
 
 
-def _two_valued_sides(values: np.ndarray) -> np.ndarray | None:
+def _two_valued_sides(values: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     """Each sample's side of a feature whose (trees, n) values hold at most
     two distinct values, compared numerically (-0.0 == 0.0), flattened so
-    that sample ids index it: True where the sample holds the higher value.
-    None for a feature with more values."""
+    that sample ids index it: True where the sample holds the higher value;
+    then the two values, low and high. None for a feature with more values."""
     lo, hi = values.min(), values.max()
     if ((values != lo) & (values != hi)).any():
         return None
-    return (values > lo).ravel()
+    return (values > lo).ravel(), lo, hi
 
 
 def _best_splits(
     ys: np.ndarray,
     orders: dict[int, np.ndarray],
     ranks: dict[int, np.ndarray],
-    sides: dict[int, np.ndarray],
+    sides: dict[int, tuple[np.ndarray, float, float]],
     at: np.ndarray,
     lev: _Level,
     impurity: str,
@@ -730,15 +735,16 @@ def _best_splits(
     next one holds an equal value, which ranks[f] (indexed by sample id, see
     _presort) tells from a small contiguous array. It is scored only on the
     segments where it has a split point, and not at all where it has none.
-    On an mse level a feature whose split points are fewer than
-    _SPLIT_POINT_SHARE of the positions is scored at its split points alone,
-    and each segment's first minimum is found among them; the full scores
-    there are the same, bit for bit. Gathering them costs more than it saves
-    where most positions are split points, as on a numeric column.
+    A feature whose split points are fewer than _SPLIT_POINT_SHARE of the
+    positions is scored at its split points alone, and each segment's first
+    minimum is found among them; the full scores there are the same, bit for
+    bit. Gathering them costs more than it saves where most positions are
+    split points, as on a numeric column.
 
-    A two-valued feature (in sides) has one split point per segment, after
-    its low rows, and is scored there by _two_valued_scores from the level's
-    sample ids in sample order, at (intp)."""
+    A two-valued feature (in sides, see _two_valued_sides) has one split
+    point per segment, after its low rows, and is scored there by
+    _two_valued_scores from the level's sample ids in sample order, at
+    (intp); its winners route by their sides, so no position is kept."""
     room = lev.left_n < lev.size_of
     right_n = np.maximum(lev.size_of - lev.left_n, 1.0)  # an empty right side counts 1: no 0/0
     if min_samples_leaf > 1:
@@ -754,7 +760,7 @@ def _best_splits(
         if candidate is not None and not candidate[:, f].any():
             continue
         if f in sides:
-            high = sides[f][at]
+            high = sides[f][0][at]
             low_n = lev.sizes - np.add.reduceat(high, lev.starts, dtype=np.intp)
             valid = (low_n >= min_samples_leaf) & (lev.sizes - low_n >= min_samples_leaf)  # both sides nonempty
             if candidate is not None:
@@ -765,7 +771,6 @@ def _best_splits(
             seg_min[valid] = _two_valued_scores(high, yrow, sqrow, lev, impurity, low_n, valid)
             del high
             better = seg_min < best_score
-            best_at[better] = (lev.starts + low_n - 1)[better]  # its order's last low position
         else:
             order = orders[f]
             rs = np.take(ranks[f], order, mode="clip")  # ids are in range; "clip" gathers faster than "raise"
@@ -777,7 +782,7 @@ def _best_splits(
             scored = np.logical_or.reduceat(valid, lev.starts)
             if not scored.any():
                 continue
-            if impurity == "mse" and np.count_nonzero(valid) < _SPLIT_POINT_SHARE * valid.shape[0]:
+            if np.count_nonzero(valid) < _SPLIT_POINT_SHARE * valid.shape[0]:
                 # few split points (an encoded column): scores at those alone, in
                 # one group per segment that has any
                 points = np.flatnonzero(valid)
@@ -813,7 +818,7 @@ def _grow_trees(
     min_samples_split: int,
     min_samples_leaf: int,
     rngs: Sequence[np.random.Generator | None],
-    max_features: int | None,
+    max_features: int,
     forest_trees: int,
 ) -> list[Tree]:
     """Grow one CART tree per row of samples (row indices into x), level by
@@ -825,8 +830,8 @@ def _grow_trees(
     the same ids with each segment sorted by the feature's value, ties in
     sample order (one stable presort per tree). Beside each such feature's ids
     sit its value ranks, indexed by sample id, on which a level tests for
-    ties. A two-valued feature keeps only each sample's side (see
-    _two_valued_sides) and is scored from the sample-order array.
+    ties. A two-valued feature keeps only each sample's side and its two
+    values (see _two_valued_sides), and is scored from the sample-order array.
 
     The roots are the first level: one segment per tree, its ids in sample
     order, as the presorted arrays hold them. Each level records its nodes (a
@@ -838,17 +843,18 @@ def _grow_trees(
     roots skip this when all are kept). The level scores every split position
     of every kept segment in a few numpy passes per feature, except where the
     feature has no split point. A split segment's rows up to its winning
-    position, in the winning feature's order, go to the left child (for a
-    two-valued feature, its low rows), and the sample-order array is sorted
-    by each sample's child rank (left, then right, in level order) into the
-    next level. Keys and ranks take their smallest dtype, 8- or 16-bit up to
-    32,767 splits a level, which numpy radix-sorts. The id arrays take the
-    smallest dtype that holds n_trees * n - 1 (uint16 up to 65,536 samples),
-    which keeps the grower's peak below that of int32 ids without ranks, and
-    each is cast to intp, one at a time, where it indexes (numpy gathers and
-    scatters about twice as fast with intp indices); rows, which maps sample
-    ids to rows of x, is intp. The nodes are then cut into their forests by
-    each node's tree.
+    position, in the winning feature's order, go to the left child, at the
+    midpoint of x there and at the next position; a two-valued feature sends
+    its low rows left, at the midpoint of its two values, reading no x. The
+    sample-order array is sorted by each sample's child rank (left, then
+    right, in level order) into the next level. Keys and ranks take their
+    smallest dtype, 8- or 16-bit up to 32,767 splits a level, which numpy
+    radix-sorts. The id arrays take the smallest dtype that holds
+    n_trees * n - 1 (uint16 up to 65,536 samples), which keeps the grower's
+    peak below that of int32 ids without ranks, and each is cast to intp, one
+    at a time, where it indexes (numpy gathers and scatters about twice as
+    fast with intp indices); rows, which maps sample ids to rows of x, is
+    intp. The nodes are then cut into their forests by each node's tree.
     """
     n_trees, n = samples.shape
     p = x.shape[1]
@@ -893,7 +899,7 @@ def _grow_trees(
             del key
         nodes, trees = nodes[keep], trees[keep]
         candidate = None
-        if max_features is not None and max_features < p:
+        if max_features < p:
             candidate = _feature_candidates(rngs, trees, p, max_features)
         lev = _level(np.cumsum(sizes) - sizes, sizes)
         at = row_order.astype(np.intp)
@@ -902,27 +908,23 @@ def _grow_trees(
         if not split.any():
             break
         # a segment's rows up to its split position in the winning feature's
-        # order go left, and its threshold is the midpoint of x there and at
-        # the next position; a two-valued feature's low rows go left, and x is
-        # read at the segment's last low row and first high row by sample id,
-        # the rows its presorted order would hold there
+        # order go left, at the midpoint of x there and at the next position;
+        # a two-valued feature's low rows go left, at the midpoint of its two
+        # values: the bits its presorted order holds there, or a signed zero
+        # of them, which gives the same midpoint
         goes_left = np.zeros(n_trees * n, dtype=bool)
         threshold = np.zeros(lev.starts.shape[0])
         for f in sorted(set(best_feat[split].tolist())):  # np.unique would import numpy.ma: 1 MiB
             won = best_feat == f
             if f in sides:
-                high = sides[f][at]
-                up, down = np.flatnonzero(high), np.flatnonzero(~high)
-                lo_id = at[down[np.searchsorted(down, lev.ends[won]) - 1]]
-                hi_id = at[up[np.searchsorted(up, lev.starts[won])]]
-                goes_left[at[np.repeat(won, lev.sizes) & ~high]] = True
-                del high, up, down
+                high, lo, hi = sides[f]
+                goes_left[at[np.repeat(won, lev.sizes) & ~high[at]]] = True
             else:
                 lo_id, hi_id = orders[f][best_at[won]], orders[f][best_at[won] + 1]
+                lo, hi = x[rows[lo_id], f], x[rows[hi_id], f]
                 n_left = np.repeat(np.where(won, lev.left_n[best_at], 0.0), lev.sizes)
                 goes_left[orders[f][lev.left_n <= n_left].astype(np.intp)] = True
                 del n_left
-            lo, hi = x[rows[lo_id], f], x[rows[hi_id], f]
             with np.errstate(over="ignore"):
                 mid = (lo + hi) / 2.0
             # a midpoint that rounds (or overflows) up to hi would send every row
@@ -976,11 +978,8 @@ def fit_tree(
     (about 3.4e153), so its squared sums stay finite: rescale a larger one.
     """
     x, y = _tree_inputs(x, y, impurity, max_depth, min_samples_split, min_samples_leaf)
-    n = x.shape[0]
-    return _grow_trees(
-        x, y, np.arange(n)[None, :], impurity, max_depth, min_samples_split,
-        min_samples_leaf, [None], None, 1,
-    )[0]
+    samples = np.arange(x.shape[0])[None, :]
+    return _grow_trees(x, y, samples, impurity, max_depth, min_samples_split, min_samples_leaf, [None], x.shape[1], 1)[0]
 
 
 #: Walk steps between two compactions of the (tree, range of groups) pairs in
@@ -1111,7 +1110,7 @@ class _TreeSeed(np.random.bit_generator.ISeedSequence):
         return _tree_seed_words(self.seed, self.t, n_words, dtype)
 
 
-def _bootstrap_rows(seeds: Sequence[tuple[int, int]], n: int) -> tuple[list[np.random.PCG64], np.ndarray]:
+def _bootstrap_rows(seeds: Sequence[tuple[int, int]], n: int, bootstrap: bool) -> tuple[list[np.random.PCG64], np.ndarray]:
     """Each tree's bit generator, PCG64(_TreeSeed(seed, t)) for its (seed, t),
     and the (trees, n) int64 rows np.random.default_rng([seed, t]).integers(0,
     n, size=n) draws, byte for byte, drawn in one pass over the batch.
@@ -1126,14 +1125,15 @@ def _bootstrap_rows(seeds: Sequence[tuple[int, int]], n: int) -> tuple[list[np.r
     that array is the only batch-sized one the draw allocates. A tree with a
     rejected word, or any tree when n >= 2**32 (drawn by other methods), is
     drawn again by Generator.integers on a fresh generator, which takes
-    numpy's own path. n == 1 draws no word, as numpy's does. Each generator is
+    numpy's own path. n == 1 draws no word, as numpy's does, and nor does
+    bootstrap False, whose rows are 0..n-1 for every tree. Each generator is
     left where numpy's is for every 64-bit draw (the trees draw only doubles
     later); after an odd n numpy also keeps the last word's high half for a
     32-bit draw, which nothing here reads.
     """
     bits = [np.random.PCG64(_TreeSeed(*seed)) for seed in seeds]
-    if n == 1:
-        return bits, np.zeros((len(bits), 1), dtype=np.int64)
+    if n == 1 or not bootstrap:
+        return bits, np.tile(np.arange(n, dtype=np.int64), (len(bits), 1))
     product = np.empty((len(bits), n), dtype=np.uint64)
     for row, bit in zip(product, bits):
         row[:] = bit.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
@@ -1175,12 +1175,12 @@ def fit_forests(
     exactly what the generator's integers(0, n, size=n) gives, so the pinned
     sweep values hold, but _bootstrap_rows draws a batch's rows in one pass:
     about 2.3 us a tree on 20-80 rows, against 6.5 us for a Generator and its
-    integers call per tree (2-vCPU Xeon VM). Without bootstrap no word is
-    drawn, and a tree's generator is wrapped in a Generator only where it draws
-    candidate features. n_trees must be >= 1, max_depth None or >= 0 and
-    min_samples_split >= 1. A regression target needs n * max|y| below 2**510
-    (about 3.4e153), so the squared sums over a bootstrap sample stay finite:
-    rescale a larger one.
+    integers call per tree (2-vCPU Xeon VM). Without bootstrap the same call
+    draws no word and gives each tree every row once, and a tree's generator
+    is wrapped in a Generator only where it draws candidate features. n_trees
+    must be >= 1, max_depth None or >= 0 and min_samples_split >= 1. A
+    regression target needs n * max|y| below 2**510 (about 3.4e153), so the
+    squared sums over a bootstrap sample stay finite: rescale a larger one.
 
     The trees are grown together, level by level, in as few batches as memory
     allows (_BATCH_CELLS); each batch is one flat Tree. Consecutive jobs with
@@ -1211,11 +1211,7 @@ def fit_forests(
             for first in range(0, total, per_batch):
                 batch = range(first, min(first + per_batch, total))
                 seeds = [(group[i // n_trees][2], i % n_trees) for i in batch]
-                if bootstrap:
-                    bits, samples = _bootstrap_rows(seeds, n)
-                else:  # no word is drawn before the candidate features
-                    bits = [np.random.PCG64(_TreeSeed(*seed)) for seed in seeds]
-                    samples = np.tile(np.arange(n), (len(batch), 1))
+                bits, samples = _bootstrap_rows(seeds, n, bootstrap)
                 samples += (np.arange(batch.start, batch.stop) // n_trees * n)[:, None]  # each job's rows
                 # a tree's generator is needed only where it draws candidate features
                 rngs = [np.random.Generator(bit) if max_features < p else None for bit in bits]

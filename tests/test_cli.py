@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -514,6 +515,18 @@ def test_sweep_non_finite_mlp_loss_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: non-finite MLP loss: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_non_finite_mlp_loss_prints_no_warning(tmp_path, capsys):
+    # numpy's overflow warnings, each with its source line, came ahead of the error line
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--problem", "regression", "--model", "mlp", "--encoder", "ordinal", "--aspl", "5",
+                   "--seeds", "1", "--test-size", "20", "--sigma", "1e200", "--out", str(out)])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: non-finite MLP loss: inf\n"
 
 
 def test_guide_nan_min_aspl_exits_1(capsys):

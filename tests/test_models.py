@@ -294,6 +294,23 @@ class TestMLP:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite MLP loss"):
             models.fit_model("mlp", "regression", x, y, 0, lr=1e300, epochs=2)
 
+    def test_non_finite_loss_is_a_value_error_with_no_warning(self):
+        # the overflow warnings came ahead of the refusal; with no errstate here
+        # the configured filter would raise them in place of the ValueError
+        x, y, _ = linear_data(n=20, p=2, seed=1)
+        with pytest.raises(ValueError, match="non-finite MLP loss"):
+            models.fit_model("mlp", "regression", x, y, 0, lr=1e300, epochs=2)
+
+    def test_infinite_gradient_at_a_finite_loss_is_a_value_error(self):
+        # the loss is 50, but gw2 overflows: as a last step, Adam would return
+        # NaN weights, which predict as all-zero labels without a word
+        model = init_mlp(2, "regression", seed=0, hidden=3)
+        model.w1[:], model.w2[:] = 1.0, 0.0
+        x = np.zeros((4, 2))
+        x[:, 0] = 1e308
+        with pytest.raises(ValueError, match="^non-finite MLP gradient$"):
+            mlp_loss_and_grads(model, x, np.full(4, -10.0), l2=0.0)
+
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_finite_difference_gradients(self, task):
         rng = np.random.default_rng(1)
@@ -420,9 +437,7 @@ class TestSplitScores:
             seg = ys[order[start:end]]
             want += [brute_child_impurity(seg, k, impurity) for k in range(1, seg.size + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        if impurity != "mse":
-            return
-        # mse scored at some positions only: the full scores there, bit for bit
+        # scored at some positions only: the full scores there, bit for bit
         points = np.flatnonzero((rng.random(n) < 0.4) | (np.arange(n) == lev.starts[-1]))
         counts = np.searchsorted(points, lev.ends) - np.searchsorted(points, lev.starts)
         at_points = models._split_scores(ys, order, lev, right_n, impurity, counts > 0, points, counts)
@@ -553,18 +568,29 @@ class TestNodeStats:
 
 
 class TestSplitPointScoring:
-    """An mse level that scores a feature only at its split points grows the
-    trees that scoring every position grows, byte for byte. Each path is forced
-    through models._SPLIT_POINT_SHARE: no share of positions is below 0, and
-    every share is below 2."""
+    """A level that scores a feature only at its split points grows the trees
+    that scoring every position grows, byte for byte, for every impurity. Each
+    path is forced through models._SPLIT_POINT_SHARE: no share of positions is
+    below 0, and every share is below 2."""
 
     @staticmethod
-    def grow(share, x, y, kind, seed):
+    def grow(share, x, y, kind, seed, impurity="mse"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_SPLIT_POINT_SHARE", share)
             if kind == "forest":  # bootstrap samples and 2 candidate features of 4 per node
-                return [tree_digests(t) for t in fit_forest(x, y, "regression", n_trees=3, seed=seed).trees]
-            return [tree_digests(fit_tree(x, y, max_depth=None, min_samples_split=2, min_samples_leaf=kind))]
+                task = "regression" if impurity == "mse" else "classification"
+                return [tree_digests(t) for t in fit_forest(x, y, task, n_trees=3, seed=seed).trees]
+            return [tree_digests(fit_tree(x, y, impurity, max_depth=None, min_samples_split=2, min_samples_leaf=kind))]
+
+    @staticmethod
+    def columns(data, rng, n):
+        # few-valued columns, as encoded ones are, beside a continuous one
+        return np.column_stack([
+            data.draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=n, max_size=n), label="edge column"),
+            rng.integers(0, 2, n),
+            np.round(rng.normal(size=n), 1),
+            rng.normal(size=n),
+        ]).astype(float)
 
     @settings(deadline=None)
     @given(
@@ -576,13 +602,7 @@ class TestSplitPointScoring:
     )
     def test_split_points_alone_grow_the_same_trees(self, data, n, kind, targets, seed):
         rng = np.random.default_rng(seed)
-        # few-valued columns, as encoded ones are, beside a continuous one
-        x = np.column_stack([
-            data.draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=n, max_size=n), label="edge column"),
-            rng.integers(0, 2, n),
-            np.round(rng.normal(size=n), 1),
-            rng.normal(size=n),
-        ]).astype(float)
+        x = self.columns(data, rng, n)
         if targets == "few":  # many tied scores
             y = rng.integers(0, 3, n).astype(float)
         elif targets == "rounded":
@@ -595,6 +615,38 @@ class TestSplitPointScoring:
             return
         with np.errstate(over="ignore", invalid="ignore"):
             assert self.grow(-1.0, x, y, kind, seed) == self.grow(2.0, x, y, kind, seed)
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 80),
+        kind=st.sampled_from([1, 3, "forest"]),
+        impurity=st.sampled_from(["gini", "entropy"]),
+        ones=st.sampled_from([0.5, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_points_alone_grow_the_same_classifiers(self, data, n, kind, impurity, ones, seed):
+        # a classification forest splits on gini, whichever impurity is drawn
+        rng = np.random.default_rng(seed)
+        x = self.columns(data, rng, n)
+        # 0/1 labels with signed zeros; rare ones leave many tied scores
+        y = np.where(rng.random(n) < ones, 1.0, rng.choice([0.0, -0.0], size=n))
+        assert self.grow(-1.0, x, y, kind, seed, impurity) == self.grow(2.0, x, y, kind, seed, impurity)
+
+    def test_a_gini_tree_scores_a_mean_encoded_column_at_its_split_points(self, monkeypatch):
+        calls, real = [], models._split_scores
+
+        def spy(*args):
+            calls.append(len(args) > 6 and args[6] is not None)  # at: the positions scored
+            return real(*args)
+
+        monkeypatch.setattr(models, "_split_scores", spy)
+        rng = np.random.default_rng(3)
+        code = rng.integers(0, 12, 400)
+        y = (rng.random(400) < (code + 1) / 13).astype(float)
+        x = (np.bincount(code, y, 12) / np.bincount(code, minlength=12))[code][:, None]  # 12 values
+        tree = fit_tree(x, y, "gini", max_depth=None, min_samples_split=2)
+        assert tree.feature[0] == 0 and calls[0]  # the root: 11 split points of 400 positions
 
 
 class TestTwoValuedColumns:
@@ -611,7 +663,7 @@ class TestTwoValuedColumns:
             for min_samples_leaf in (1, 3)
             for max_depth in (None, 3)
         ]
-        # bootstrap samples and 3 candidate features of 8 per node
+        # bootstrap samples and 4 candidate features of 10 per node
         trees += fit_forest(x, y_real, "regression", n_trees=3, seed=seed).trees
         trees += fit_forest(x, y_label, "classification", n_trees=3, seed=seed).trees
         return [tree_digests(t) for t in trees]
@@ -633,6 +685,8 @@ class TestTwoValuedColumns:
             rng.choice([-0.0, 0.0], size=n),  # one value, numerically: never split
             np.where(numeric > np.median(numeric), 4.0, -4.0),  # splits the rows a numeric split does
             np.where(rng.random(n) < 0.5, *pair),
+            rng.choice([-0.0, 0.0, 5e-324], size=n),  # both zeros on the low side
+            rng.choice([-5e-324, -0.0, 0.0], size=n),  # both zeros on the high side
         ]
         order = data.draw(st.permutations(range(len(columns))), label="column order")
         x = np.column_stack([columns[i] for i in order])
@@ -1123,7 +1177,7 @@ class TestTreeSeeds:
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 80, 65_537])
     def test_bootstrap_rows_are_numpys(self, n, seed):
         seeds = [(seed, t) for t in range(4)]
-        bits, rows = models._bootstrap_rows(seeds, n)
+        bits, rows = models._bootstrap_rows(seeds, n, True)
         assert (rows.dtype, rows.shape) == (np.int64, (4, n))
         for (s, t), bit, got in zip(seeds, bits, rows):
             want = np.random.default_rng([s, t])
@@ -1131,10 +1185,17 @@ class TestTreeSeeds:
             # the trees' later draws (candidate features) come out as numpy's
             assert np.random.Generator(bit).random((6, 4)).tobytes() == want.random((6, 4)).tobytes(), t
 
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_no_bootstrap_draws_no_word(self, n):
+        seeds = [(7, t) for t in range(4)]
+        bits, rows = models._bootstrap_rows(seeds, n, False)
+        assert (rows.dtype, rows.shape, rows.tobytes()) == (np.int64, (4, n), np.tile(np.arange(n), (4, 1)).tobytes())
+        assert [bit.state for bit in bits] == [np.random.default_rng([s, t]).bit_generator.state for s, t in seeds]
+
     def test_rejected_draws_take_numpys_redraw(self):
         # at 32,000 rows one 32-bit word in about 184,000 is rejected, about one tree in six
         n, seeds = 32_000, [(3, t) for t in range(100)]
-        bits, rows = models._bootstrap_rows(seeds, n)
+        bits, rows = models._bootstrap_rows(seeds, n, True)
         for (s, t), bit, got in zip(seeds, bits, rows):
             want = np.random.default_rng([s, t])
             assert got.tobytes() == want.integers(0, n, size=n).tobytes(), t
